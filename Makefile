@@ -51,12 +51,10 @@ ci: lint build race bench-check chaos-smoke server-chaos-smoke compose-smoke err
 # the execution engine), recorded machine-readably in BENCH_interp.json.
 # BenchmarkDeadlockDetection records structural deadlock-detection
 # latency — the metric that replaced the former 10 s wall-clock wait.
-# BenchmarkShardedCampaign tracks the sharded engine's overhead floor
-# (1 shard) and its scaling configuration (one shard per core).
 # BenchmarkCampaignSetup records Prepare cold vs warm: the warm number
 # is the golden-run cache's enforced win (breaking the cache turns a
 # sub-millisecond hit into a full golden run, which benchdiff rejects).
-BENCH_INTERP = BenchmarkInterpreter|BenchmarkInterpreterInstrumented|BenchmarkCampaignThroughput|BenchmarkCampaignSetup|BenchmarkShardedCampaign|BenchmarkDeadlockDetection
+BENCH_INTERP = BenchmarkInterpreter|BenchmarkInterpreterInstrumented|BenchmarkCampaignThroughput|BenchmarkCampaignSetup|BenchmarkDeadlockDetection
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_INTERP)' -benchtime=2s . \
 		| $(GO) run ./cmd/bench2json -o BENCH_interp.json
@@ -106,12 +104,17 @@ compose-smoke:
 bench-compose:
 	$(GO) run ./cmd/composebench -o BENCH_compose.json
 
-# Chaos tests for the sharded campaign engine under the race detector:
-# mid-campaign kills, torn/corrupt/deleted shard journals, and injected
-# shard panics must all converge back to the bit-identical result (see
-# internal/fault/shard/chaos_test.go).
+# Crash/resume tests under the race detector: campaigns cancelled
+# mid-run (plain, per error model, and on a golden-cache hit) must
+# resume to the bit-identical result, a torn journal tail is dropped,
+# corrupt or stale per-section journals are rebuilt, a structurally
+# corrupt journal is refused with its bytes untouched (see
+# internal/fault/*_test.go), and a coordinator campaign killed twice
+# with torn, corrupt and deleted shard journals resumes to the
+# bit-identical merged journal (internal/fault/shard).
+CHAOS_TESTS = TestCampaignCancelThenResumeBitIdentical|TestJournalDiscardsTornTail|TestRunSectionsCorruptJournalRebuilt|TestRunSectionsStaleJournalRebuilt|TestModelCancelThenResumeBitIdentical|TestGoldenCacheCancelResumeBitIdentical|TestOpenJournalRefusesCorruptUntouched|TestChaosCrashResumeBitIdentical
 chaos-smoke:
-	$(GO) test -race -shuffle=on -run 'Chaos' -timeout=10m ./internal/fault/...
+	$(GO) test -race -shuffle=on -count=1 -run '^($(CHAOS_TESTS))$$' -timeout=10m ./internal/fault/...
 
 # Chaos tests for the campaign coordinator under the race detector:
 # worker processes SIGKILLed mid-shard, dropped heartbeats, leases
@@ -123,11 +126,12 @@ server-chaos-smoke:
 
 # Error-model smoke under the race detector: the per-model determinism
 # matrix (worker/shard/resume/remote invariance for every built-in
-# model), the instrumented-loop-vs-reference-walker differential over
+# model),
+# the instrumented-loop-vs-reference-walker differential over
 # masks/correlation/stickiness, journal forward-compat (unknown models
 # refuse resume in every format), and the iterative-convergence
-# workloads' golden checks across all five harness paths (see
-# "Error models" in DESIGN.md).
+# workloads' golden checks across every harness path (see "Error
+# models" in DESIGN.md).
 errmodel-smoke:
 	$(GO) test -race -shuffle=on -count=1 -timeout=10m \
 		-run 'Model|TestDifferentialErrorModels|TestTrialRecordsEffectiveBitAndMask|TestConvergence' \

@@ -8,7 +8,6 @@ package ipas
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -18,7 +17,6 @@ import (
 	"ipas/internal/dup"
 	"ipas/internal/experiments"
 	"ipas/internal/fault"
-	"ipas/internal/fault/shard"
 	"ipas/internal/features"
 	"ipas/internal/interp"
 	"ipas/internal/ir"
@@ -262,42 +260,6 @@ func BenchmarkCampaignSetup(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkShardedCampaign measures the sharded campaign engine
-// (internal/fault/shard) against the single-loop baseline above:
-// "1shard" is the engine's overhead floor (scheduler + partition, no
-// parallelism win), "sharded" runs one shard per scheduler worker at
-// GOMAXPROCS. Journaling is off in both, so the numbers isolate
-// scheduling cost from I/O.
-func BenchmarkShardedCampaign(b *testing.B) {
-	const trials = 30
-	for _, name := range []string{"FFT", "IS"} {
-		for _, cfg := range []struct {
-			label  string
-			shards int
-		}{
-			{"1shard", 1},
-			{"sharded", runtime.GOMAXPROCS(0)},
-		} {
-			b.Run(name+"-"+cfg.label, func(b *testing.B) {
-				app := benchApp(b, name)
-				prog, err := fault.Compile(app.Module)
-				if err != nil {
-					b.Fatal(err)
-				}
-				c := &fault.Campaign{Prog: prog, Verify: app.Verify, Config: app.Config, Seed: 9}
-				opts := shard.Options{Shards: cfg.shards}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := shard.Run(context.Background(), c, trials, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(trials)*float64(b.N)/b.Elapsed().Seconds(), "trials/s")
-			})
-		}
-	}
 }
 
 // BenchmarkDeadlockDetection measures the latency of structural

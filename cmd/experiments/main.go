@@ -7,15 +7,16 @@
 // (some trials failed infrastructure-side and were excluded).
 //
 // With -remote URL every workflow's collection campaign is dispatched
-// to a campaignd coordinator and executed by its worker fleet; the
-// remaining stages run locally. Results stay bit-identical.
+// to a campaignd coordinator and executed by its worker fleet, split
+// into -shards K leases; the remaining stages run locally. Results
+// stay bit-identical. -shards requires -remote.
 //
 // Usage:
 //
 //	experiments [-run all|table3|table4|table5|table6|fig5|fig6|fig7|fig8|fig9]
 //	            [-quick|-paper] [-workloads CoMD,HPCCG,...] [-trials N] [-seed S]
-//	            [-deadline D] [-max-retries N] [-shards K] [-shard-retries N]
-//	            [-watchdog D] [-remote URL] [-progress]
+//	            [-deadline D] [-max-retries N] [-watchdog D]
+//	            [-remote URL [-shards K]] [-progress]
 package main
 
 import (
@@ -44,8 +45,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit comma-separated values instead of aligned tables")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget for the whole suite (0 = none)")
 	maxRetries := flag.Int("max-retries", 2, "per-trial retries after infrastructure errors (0 = none)")
-	shards := flag.Int("shards", 1, "failure-isolated shards per campaign; >1 selects the sharded engine (results are bit-identical)")
-	shardRetries := flag.Int("shard-retries", 2, "quarantine retries before a sick shard's remaining trials are failed (0 = none)")
+	shards := flag.Int("shards", 1, "with -remote: shards the coordinator splits each collection campaign into (results are bit-identical)")
 	watchdog := flag.Duration("watchdog", 0, "per-MPI-op wall-clock watchdog in every campaign (0 = interpreter default)")
 	remote := flag.String("remote", "", "campaignd coordinator URL; dispatch each workflow's collection campaign there")
 	trainWorkers := flag.Int("train-workers", 0, "concurrent grid-search workers for SVM training (0 = GOMAXPROCS; results are identical for any count)")
@@ -58,6 +58,10 @@ func main() {
 	model, err := fault.ParseModel(*errorModel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+	if *shards > 1 && *remote == "" {
+		fmt.Fprintln(os.Stderr, "experiments: -shards partitions the -remote collection campaigns across the coordinator's workers; it needs -remote")
 		os.Exit(1)
 	}
 
@@ -90,7 +94,6 @@ func main() {
 		MaxRetries:      fault.ExplicitRetries(*maxRetries),
 		TrainWorkers:    *trainWorkers,
 		Shards:          *shards,
-		ShardRetries:    fault.ExplicitRetries(*shardRetries),
 		Watchdog:        *watchdog,
 		Sections:        *sections,
 		SectionCoverage: *sectionCoverage,

@@ -9,18 +9,13 @@
 // hit infrastructure errors are retried up to -max-retries times and
 // then reported without aborting the campaign.
 //
-// With -shards K (K > 1) the campaign runs on the sharded engine: the
-// trial space splits into K failure-isolated shards on a work-stealing
-// scheduler, -journal names a directory holding one journal per shard
-// plus the canonical merged.jsonl, and a shard that panics or expires
-// its watchdog is quarantined and retried (-shard-retries) without
-// touching its siblings. Results are bit-identical to -shards 1.
-//
 // With -remote URL the campaign is submitted to a campaignd
-// coordinator instead of running in-process: the coordinator shards the
-// trial space across its ipas-worker fleet under leases and journals
-// every acked trial durably, and the result printed here is
-// bit-identical to the local run with the same seed.
+// coordinator instead of running in-process: the coordinator splits
+// the trial space into -shards K leases across its ipas-worker fleet
+// and journals every acked trial durably, and the result printed here
+// is bit-identical to the local run with the same seed. -shards
+// requires -remote: a local campaign runs every trial on one pool of
+// -workers goroutines.
 //
 // With -sections the trial space stratifies over IR sections
 // (outermost loop nests and the straight-line runs between them): each
@@ -34,8 +29,8 @@
 //
 //	flipit [-workload NAME] [-input N] [-n TRIALS] [-seed S] [-funcs]
 //	       [-journal FILE|DIR [-resume]] [-deadline D] [-max-retries N]
-//	       [-workers N] [-shards K] [-shard-retries N] [-watchdog D]
-//	       [-remote URL] [-progress]
+//	       [-workers N] [-watchdog D] [-remote URL [-shards K]]
+//	       [-progress]
 //	       [-sections [-coverage N] [-max-per-section N]]
 package main
 
@@ -55,7 +50,6 @@ import (
 	"ipas/internal/compose"
 	"ipas/internal/dup"
 	"ipas/internal/fault"
-	"ipas/internal/fault/shard"
 	"ipas/internal/interp"
 	"ipas/internal/ir"
 	"ipas/internal/stats"
@@ -73,8 +67,7 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "wall-clock budget for the campaign (0 = none)")
 	maxRetries := flag.Int("max-retries", 2, "per-trial retries after infrastructure errors (0 = none)")
 	workers := flag.Int("workers", 0, "concurrent trial workers (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 1, "failure-isolated campaign shards; >1 selects the sharded engine and makes -journal a directory")
-	shardRetries := flag.Int("shard-retries", 2, "quarantine retries before a sick shard's remaining trials are failed (0 = none)")
+	shards := flag.Int("shards", 1, "with -remote: shards the coordinator splits the trial space into (results are bit-identical)")
 	watchdog := flag.Duration("watchdog", 0, "per-MPI-op wall-clock watchdog (0 = interpreter default)")
 	remote := flag.String("remote", "", "campaignd coordinator URL; submit the campaign there instead of running locally")
 	progress := flag.Bool("progress", false, "report trial progress on stderr")
@@ -123,9 +116,8 @@ func main() {
 	if *remote != "" && *journalPath != "" {
 		fatal(errors.New("-remote and -journal are mutually exclusive: remote campaigns journal durably on the coordinator"))
 	}
-
-	if *sections && *shards > 1 && *remote == "" {
-		fatal(errors.New("-sections runs its own per-section worker pool locally; drop -shards (a -remote coordinator shards sectioned campaigns itself)"))
+	if *shards > 1 && *remote == "" {
+		fatal(errors.New("-shards partitions a -remote campaign across the coordinator's workers; a local campaign runs on one pool of -workers"))
 	}
 
 	var journal *fault.Journal
@@ -134,17 +126,6 @@ func main() {
 		// keyed by content fingerprint. Reuse is always incremental —
 		// unchanged sections restore, changed ones rebuild — so there
 		// is no -resume guard to trip.
-	} else if *journalPath != "" && *shards > 1 {
-		// Sharded: -journal is a directory; the engine opens one
-		// journal per shard and validates ownership itself. Only the
-		// resume guard lives here.
-		if entries, err := os.ReadDir(*journalPath); err == nil && len(entries) > 0 {
-			if !*resume {
-				fatal(fmt.Errorf("shard journal dir %s already holds %d files; pass -resume to continue it (or use a fresh directory)",
-					*journalPath, len(entries)))
-			}
-			fmt.Fprintf(os.Stderr, "flipit: resuming from shard journals in %s\n", *journalPath)
-		}
 	} else if *journalPath != "" {
 		journal, err = fault.OpenJournal(*journalPath)
 		if err != nil {
@@ -191,58 +172,15 @@ func main() {
 	)
 	switch {
 	case *remote != "":
-		rspec := campaign.Spec{
-			Workload:   *name,
-			Input:      *input,
-			Trials:     *n,
-			Seed:       *seed,
-			Model:      fault.ModelName(model),
-			Shards:     *shards,
-			Ranks:      1,
-			MaxRetries: fault.ExplicitRetries(*maxRetries),
-			Watchdog:   *watchdog,
-		}
-		if *sections {
-			// The coordinator derives the trial count from the
-			// per-section allocation.
-			rspec.Sections, rspec.Coverage, rspec.MaxPerSection = true, *coverage, *maxPerSection
-			rspec.Trials = 0
-		}
-		res, err = submitRemote(ctx, *remote, rspec, *progress)
-		if err == nil && res.Failed > 0 {
-			err = errors.New(res.ErrorSummary())
-		}
-		if *sections && res != nil {
-			// Re-derive the (deterministic) section plan locally so the
-			// remote trials can be composed: plans and populations are a
-			// pure function of the spec.
-			prep, perr := c.Prepare(ctx)
-			if perr != nil {
-				fatal(perr)
-			}
-			secRes = &fault.SectionResult{CampaignResult: res, Plan: prep.SectionPlan(), Executed: res.Completed}
-			for _, a := range secRes.Plan.Alloc {
-				secRes.Stats = append(secRes.Stats, fault.SectionStat{
-					Section: a.Section, FP: a.FP, Label: a.Label, Pop: a.Pop, Trials: a.Trials,
-				})
-			}
-		}
+		res, secRes, err = runRemote(ctx, *remote, c, campaign.Spec{Workload: *name, Input: *input, Shards: *shards}, *n, *progress)
 	case *sections:
-		prep, perr := c.Prepare(ctx)
-		if perr != nil {
-			fatal(perr)
+		var prep *fault.Prepared
+		if prep, err = c.Prepare(ctx); err == nil {
+			secRes, err = prep.RunSections(ctx, *journalPath)
 		}
-		secRes, err = prep.RunSections(ctx, *journalPath)
 		if secRes != nil {
 			res = secRes.CampaignResult
 		}
-	case *shards > 1:
-		res, err = shard.Run(ctx, c, *n, shard.Options{
-			Shards:  *shards,
-			Workers: *workers,
-			Retries: fault.ExplicitRetries(*shardRetries),
-			Dir:     *journalPath,
-		})
 	default:
 		res, err = c.RunContext(ctx, *n)
 	}
@@ -250,8 +188,8 @@ func main() {
 		fatal(err)
 	}
 	if ctx.Err() != nil {
-		fmt.Fprintf(os.Stderr, "flipit: interrupted (%v): %d/%d trials completed\n", ctx.Err(), res.Completed, *n)
-		if journal != nil || (*shards > 1 && *journalPath != "") {
+		fmt.Fprintf(os.Stderr, "flipit: interrupted (%v): %d/%d trials completed\n", ctx.Err(), res.Completed, len(res.Trials))
+		if *journalPath != "" {
 			fmt.Fprintf(os.Stderr, "flipit: checkpoint saved; rerun with -journal %s -resume to continue\n", *journalPath)
 		} else {
 			fmt.Fprintln(os.Stderr, "flipit: no -journal was set, so this partial progress is lost on exit")
@@ -264,12 +202,8 @@ func main() {
 		fatal(errors.New("no trials completed"))
 	}
 
-	total := *n
-	if *sections {
-		total = len(res.Trials)
-	}
 	fmt.Printf("%s input %d (%s): %d/%d injections completed, golden run %d dyn instrs\n",
-		*name, *input, spec.InputDesc, res.Completed, total, res.GoldenDyn)
+		*name, *input, spec.InputDesc, res.Completed, len(res.Trials), res.GoldenDyn)
 	if secRes != nil {
 		printSectioned(secRes)
 	} else {
@@ -354,15 +288,19 @@ func printSectioned(secRes *fault.SectionResult) {
 	}
 }
 
-// submitRemote dispatches the campaign to a campaignd coordinator and
+// runRemote dispatches the configured campaign to a campaignd
+// coordinator as spec, which names the program and shard count, and
 // polls it to completion. The coordinator's workers run the identical
 // plan sequence, so the returned result is bit-identical to a local
-// run with the same flags.
-func submitRemote(ctx context.Context, url string, spec campaign.Spec, progress bool) (*fault.CampaignResult, error) {
+// run with the same flags. For a sectioned campaign it also re-derives
+// the (deterministic) section plan locally, so the remote trials can
+// be composed.
+func runRemote(ctx context.Context, url string, c *fault.Campaign, spec campaign.Spec, n int, progress bool) (*fault.CampaignResult, *fault.SectionResult, error) {
+	spec.Fill(c, n)
 	client := &campaign.Client{Base: url}
 	sub, status, err := client.Submit(ctx, spec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	switch status {
 	case 200:
@@ -382,7 +320,27 @@ func submitRemote(ctx context.Context, url string, spec campaign.Spec, progress 
 			}
 		}
 	}
-	return client.WaitResult(ctx, sub.ID, time.Second, onProgress)
+	res, err := client.WaitResult(ctx, sub.ID, time.Second, onProgress)
+	if err != nil {
+		return nil, nil, err
+	}
+	if res.Failed > 0 {
+		err = errors.New(res.ErrorSummary())
+	}
+	if !c.Sections {
+		return res, nil, err
+	}
+	prep, perr := c.Prepare(ctx)
+	if perr != nil {
+		return nil, nil, perr
+	}
+	secRes := &fault.SectionResult{CampaignResult: res, Plan: prep.SectionPlan(), Executed: res.Completed}
+	for _, a := range secRes.Plan.Alloc {
+		secRes.Stats = append(secRes.Stats, fault.SectionStat{
+			Section: a.Section, FP: a.FP, Label: a.Label, Pop: a.Pop, Trials: a.Trials,
+		})
+	}
+	return res, secRes, err
 }
 
 // reportModels runs the per-model resilience comparison: for every

@@ -9,25 +9,21 @@
 // -journal DIR -resume continues from the checkpoint and produces a
 // result identical to an uninterrupted run with the same parameters.
 //
-// With -shards K (K > 1) every campaign runs on the sharded engine
-// (failure-isolated shards on a work-stealing scheduler, one journal
-// per shard under DIR/<stage>.shards/); results stay bit-identical.
-//
 // With -remote URL the collection campaign — the workflow's dominant
 // fault-injection cost, and the one stage expressible as a
 // self-contained campaign spec — is dispatched to a campaignd
-// coordinator and executed by its worker fleet; every other stage
-// (training, protection, per-variant evaluation of protected modules,
-// which do not round-trip through source text) runs locally. Results
-// stay bit-identical to a fully local run.
+// coordinator and executed by its worker fleet, split into -shards K
+// leases; every other stage (training, protection, per-variant
+// evaluation of protected modules, which do not round-trip through
+// source text) runs locally. Results stay bit-identical to a fully
+// local run. -shards requires -remote.
 //
 // Usage:
 //
 //	ipas [-workload NAME] [-input N] [-quick|-paper] [-samples N]
 //	     [-trials N] [-topn N] [-seed S]
 //	     [-journal DIR [-resume]] [-deadline D] [-max-retries N]
-//	     [-shards K] [-shard-retries N] [-watchdog D] [-remote URL]
-//	     [-progress]
+//	     [-watchdog D] [-remote URL [-shards K]] [-progress]
 package main
 
 import (
@@ -64,8 +60,7 @@ func main() {
 	resume := flag.Bool("resume", false, "continue an interrupted workflow from the -journal directory")
 	deadline := flag.Duration("deadline", 0, "wall-clock budget for the workflow (0 = none)")
 	maxRetries := flag.Int("max-retries", 2, "per-trial retries after infrastructure errors (0 = none)")
-	shards := flag.Int("shards", 1, "failure-isolated shards per campaign; >1 selects the sharded engine (results are bit-identical)")
-	shardRetries := flag.Int("shard-retries", 2, "quarantine retries before a sick shard's remaining trials are failed (0 = none)")
+	shards := flag.Int("shards", 1, "with -remote: shards the coordinator splits the collection campaign into (results are bit-identical)")
 	watchdog := flag.Duration("watchdog", 0, "per-MPI-op wall-clock watchdog in every campaign (0 = interpreter default)")
 	remote := flag.String("remote", "", "campaignd coordinator URL; dispatch the collection campaign there")
 	trainWorkers := flag.Int("train-workers", 0, "concurrent grid-search workers for SVM training (0 = GOMAXPROCS; results are identical for any count)")
@@ -79,6 +74,9 @@ func main() {
 	if *incremental {
 		*sections = true
 		*resume = true
+	}
+	if *shards > 1 && *remote == "" {
+		fatal(errors.New("-shards partitions the -remote collection campaign across the coordinator's workers; it needs -remote"))
 	}
 	model, err := fault.ParseModel(*errorModel)
 	if err != nil {
@@ -113,7 +111,6 @@ func main() {
 		MaxRetries:      fault.ExplicitRetries(*maxRetries),
 		TrainWorkers:    *trainWorkers,
 		Shards:          *shards,
-		ShardRetries:    fault.ExplicitRetries(*shardRetries),
 		Watchdog:        *watchdog,
 		Sections:        *sections,
 		SectionCoverage: *sectionCoverage,
@@ -130,7 +127,7 @@ func main() {
 			if stage != "collect" {
 				return nil
 			}
-			return &campaign.Spec{Workload: wl, Input: in, Ranks: 1}
+			return &campaign.Spec{Workload: wl, Input: in}
 		}
 	}
 	if *progress {

@@ -4,19 +4,16 @@ import (
 	"bytes"
 	"context"
 	"net/http"
-	"os"
 	"testing"
 
-	"ipas/internal/fault/shard"
 	"ipas/internal/workloads"
 )
 
 // TestConvergenceWorkloadsAcrossHarnessPaths drives both
 // iterative-convergence mini-apps through every execution path the
-// harness offers — golden run, local injection, sharded, sectioned,
-// and coordinator+worker — under a non-default error model, asserting
-// the paths that share a plan space (local, sharded, remote) agree bit
-// for bit. This is the acceptance matrix for the convergence
+// harness offers — golden run, local injection, sectioned, and
+// coordinator+worker — under a non-default error model, asserting the
+// paths that share a plan space (local, remote) agree bit for bit. This is the acceptance matrix for the convergence
 // workloads: residual-based verifiers and multi-bit models must
 // compose with every engine, not just the single local loop.
 func TestConvergenceWorkloadsAcrossHarnessPaths(t *testing.T) {
@@ -61,26 +58,7 @@ func TestConvergenceWorkloadsAcrossHarnessPaths(t *testing.T) {
 				t.Fatalf("local campaign ran %d trials, want %d", len(want.Trials), spec.Trials)
 			}
 
-			// Path 3: sharded.
-			dir := t.TempDir()
-			sc, err := spec.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sres, err := shard.Run(ctx, sc, spec.Trials, shard.Options{Shards: 2, Workers: 2, Dir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameTrials(t, sres, want)
-			merged, err := os.ReadFile(shard.MergedJournalPath(dir))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(merged, wantBytes) {
-				t.Fatalf("sharded merged journal differs from the local reference (%d vs %d bytes)", len(merged), len(wantBytes))
-			}
-
-			// Path 4: sectioned. The allocation replaces the flat trial
+			// Path 3: sectioned. The allocation replaces the flat trial
 			// count, so only completion and classification are asserted.
 			secSpec := spec
 			secSpec.Sections = true
@@ -102,7 +80,7 @@ func TestConvergenceWorkloadsAcrossHarnessPaths(t *testing.T) {
 				t.Fatalf("sectioned run executed %d of %d trials", secRes.Executed, sprep.SectionTotal())
 			}
 
-			// Path 5: remote (coordinator + workers).
+			// Path 4: remote (coordinator + workers).
 			sub, status, err := client.Submit(ctx, spec)
 			if err != nil {
 				t.Fatal(err)

@@ -20,10 +20,9 @@ import (
 // Options configures a coordinator.
 type Options struct {
 	// Dir is the root journal directory; each campaign owns Dir/<id>/
-	// with the same per-shard layout the in-process sharded engine uses
-	// (shard-0000.jsonl, ..., merged.jsonl on completion), so a
-	// coordinator restart — or a plain local `-shards` run pointed at
-	// the campaign's directory — resumes from the same files.
+	// with one journal per shard (shard-0000.jsonl, ...) and
+	// merged.jsonl on completion, so a coordinator restart resumes
+	// from the same files.
 	Dir string
 	// LeaseTTL bounds how long a worker may hold a shard without
 	// heartbeating (default 15s). An expired lease requeues the shard.
@@ -305,10 +304,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// admitLocked registers a campaign and restores its journal directory,
-// mirroring the in-process engine's recovery rules: torn tails are
-// truncated on open, a corrupt shard journal is deleted and its shard
-// re-run, a valid journal of a different campaign is never clobbered.
+// admitLocked registers a campaign and restores its journal directory:
+// torn tails are truncated on open, a corrupt shard journal is deleted
+// and its shard re-run, a valid journal of a different campaign is
+// never clobbered.
 func (s *Server) admitLocked(id string, spec Spec, prep *fault.Prepared, meta fault.JournalMeta) (*state, error) {
 	plans := prep.Plans(spec.Trials)
 	st := &state{
@@ -358,7 +357,7 @@ func (s *Server) admitLocked(id string, spec Spec, prep *fault.Prepared, meta fa
 }
 
 // restoreMergedLocked loads a completed prior run's merged journal,
-// with the in-process engine's recovery split: corrupt → delete and
+// with the same recovery split as shard journals: corrupt → delete and
 // rebuild from shard journals, foreign → hard mismatch error.
 func (s *Server) restoreMergedLocked(st *state) error {
 	path := shard.MergedJournalPath(st.dir)
@@ -729,8 +728,9 @@ func backoffDelay(base time.Duration, attempt int) time.Duration {
 }
 
 // failShardLocked records a terminally quarantined shard's unexecuted
-// trials as TrialFailed, with the same message shape as the in-process
-// engine. Trials settled by earlier attempts keep their real results.
+// trials as TrialFailed with a deterministic message ("shard S/K
+// quarantined after N attempts: cause"). Trials settled by earlier
+// attempts keep their real results.
 func (s *Server) failShardLocked(st *state, sh, attempts int, cause string) {
 	lo, hi := shard.Range(st.n, st.k, sh)
 	msg := fmt.Sprintf("shard %d/%d quarantined after %d attempts: %s", sh, st.k, attempts, cause)

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -245,8 +246,9 @@ func copyDir(t *testing.T, src, dst string) {
 // The coordinator classifies journal-directory damage on admission with
 // distinct HTTP statuses — clean resume 200, torn tail truncated 200,
 // corrupt shard journal deleted and its shard reassigned 202, foreign
-// campaign 409, locked journal 423 — and every recoverable case still
-// converges to the byte-identical merged journal.
+// or repartitioned campaign 409, locked journal 423 — and every
+// recoverable case still converges to the byte-identical merged
+// journal.
 func TestServerJournalPathologies(t *testing.T) {
 	spec := testSpec("patho", 12, 3, 9)
 	want, wantBytes := localReference(t, spec)
@@ -355,6 +357,20 @@ func TestServerJournalPathologies(t *testing.T) {
 		}
 		if !errors.Is(err, fault.ErrCampaignMismatch) {
 			t.Fatalf("foreign spec error %v, want ErrCampaignMismatch", err)
+		}
+	})
+
+	t.Run("repartitioned campaign rejected 409", func(t *testing.T) {
+		root := t.TempDir()
+		copyDir(t, seedRoot, root)
+		client := newTestServer(t, Options{Dir: root})
+		repartitioned := testSpec("patho", 12, 4, 9) // same campaign, 4 shards instead of 3
+		_, status, err := client.Submit(context.Background(), repartitioned)
+		if status != http.StatusConflict || !errors.Is(err, fault.ErrCampaignMismatch) {
+			t.Fatalf("repartitioned spec returned HTTP %d, %v; want 409 and ErrCampaignMismatch", status, err)
+		}
+		if !strings.Contains(err.Error(), "different shard partition") {
+			t.Fatalf("repartition error does not name the cause: %v", err)
 		}
 	})
 

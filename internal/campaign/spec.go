@@ -1,19 +1,19 @@
-// Package campaign turns the sharded fault-injection engine into a
-// service: a coordinator (cmd/campaignd) accepts campaign specs over
+// Package campaign spreads one fault-injection campaign over worker
+// processes: a coordinator (cmd/campaignd) accepts campaign specs over
 // HTTP/JSON, partitions the trial space with the deterministic
 // shard.Range, and hands shards to remote workers (cmd/ipas-worker)
 // under time-bounded leases. Workers stream finished trials back as
 // journal segments; the coordinator acknowledges a segment only after
 // it is durable on disk, so a SIGKILLed or partitioned worker is
 // replaced without losing an acked trial, and the completed campaign's
-// merged journal is byte-identical to a local single-loop run.
+// merged journal is byte-identical to a local Workers=1 run.
 //
 // Shard lifecycle (queued → running → backoff → queued ... →
-// done/failed) is the shared shard.StateMachine the in-process
-// scheduler also drives; this package adds leases, heartbeats, and
-// durable acks on top. All requeue, backoff, and quarantine decisions
-// are deterministic given the order of events — no report content ever
-// depends on the wall clock.
+// done/failed) is the shard.StateMachine; this package adds leases,
+// heartbeats, durable acks and shard quarantine on top — a shard is
+// the failure domain of one worker process. All requeue, backoff, and
+// quarantine decisions are deterministic given the order of events —
+// no report content ever depends on the wall clock.
 package campaign
 
 import (
@@ -214,6 +214,29 @@ func (s *Spec) Build() (*fault.Campaign, error) {
 		Coverage:      s.Coverage,
 		MaxPerSection: s.MaxPerSection,
 	}, nil
+}
+
+// Fill copies into the spec everything of a configured campaign that
+// pins its plan sequence and per-trial behaviour — the inverse of
+// Build: seed, error model, ranks, hang factor, retry budget and
+// watchdog, plus either the trial count n or, for a sectioned campaign,
+// its section knobs (the coordinator derives the trial count from the
+// allocation). The spec keeps naming the program (Workload/Input or
+// Source/Verifier) and its shard count; Fill then normalizes it.
+// Building the filled spec yields a campaign with c's Meta(n).
+func (s *Spec) Fill(c *fault.Campaign, n int) {
+	s.Seed = c.Seed
+	s.Model = fault.ModelName(c.Model)
+	s.Ranks = max(c.Config.Ranks, 1)
+	s.HangFactor = c.HangFactor
+	s.MaxRetries = c.MaxRetries
+	s.Watchdog = c.Config.Watchdog
+	s.Trials = n
+	if c.Sections {
+		s.Sections, s.Coverage, s.MaxPerSection = true, c.Coverage, c.MaxPerSection
+		s.Trials = 0
+	}
+	s.Normalize()
 }
 
 // lookupVerifier resolves a named output check for inline programs.

@@ -11,7 +11,6 @@ import (
 
 	"ipas/internal/campaign"
 	"ipas/internal/fault"
-	"ipas/internal/fault/shard"
 	"ipas/internal/svm"
 )
 
@@ -24,16 +23,13 @@ type CampaignControls struct {
 	MaxRetries   int
 	RetryBackoff time.Duration
 	// Workers bounds concurrent trials per campaign (0 = GOMAXPROCS).
-	// Under sharding it bounds scheduler workers instead.
 	Workers int
-	// Shards, when > 1, runs each campaign on the sharded engine
-	// (internal/fault/shard): the trial space splits into this many
-	// failure-isolated shards on a work-stealing scheduler. Results
-	// are bit-identical to the single-loop engine for every value.
+	// Shards is the coordinator's partition count for campaigns
+	// dispatched to Remote (0 = one shard): the trial space splits
+	// into this many leases across its workers. Results are
+	// bit-identical for every value. Local campaigns have no shards,
+	// so Shards > 1 without Remote is a usage error.
 	Shards int
-	// ShardRetries bounds shard-level quarantine retries (0 = default;
-	// fault.NoRetries = none). Only meaningful with Shards > 1.
-	ShardRetries int
 	// Model selects the error model every campaign's plans are drawn
 	// with (nil = single-bit, the paper's model). It rides journal
 	// headers and remote specs, so checkpoints and coordinators refuse
@@ -55,9 +51,10 @@ type CampaignControls struct {
 	// run that stage locally (graceful degradation: stages a spec
 	// cannot express — protected variants do not round-trip through
 	// source text — just stay in-process). The returned spec names the
-	// program (workload/input/ranks or inline source); Run fills
-	// trials, seed, sharding, retry, and watchdog knobs so remote
-	// trials are bit-identical to local ones.
+	// program (workload/input or inline source); Run fills everything
+	// else from the configured campaign (campaign.Spec.Fill) and the
+	// shard count from Shards, so remote trials are bit-identical to
+	// local ones.
 	RemoteSpec func(stage string) *campaign.Spec
 	// Progress, when non-nil, receives per-campaign progress: stage
 	// names the campaign ("collect", "eval IPAS-1", ...), done/total
@@ -73,7 +70,7 @@ type CampaignControls struct {
 	// per-section budgets replace the flat trial count, and — with a
 	// Checkpoint — per-section journals keyed by content fingerprint
 	// make re-analysis after an edit incremental. Multi-rank campaigns
-	// degrade gracefully to the flat engines.
+	// degrade gracefully to plain ones.
 	Sections bool
 	// SectionCoverage is the per-section coverage factor (expected
 	// injections per exercised site); 0 means 1.
@@ -83,12 +80,10 @@ type CampaignControls struct {
 	MaxPerSection int
 }
 
-// Apply configures one campaign with the controls, opening its journal
-// when checkpointing is enabled.
-func (cc *CampaignControls) Apply(c *fault.Campaign, stage string) error {
-	if cc == nil {
-		return nil
-	}
+// configure applies the controls' per-campaign knobs to c — retry
+// policy, worker bound, error model, watchdog and stage-tagged
+// progress — the same way for every route a campaign takes.
+func (cc *CampaignControls) configure(c *fault.Campaign, stage string) {
 	c.MaxRetries = cc.MaxRetries
 	c.RetryBackoff = cc.RetryBackoff
 	c.Workers = cc.Workers
@@ -102,6 +97,15 @@ func (cc *CampaignControls) Apply(c *fault.Campaign, stage string) error {
 		report := cc.Progress
 		c.Progress = func(done, total, failed, deadlocked int) { report(stage, done, total, failed, deadlocked) }
 	}
+}
+
+// Apply configures one campaign with the controls, opening its journal
+// when checkpointing is enabled.
+func (cc *CampaignControls) Apply(c *fault.Campaign, stage string) error {
+	if cc == nil {
+		return nil
+	}
+	cc.configure(c, stage)
 	if cc.Checkpoint != nil {
 		j, err := cc.Checkpoint.Journal(stage)
 		if err != nil {
@@ -113,73 +117,47 @@ func (cc *CampaignControls) Apply(c *fault.Campaign, stage string) error {
 }
 
 // Run executes the golden run plus n injection trials of campaign c
-// under the controls: on the single-loop engine by default, or on the
-// sharded engine when Shards > 1 — per-trial semantics, results, and
-// canonical journal bytes are identical either way. Each sharded stage
-// checkpoints into its own "<stage>.shards" directory (one journal per
-// shard plus the canonical merged journal) instead of a single
-// "<stage>.jsonl" file.
+// under the controls: on the coordinator when RemoteSpec renders the
+// stage, else on the sectioned engine when Sections applies (the
+// per-section allocation replaces n), else in-process with the stage's
+// journal. Every route gets the same knobs, and results match the
+// local run trial for trial.
 func (cc *CampaignControls) Run(ctx context.Context, c *fault.Campaign, n int, stage string) (*fault.CampaignResult, error) {
-	if cc != nil && cc.Remote != nil && cc.RemoteSpec != nil {
-		if spec := cc.RemoteSpec(stage); spec != nil {
-			return cc.runRemote(ctx, c, spec, n, stage)
-		}
-	}
-	if cc != nil && cc.Sections && c.Config.Ranks <= 1 {
-		return cc.runSectioned(ctx, c, stage)
-	}
-	if cc == nil || cc.Shards <= 1 {
-		if err := cc.Apply(c, stage); err != nil {
-			return nil, err
-		}
+	if cc == nil {
 		return c.RunContext(ctx, n)
 	}
-	c.MaxRetries = cc.MaxRetries
-	c.RetryBackoff = cc.RetryBackoff
-	if cc.Model != nil {
-		c.Model = cc.Model
+	if cc.Shards > 1 && cc.Remote == nil {
+		return nil, fmt.Errorf("core: Shards=%d partitions campaigns dispatched to a coordinator; set Remote or leave Shards at 0", cc.Shards)
 	}
-	if cc.Watchdog > 0 {
-		c.Config.Watchdog = cc.Watchdog
+	cc.configure(c, stage)
+	if cc.Sections && c.Config.Ranks <= 1 {
+		c.Sections = true
+		c.Coverage = max(cc.SectionCoverage, 1)
+		c.MaxPerSection = cc.MaxPerSection
 	}
-	opts := shard.Options{Shards: cc.Shards, Workers: cc.Workers, Retries: cc.ShardRetries}
-	if cc.Progress != nil {
-		report := cc.Progress
-		opts.Progress = func(done, total, failed, deadlocked int) { report(stage, done, total, failed, deadlocked) }
+	if cc.Remote != nil && cc.RemoteSpec != nil {
+		if spec := cc.RemoteSpec(stage); spec != nil {
+			return cc.runRemote(ctx, c, *spec, n, stage)
+		}
+	}
+	if c.Sections {
+		return cc.runSectioned(ctx, c, stage)
 	}
 	if cc.Checkpoint != nil {
-		dir, err := cc.Checkpoint.ShardDir(stage)
+		j, err := cc.Checkpoint.Journal(stage)
 		if err != nil {
 			return nil, err
 		}
-		opts.Dir = dir
+		c.Journal = j
 	}
-	return shard.Run(ctx, c, n, opts)
+	return c.RunContext(ctx, n)
 }
 
-// runSectioned runs one campaign on the sectioned engine. The flat
-// trial count is superseded by the per-section allocation (coverage
-// drives the budget), and checkpointing goes to a per-stage section
-// journal directory whose fingerprint-keyed journals make resumption
-// incremental across program edits: only sections whose IR changed
-// re-execute.
+// runSectioned runs one configured sectioned campaign. Checkpointing
+// goes to a per-stage section journal directory whose
+// fingerprint-keyed journals make resumption incremental across
+// program edits: only sections whose IR changed re-execute.
 func (cc *CampaignControls) runSectioned(ctx context.Context, c *fault.Campaign, stage string) (*fault.CampaignResult, error) {
-	c.MaxRetries = cc.MaxRetries
-	c.RetryBackoff = cc.RetryBackoff
-	c.Workers = cc.Workers
-	if cc.Model != nil {
-		c.Model = cc.Model
-	}
-	if cc.Watchdog > 0 {
-		c.Config.Watchdog = cc.Watchdog
-	}
-	if cc.Progress != nil {
-		report := cc.Progress
-		c.Progress = func(done, total, failed, deadlocked int) { report(stage, done, total, failed, deadlocked) }
-	}
-	c.Sections = true
-	c.Coverage = max(cc.SectionCoverage, 1)
-	c.MaxPerSection = cc.MaxPerSection
 	var dir string
 	if cc.Checkpoint != nil {
 		d, err := cc.Checkpoint.SectionDir(stage)
@@ -199,50 +177,30 @@ func (cc *CampaignControls) runSectioned(ctx context.Context, c *fault.Campaign,
 	return res.CampaignResult, nil
 }
 
-// runRemote dispatches one campaign to the coordinator and polls it to
-// completion. The partial spec from RemoteSpec names the program; the
-// controls and campaign fill every knob that pins the plan sequence and
-// per-trial behavior, so the coordinator's workers reproduce the local
+// runRemote dispatches one configured campaign to the coordinator and
+// polls it to completion. The spec from RemoteSpec names the program;
+// Fill copies every knob that pins the plan sequence and per-trial
+// behavior from c, so the coordinator's workers reproduce the local
 // engine's trials bit for bit.
-func (cc *CampaignControls) runRemote(ctx context.Context, c *fault.Campaign, spec *campaign.Spec, n int, stage string) (*fault.CampaignResult, error) {
-	s := *spec
-	s.Trials = n
-	s.Seed = c.Seed
-	s.HangFactor = c.HangFactor
-	s.MaxRetries = cc.MaxRetries
-	s.Watchdog = cc.Watchdog
-	if cc.Model != nil {
-		s.Model = fault.ModelName(cc.Model)
-	} else if c.Model != nil {
-		s.Model = fault.ModelName(c.Model)
-	}
+func (cc *CampaignControls) runRemote(ctx context.Context, c *fault.Campaign, s campaign.Spec, n int, stage string) (*fault.CampaignResult, error) {
 	if s.Shards == 0 {
-		s.Shards = max(cc.Shards, 1)
+		s.Shards = cc.Shards
 	}
-	if cc.Sections && max(s.Ranks, 1) <= 1 {
-		// Sectioned submission: the coordinator derives the trial
-		// count from the allocation, so the flat count stays home.
-		s.Sections = true
-		s.Coverage = max(cc.SectionCoverage, 1)
-		s.MaxPerSection = cc.MaxPerSection
-		s.Trials = 0
-	}
-	s.Normalize()
+	s.Fill(c, n)
 	sub, _, err := cc.Remote.Submit(ctx, s)
 	if err != nil {
 		return nil, fmt.Errorf("core: submitting %s to coordinator: %w", stage, err)
 	}
 	var onProgress func(campaign.Progress)
-	if cc.Progress != nil {
-		report := cc.Progress
-		onProgress = func(p campaign.Progress) { report(stage, p.Done, p.Trials, p.Failed, p.Deadlocked) }
+	if c.Progress != nil {
+		onProgress = func(p campaign.Progress) { c.Progress(p.Done, p.Trials, p.Failed, p.Deadlocked) }
 	}
 	res, err := cc.Remote.WaitResult(ctx, sub.ID, 0, onProgress)
 	if err != nil {
 		return nil, fmt.Errorf("core: waiting for %s (campaign %s): %w", stage, sub.ID, err)
 	}
-	if cc.Progress != nil {
-		cc.Progress(stage, res.Completed+res.Failed, len(res.Trials), res.Failed, res.Deadlocks)
+	if c.Progress != nil {
+		c.Progress(res.Completed+res.Failed, len(res.Trials), res.Failed, res.Deadlocks)
 	}
 	// Match the local engines' contract: per-trial infrastructure
 	// failures come back as a joined error beside the complete result.
@@ -324,6 +282,9 @@ func (c *Checkpoint) Journal(stage string) (*fault.Journal, error) {
 	if j, ok := c.open[stage]; ok {
 		return j, nil
 	}
+	if err := c.refuseLegacyShards(stage); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: creating checkpoint dir: %w", err)
 	}
@@ -341,42 +302,36 @@ func (c *Checkpoint) Journal(stage string) (*fault.Journal, error) {
 	return j, nil
 }
 
-// ShardDir returns (creating it) the per-shard journal directory for
-// the named campaign stage, under the same resume guard as Journal: a
-// directory that already holds journals is refused unless Resume is
-// set — the shard engine's own header fingerprints then reject any
-// journal that is not this exact campaign's.
-func (c *Checkpoint) ShardDir(stage string) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dir := filepath.Join(c.Dir, stageFileName(stage)+".shards")
-	if !c.Resume {
-		if entries, err := os.ReadDir(dir); err == nil && len(entries) > 0 {
-			return "", fmt.Errorf("core: shard journal dir %s already holds %d files; pass resume to continue it (or use a fresh checkpoint dir)",
-				dir, len(entries))
-		}
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("core: creating shard journal dir: %w", err)
-	}
-	return dir, nil
-}
-
 // SectionDir returns (creating it) the per-section journal directory
-// for the named campaign stage. Unlike ShardDir there is no
-// non-empty-directory guard: section journals are keyed by content
-// fingerprint and self-invalidate when the program, seed, or budget
-// changes, so reusing the directory is exactly the incremental
-// re-analysis contract — unchanged sections restore, changed ones
-// rebuild.
+// for the named campaign stage. Unlike Journal there is no resume
+// guard: section journals are keyed by content fingerprint and
+// self-invalidate when the program, seed, or budget changes, so
+// reusing the directory is exactly the incremental re-analysis
+// contract — unchanged sections restore, changed ones rebuild.
 func (c *Checkpoint) SectionDir(stage string) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.refuseLegacyShards(stage); err != nil {
+		return "", err
+	}
 	dir := filepath.Join(c.Dir, stageFileName(stage)+".sections")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("core: creating section journal dir: %w", err)
 	}
 	return dir, nil
+}
+
+// refuseLegacyShards fails for a stage checkpointed by the in-process
+// sharded engine of older builds: its trials sit in
+// "<stage>.shards/", which no run path reads any more, so carrying on
+// would silently re-run them.
+func (c *Checkpoint) refuseLegacyShards(stage string) error {
+	dir := filepath.Join(c.Dir, stageFileName(stage)+".shards")
+	if _, err := os.Stat(dir); err == nil {
+		return fmt.Errorf("core: %s holds a sharded checkpoint of an older build, which this one cannot resume: %w; finish it with that build or start a fresh checkpoint dir",
+			dir, fault.ErrCampaignMismatch)
+	}
+	return nil
 }
 
 // Close closes every journal the checkpoint opened. The files remain

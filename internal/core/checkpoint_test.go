@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ipas/internal/fault"
 )
 
 // A collection campaign cancelled mid-run and re-run against the same
@@ -173,5 +176,38 @@ func TestCollectSectionedIncrementalCheckpoint(t *testing.T) {
 		if d1.SOC[i] != d2.SOC[i] || d1.Symptom[i] != d2.Symptom[i] {
 			t.Fatalf("labels differ at sample %d after sectioned restore", i)
 		}
+	}
+}
+
+// A checkpoint directory from a build with the in-process sharded
+// engine keeps a stage's trials in "<stage>.shards/", which nothing
+// reads any more: resuming that stage must be refused with
+// ErrCampaignMismatch naming the directory, never silently re-run —
+// on the plain and the sectioned route alike.
+func TestCheckpointRefusesLegacyShards(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "collect.shards")
+	if err := os.MkdirAll(legacy, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(legacy, "shard-0000.jsonl"), []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := NewCheckpoint(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	app := loadApp(t, "FFT")
+	for _, sections := range []bool{false, true} {
+		cc := &CampaignControls{Checkpoint: cp, Sections: sections}
+		_, err := CollectContext(context.Background(), app, 10, 4, cc)
+		if !errors.Is(err, fault.ErrCampaignMismatch) || !strings.Contains(err.Error(), legacy) {
+			t.Fatalf("sections=%t: resuming over %s: err = %v, want ErrCampaignMismatch naming it", sections, legacy, err)
+		}
+	}
+	// Stages without a legacy directory are unaffected.
+	if _, err := cp.Journal("eval IPAS-1"); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -269,7 +269,7 @@ func (s *Suite) optsFor(name string) core.Options {
 			if stage != "collect" {
 				return nil
 			}
-			return &campaign.Spec{Workload: name, Input: 1, Ranks: 1}
+			return &campaign.Spec{Workload: name, Input: 1}
 		}
 	}
 	opts.Controls = &scoped

@@ -346,8 +346,8 @@ type Campaign struct {
 	beforeTrial func(t, attempt int)
 }
 
-// Retry sentinels for Campaign.MaxRetries (and the analogous
-// shard-level knob in internal/fault/shard). The field follows the
+// Retry sentinels for Campaign.MaxRetries (and the coordinator's
+// shard-level campaign.Options.Retries). The field follows the
 // Workers/HangFactor convention — zero means "default" — which would
 // otherwise leave no way to ask for zero retries.
 const (
@@ -397,11 +397,11 @@ func (c *Campaign) Run(n int) (*CampaignResult, error) {
 var errCancelled = errors.New("fault: trial cancelled")
 
 // Prepared binds a campaign to its golden run: the immutable substrate
-// every trial executes against. The single-loop engine prepares and
-// runs in one call (RunContext); sharded engines (internal/fault/shard)
-// prepare once and execute disjoint trial-index ranges concurrently,
-// which is sound because Plans is a pure function of (Seed, trial
-// index) and RunTrial touches only shared-immutable state.
+// every trial executes against. RunContext prepares and runs in one
+// call; RunSections and the coordinator's workers (internal/campaign)
+// prepare once and then execute trials by index, which is sound
+// because Plans is a pure function of (Seed, trial index) and RunTrial
+// touches only shared-immutable state.
 type Prepared struct {
 	c *Campaign
 	// Golden is the fault-free reference result.
@@ -644,8 +644,8 @@ func (r *CampaignResult) Finalize() error {
 //
 // A non-nil result always accounts for all n trials; inspect
 // Completed/Failed/Pending (or ErrorSummary) to see how the campaign
-// degraded. For sharded, crash-tolerant execution of the same trial
-// space see internal/fault/shard.
+// degraded. To spread the same trial space over worker processes see
+// internal/campaign.
 func (c *Campaign) RunContext(ctx context.Context, n int) (*CampaignResult, error) {
 	p, err := c.Prepare(ctx)
 	if err != nil {
@@ -657,7 +657,7 @@ func (c *Campaign) RunContext(ctx context.Context, n int) (*CampaignResult, erro
 	// Resume: restore trials already journaled by a previous run of
 	// the same campaign (the journal header pins seed, trial count and
 	// the golden run's fingerprint, so restored plans line up).
-	restored := 0
+	var record func(t int, tr Trial) error
 	if c.Journal != nil {
 		prev, err := c.Journal.Begin(p.Meta(n))
 		if err != nil {
@@ -666,27 +666,27 @@ func (c *Campaign) RunContext(ctx context.Context, n int) (*CampaignResult, erro
 		for t, tr := range prev {
 			if t >= 0 && t < n && tr.Status != TrialPending {
 				out.Trials[t] = tr
-				restored++
 			}
 		}
+		record = c.Journal.Record
 	}
+	return out, p.execute(ctx, plans, out, record)
+}
 
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-
-	var (
-		mu         sync.Mutex
-		done       = restored
-		failed     = 0
-		deadlocked = 0
-		journalErr error
-	)
+// execute is the executor behind RunContext and RunSections: a pool of
+// Workers goroutines over out's still-pending trials. Every finished
+// trial takes one serialized path — its result slot, record (the
+// journal write, when record is non-nil), the failed/deadlocked
+// tallies, and Progress, whose counts include the trials restored
+// before the call. It finalizes out and returns the trial, journal and
+// context errors joined (nil when every trial completed); a cancelled
+// campaign leaves its unexecuted trials pending.
+func (p *Prepared) execute(ctx context.Context, plans []interp.FaultPlan, out *CampaignResult, record func(t int, tr Trial) error) error {
+	var done, failed, deadlocked int
 	for _, tr := range out.Trials {
+		if tr.Status != TrialPending {
+			done++
+		}
 		if tr.Status == TrialFailed {
 			failed++
 		}
@@ -694,9 +694,20 @@ func (c *Campaign) RunContext(ctx context.Context, n int) (*CampaignResult, erro
 			deadlocked++
 		}
 	}
+	workers := p.c.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(out.Trials)-done)
+
+	var (
+		mu         sync.Mutex
+		journalErr error
+	)
 	finish := func(t int, tr Trial) {
 		mu.Lock()
 		defer mu.Unlock()
+		out.Trials[t] = tr
 		done++
 		if tr.Status == TrialFailed {
 			failed++
@@ -704,13 +715,13 @@ func (c *Campaign) RunContext(ctx context.Context, n int) (*CampaignResult, erro
 		if tr.Deadlock != "" {
 			deadlocked++
 		}
-		if c.Journal != nil {
-			if err := c.Journal.Record(t, tr); err != nil && journalErr == nil {
+		if record != nil {
+			if err := record(t, tr); err != nil && journalErr == nil {
 				journalErr = err
 			}
 		}
-		if c.Progress != nil {
-			c.Progress(done, n, failed, deadlocked)
+		if p.c.Progress != nil {
+			p.c.Progress(done, len(out.Trials), failed, deadlocked)
 		}
 	}
 
@@ -721,19 +732,18 @@ func (c *Campaign) RunContext(ctx context.Context, n int) (*CampaignResult, erro
 		go func() {
 			defer wg.Done()
 			for t := range next {
-				tr := p.RunTrial(ctx, t, plans[t])
-				if tr.Status == TrialPending {
-					continue // cancelled mid-trial; re-run on resume
+				// A still-pending trial was cancelled mid-run; it
+				// re-runs on resume.
+				if tr := p.RunTrial(ctx, t, plans[t]); tr.Status != TrialPending {
+					finish(t, tr)
 				}
-				out.Trials[t] = tr
-				finish(t, tr)
 			}
 		}()
 	}
 feed:
-	for t := 0; t < n; t++ {
+	for t := range out.Trials {
 		if out.Trials[t].Status != TrialPending {
-			continue // restored from the journal
+			continue // restored from a journal
 		}
 		select {
 		case next <- t:
@@ -744,20 +754,11 @@ feed:
 	close(next)
 	wg.Wait()
 
-	var errs []error
-	if ferr := out.Finalize(); ferr != nil {
-		errs = append(errs, ferr)
-	}
+	errs := []error{out.Finalize(), ctx.Err()}
 	if journalErr != nil {
 		errs = append(errs, fmt.Errorf("fault: journal write: %w", journalErr))
 	}
-	if err := ctx.Err(); err != nil {
-		return out, err
-	}
-	if len(errs) > 0 {
-		return out, errors.Join(errs...)
-	}
-	return out, nil
+	return errors.Join(errs...)
 }
 
 // runTrial executes one trial with panic isolation and bounded

@@ -36,8 +36,8 @@ type JournalMeta struct {
 	// Population is the injectable dynamic-instance count on rank 0.
 	Population int64 `json:"population"`
 
-	// Shard header: the per-shard journals of a sharded campaign
-	// (internal/fault/shard) record which slice of the trial space
+	// Shard header: the per-shard journals of a coordinator campaign
+	// (internal/campaign) record which slice of the trial space
 	// they own. Shards is the total shard count, Shard this journal's
 	// index, and [ShardStart, ShardEnd) its trial-index range; Trials
 	// above stays the *whole* campaign's count, pinning the plan
@@ -102,9 +102,11 @@ type Journal struct {
 var ErrJournalLocked = errors.New("journal is locked by a concurrent campaign")
 
 // ErrJournalCorrupt reports structural damage beyond a torn tail — an
-// unknown format, a duplicate header, a body without a header. The
-// sharded engine treats a corrupt *shard* journal as "re-run that
-// shard"; a locked or foreign journal is never recoverable that way.
+// unknown format, a duplicate header, a body without a header.
+// OpenJournal refuses such a file without touching it. The coordinator
+// treats a corrupt *shard* journal as "re-run that shard" and
+// RunSections rebuilds a corrupt section journal; a locked or foreign
+// journal is never recoverable that way.
 var ErrJournalCorrupt = errors.New("journal is corrupt")
 
 // ErrCampaignMismatch reports that a journal's header pins a different
@@ -117,11 +119,11 @@ var ErrCampaignMismatch = errors.New("journal belongs to a different campaign")
 // ErrModelUnknown reports that a journal's header names an error model
 // this build does not know — a forward-compatibility refusal, not
 // corruption. It always arrives wrapped together with
-// ErrCampaignMismatch, so shard and server layers that hard-fail on
-// foreign journals inherit the right behavior; paths that *rebuild* on
-// mismatch (per-section journals) must check for this sentinel first
-// and fail instead: rebuilding would silently re-run a newer build's
-// trials under the default model.
+// ErrCampaignMismatch, so paths that hard-fail on foreign journals (a
+// resumed campaign, the coordinator) inherit the right behavior; paths
+// that *rebuild* on mismatch (per-section journals) must check for this
+// sentinel first and fail instead: rebuilding would silently re-run a
+// newer build's trials under the default model.
 var ErrModelUnknown = errors.New("journal names an unknown error model")
 
 // OpenJournal opens (or creates) the campaign journal at path and

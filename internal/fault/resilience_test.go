@@ -260,6 +260,43 @@ func TestJournalDiscardsTornTail(t *testing.T) {
 	}
 }
 
+// OpenJournal must refuse a structurally corrupt journal — a header of
+// an unknown format, or a trial line before any header — with
+// ErrJournalCorrupt, and leave the file exactly as it found it: even
+// its torn tail, which a valid journal would have truncated, stays.
+func TestOpenJournalRefusesCorruptUntouched(t *testing.T) {
+	const (
+		trial = `{"t":0,"trial":{"site":3,"bit":5,"index":17,"outcome":2,"latency":40}}` + "\n"
+		torn  = `{"t":1,"tri`
+	)
+	for _, tc := range []struct{ name, data string }{
+		{"unknown format", `{"meta":{"format":"ipas-trial-journal-v9","seed":1,"trials":4,"golden_dyn":100,"population":50}}` + "\n" + trial + torn},
+		{"trial before header", trial + torn},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "trials.jsonl")
+			if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, err := OpenJournal(path)
+			if err == nil {
+				j.Close()
+				t.Fatal("corrupt journal opened")
+			}
+			if !errors.Is(err, ErrJournalCorrupt) {
+				t.Fatalf("OpenJournal = %v, want ErrJournalCorrupt", err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(after) != tc.data {
+				t.Fatalf("refused journal was modified:\n got %q\nwant %q", after, tc.data)
+			}
+		})
+	}
+}
+
 // Runs that end before their fault injects are injector-infrastructure
 // conditions, never modeled outcomes (they must not surface as
 // OutcomeSymptom in the statistics).

@@ -9,9 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"sync"
 
 	"ipas/internal/interp"
 	"ipas/internal/ir"
@@ -26,19 +24,19 @@ import (
 //
 // Two execution paths share the substrate:
 //
-//   - The generic engines (Campaign.RunContext, internal/fault/shard,
-//     internal/campaign) see a sectioned campaign as an ordinary one
-//     whose Plans carry section targets: Prepare captures the golden
-//     boundary trace, Plans returns the concatenated per-section
-//     lists, and Meta pins the partition fingerprint in a
-//     distinct journal format.
+//   - Campaign.RunContext and the coordinator (internal/campaign) see a
+//     sectioned campaign as an ordinary one whose Plans carry section
+//     targets: Prepare captures the golden boundary trace, Plans
+//     returns the concatenated per-section lists, and Meta pins the
+//     partition fingerprint in a distinct journal format.
 //
 //   - RunSections adds incrementality on top: one journal per section,
 //     named by fingerprint, holding section-local site ordinals so a
 //     journal stays valid even when edits elsewhere shift global
 //     SiteIDs. A journal whose header still matches is reused
 //     wholesale; a stale one (the section's code changed) is discarded
-//     and its trials re-run.
+//     and its trials re-run. The trials it does not restore run on
+//     RunContext's executor.
 
 // SectionAlloc is one section's slice of a sectioned trial space.
 type SectionAlloc struct {
@@ -253,7 +251,7 @@ type SectionStat struct {
 	Restored int    `json:"restored"`
 }
 
-// / SectionResult is a sectioned campaign's outcome: the concatenated
+// SectionResult is a sectioned campaign's outcome: the concatenated
 // trials (global SiteIDs, ready for internal/features and
 // internal/compose) plus per-section accounting that incremental
 // re-analysis and its tests assert against.
@@ -282,7 +280,9 @@ func (r *SectionResult) SectionTrials(sec int) []Trial {
 // anything; stale journals (the section's code changed, so the
 // fingerprint-derived name or header differs) are discarded and
 // re-run. This is the edit-one-function re-protect path: after an
-// edit, only the changed sections' trial budgets are spent.
+// edit, only the changed sections' trial budgets are spent. The trials
+// left to run go to the same executor as Campaign.RunContext, so
+// workers, retries, Progress and the returned error behave alike.
 func (p *Prepared) RunSections(ctx context.Context, dir string) (*SectionResult, error) {
 	sp := p.secs
 	if sp == nil {
@@ -290,6 +290,12 @@ func (p *Prepared) RunSections(ctx context.Context, dir string) (*SectionResult,
 	}
 	plans := sp.plans(sp.Total)
 	out := &SectionResult{CampaignResult: p.NewResult(plans), Plan: sp}
+	for _, a := range sp.Alloc {
+		out.Stats = append(out.Stats, SectionStat{
+			Section: a.Section, FP: a.FP, Label: a.Label,
+			Pop: a.Pop, Trials: a.Trials,
+		})
+	}
 
 	journals := make([]*Journal, len(sp.Alloc))
 	if dir != "" {
@@ -313,116 +319,27 @@ func (p *Prepared) RunSections(ctx context.Context, dir string) (*SectionResult,
 				return nil, err
 			}
 			journals[i] = j
-			n := 0
 			for t, tr := range restored {
 				if t < 0 || t >= a.Trials || tr.Status == TrialPending {
 					continue
 				}
 				out.Trials[a.Start+t] = sp.globalizeSite(a.Section, tr)
-				n++
+				out.Stats[i].Restored++
 			}
-			out.Restored += n
+			out.Restored += out.Stats[i].Restored
 		}
 	}
 
-	// Execute what the journals did not cover.
-	var pendingIdx []int
-	for t := range out.Trials {
-		if out.Trials[t].Status == TrialPending {
-			pendingIdx = append(pendingIdx, t)
-		}
-	}
-	workers := p.c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pendingIdx) {
-		workers = len(pendingIdx)
-	}
-	var (
-		mu         sync.Mutex
-		journalErr error
-	)
-	record := func(t int, tr Trial) {
-		mu.Lock()
-		defer mu.Unlock()
-		out.Executed++
+	record := func(t int, tr Trial) error {
 		a := sp.allocOf(t)
 		if j := journals[a.Section]; j != nil {
-			if err := j.Record(t-a.Start, sp.localizeSite(a.Section, tr)); err != nil && journalErr == nil {
-				journalErr = err
-			}
+			return j.Record(t-a.Start, sp.localizeSite(a.Section, tr))
 		}
-		if p.c.Progress != nil {
-			p.c.Progress(out.Restored+out.Executed, sp.Total, 0, 0)
-		}
+		return nil
 	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range next {
-				tr := p.RunTrial(ctx, t, plans[t])
-				if tr.Status == TrialPending {
-					continue // cancelled mid-trial
-				}
-				out.Trials[t] = tr
-				record(t, tr)
-			}
-		}()
-	}
-feed:
-	for _, t := range pendingIdx {
-		select {
-		case next <- t:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-
-	for i := range sp.Alloc {
-		a := &sp.Alloc[i]
-		st := SectionStat{
-			Section: a.Section, FP: a.FP, Label: a.Label,
-			Pop: a.Pop, Trials: a.Trials,
-		}
-		for t := a.Start; t < a.Start+a.Trials; t++ {
-			if out.Trials[t].Status != TrialPending {
-				st.Restored++ // provisional: executed subtracted below
-			}
-		}
-		out.Stats = append(out.Stats, st)
-	}
-	// Restored per section = finished minus executed this invocation;
-	// recompute exactly from the global counters when nothing pended.
-	executedBySec := make([]int, len(sp.Alloc))
-	for _, t := range pendingIdx {
-		if out.Trials[t].Status != TrialPending {
-			executedBySec[sp.allocOf(t).Section]++
-		}
-	}
-	for i := range out.Stats {
-		out.Stats[i].Restored -= executedBySec[i]
-	}
-
-	var errs []error
-	if ferr := out.Finalize(); ferr != nil {
-		errs = append(errs, ferr)
-	}
-	if journalErr != nil {
-		errs = append(errs, fmt.Errorf("fault: section journal write: %w", journalErr))
-	}
-	if err := ctx.Err(); err != nil {
-		return out, err
-	}
-	if len(errs) > 0 {
-		return out, errors.Join(errs...)
-	}
-	return out, nil
+	err := p.execute(ctx, plans, out.CampaignResult, record)
+	out.Executed = out.Completed + out.Failed - out.Restored
+	return out, err
 }
 
 // openSectionJournal opens (or rebuilds) one section's journal and

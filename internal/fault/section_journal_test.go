@@ -92,6 +92,39 @@ func TestRunSectionsCorruptJournalRebuilt(t *testing.T) {
 	}
 }
 
+// A sectioned campaign reports infrastructure failures through
+// Progress exactly as a plain one does: when one trial panics on its
+// only attempt, the final Progress call counts it.
+func TestRunSectionsProgressReportsFailures(t *testing.T) {
+	c := sectionedCampaign(t, 1)
+	c.MaxRetries = NoRetries
+	c.Workers = 2
+	c.beforeTrial = func(trial, attempt int) {
+		if trial == 1 {
+			panic("injected test panic")
+		}
+	}
+	var done, total, failed int
+	c.Progress = func(d, n, f, _ int) { done, total, failed = d, n, f }
+	prep, err := c.Prepare(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prep.RunSections(context.Background(), "")
+	if res == nil {
+		t.Fatal(err)
+	}
+	if err == nil {
+		t.Fatal("a failed trial returned no error")
+	}
+	if res.Failed != 1 || failed != res.Failed {
+		t.Fatalf("res.Failed = %d, last Progress failed = %d; want 1 and 1", res.Failed, failed)
+	}
+	if done != total || total != len(res.Trials) {
+		t.Fatalf("last Progress call %d/%d, want %d/%d", done, total, len(res.Trials), len(res.Trials))
+	}
+}
+
 // TestJournalCrossFormatMismatch is the admission rule both the local
 // runner and campaignd rely on: a plain campaign may not adopt a
 // sectioned journal, and vice versa.

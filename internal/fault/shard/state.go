@@ -2,13 +2,11 @@ package shard
 
 import "fmt"
 
-// State enumerates the lifecycle of one shard in any dispatch engine.
-// Two engines drive it today: the in-process work-stealing scheduler
-// in this package, and the campaign coordinator's lease registry
-// (internal/campaign), which adds time-bounded leases on top. Both
-// share the same invariants — a shard is retried through quarantine
-// with a bounded budget, and only exhaustion makes it terminal — so
-// the transition rules live here, once.
+// State enumerates the lifecycle of one shard. The campaign
+// coordinator's lease registry (internal/campaign) drives it and adds
+// time-bounded leases on top; the transition rules — a shard is retried
+// through quarantine with a bounded budget, and only exhaustion makes
+// it terminal — live here, apart from the leases.
 type State uint8
 
 const (
@@ -78,7 +76,7 @@ func (m *StateMachine) Attempts(s int) int { return m.attempts[s] }
 // Acquire starts an attempt on shard s and returns its 1-based attempt
 // number. A shard is acquirable from StateQueued, or directly from
 // StateBackoff for engines whose backoff timers feed their own run
-// queue (the in-process scheduler): there the pop is the requeue.
+// queue: there the pop is the requeue.
 func (m *StateMachine) Acquire(s int) int {
 	m.mustBe(s, "Acquire", StateQueued, StateBackoff)
 	m.states[s] = StateRunning

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -23,6 +24,9 @@ type comm struct {
 	size  int
 	boxes [][]chan message // boxes[src][dst]
 	done  chan struct{}    // closed on job abort
+	// abortOnce guards the close of done: ranks trap concurrently, and
+	// each trapping rank aborts the job.
+	abortOnce sync.Once
 	// cancel, when non-nil, is the embedding context's Done channel;
 	// blocked MPI operations wake on it with TrapCancelled.
 	cancel <-chan struct{}
@@ -66,11 +70,7 @@ func newComm(size int, watchdog time.Duration, cancel <-chan struct{}) *comm {
 
 // abort wakes every blocked rank; first caller wins.
 func (c *comm) abort() {
-	select {
-	case <-c.done:
-	default:
-		close(c.done)
-	}
+	c.abortOnce.Do(func() { close(c.done) })
 }
 
 func (c *comm) checkPeer(r *rank, peer int64) int {
