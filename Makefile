@@ -129,27 +129,33 @@ server-chaos-smoke:
 # model),
 # the instrumented-loop-vs-reference-walker differential over
 # masks/correlation/stickiness, journal forward-compat (unknown models
-# refuse resume in every format), and the iterative-convergence
+# refuse resume in every format), the iterative-convergence
 # workloads' golden checks across every harness path (see "Error
-# models" in DESIGN.md).
+# models" in DESIGN.md), and snapshot-resumed trials against full
+# re-execution for every workload and model (see "Fork-from-golden
+# snapshots").
 errmodel-smoke:
 	$(GO) test -race -shuffle=on -count=1 -timeout=10m \
-		-run 'Model|TestDifferentialErrorModels|TestTrialRecordsEffectiveBitAndMask|TestConvergence' \
+		-run 'Model|TestDifferentialErrorModels|TestTrialRecordsEffectiveBitAndMask|TestConvergence|TestSnapshotTrialsMatchFullRuns' \
 		./internal/interp ./internal/fault/... ./internal/campaign ./internal/workloads
 
-# Short randomized-schedule fuzz of the simulated MPI runtime under
-# the race detector: random rank programs with random comm patterns
-# must keep outcome classes schedule-independent and clean/deadlock
-# results bit-identical (see FuzzMPISchedule). CI runs this as a
-# smoke; run it open-ended with a larger -fuzztime to go hunting.
+# Short fuzz smokes. The differential oracle (fused fast loop vs
+# instrumented loop vs snapshot-resumed run vs IR reference walker)
+# must agree on random programs and fault plans (see
+# FuzzDifferential); the simulated MPI runtime, under the race
+# detector, must keep outcome classes schedule-independent and
+# clean/deadlock results bit-identical on random rank programs with
+# random comm patterns (see FuzzMPISchedule). CI runs this as a
+# smoke; run either open-ended with a larger -fuzztime to go hunting.
 fuzz-smoke:
+	$(GO) test -run '^FuzzDifferential$$' -fuzz '^FuzzDifferential$$' -fuzztime 10s ./internal/interp
 	$(GO) test -run '^FuzzMPISchedule$$' -fuzz '^FuzzMPISchedule$$' -fuzztime 10s -race ./internal/interp
 
 # Long-running fuzz of the differential oracle (fused fast loop vs
-# instrumented loop vs IR reference walker) and the MPI schedule
-# invariants. The nightly CI job runs each for 10 minutes and uploads
-# any crashers from testdata/fuzz as artifacts; FUZZTIME overrides the
-# budget locally.
+# instrumented loop vs snapshot-resumed run vs IR reference walker)
+# and the MPI schedule invariants. The nightly CI job runs each for 10
+# minutes and uploads any crashers from testdata/fuzz as artifacts;
+# FUZZTIME overrides the budget locally.
 FUZZTIME ?= 10m
 fuzz-nightly:
 	$(GO) test -run '^FuzzDifferential$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME) ./internal/interp

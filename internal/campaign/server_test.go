@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -766,4 +767,53 @@ func TestServerSectionedPlainCrossAdmission(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("sectioned resume after restart returned HTTP %d, want 200", status)
 	}
+}
+
+// A long-running worker keeps only the workerCacheSize campaigns it
+// leased most recently, and a campaign leased again after its eviction
+// is rebuilt from its spec and returns trials identical to its first
+// lease.
+func TestWorkerCacheBounded(t *testing.T) {
+	w := &Worker{Name: "long-lived"}
+	run := func(client *Client, spec Spec) (string, *fault.CampaignResult) {
+		sub, _, err := client.Submit(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Server = client.Base
+		deadline := time.Now().Add(time.Minute)
+		for {
+			if _, err := client.Result(context.Background(), sub.ID); err == nil {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("campaign %s did not complete", sub.ID)
+			}
+			if worked, _ := w.RunOne(context.Background()); !worked {
+				time.Sleep(2 * time.Millisecond)
+			}
+		}
+		if n := len(w.cache); n > workerCacheSize {
+			t.Fatalf("worker caches %d campaigns, cap %d", n, workerCacheSize)
+		}
+		return sub.ID, waitComplete(t, client, sub.ID)
+	}
+
+	client := newTestServer(t, Options{})
+	first := testSpec("cache-0", 6, 2, 40)
+	firstID, firstRes := run(client, first)
+	for i := 1; i <= workerCacheSize; i++ {
+		run(client, testSpec(fmt.Sprintf("cache-%d", i), 6, 2, int64(40+i)))
+	}
+	if len(w.cache) != workerCacheSize || w.cache[firstID] != nil {
+		t.Fatalf("after %d campaigns the worker caches %d, first one cached: %v",
+			workerCacheSize+1, len(w.cache), w.cache[firstID] != nil)
+	}
+
+	// A fresh coordinator leases the evicted campaign again.
+	id, again := run(newTestServer(t, Options{}), first)
+	if id != firstID || w.cache[firstID] == nil {
+		t.Fatalf("re-leased campaign %s (first %s) not rebuilt into the cache", id, firstID)
+	}
+	assertSameTrials(t, again, firstRes)
 }

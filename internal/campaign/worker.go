@@ -47,7 +47,15 @@ type Worker struct {
 
 	mu    sync.Mutex
 	cache map[string]*workerCampaign
+	clock uint64 // lease counter stamping cache use
 }
+
+// workerCacheSize bounds the prepared campaigns a worker keeps: the
+// ones it leased most recently. Each entry pins a golden run, every
+// plan of its campaign and the campaign's golden-run snapshots, so a
+// long-running worker must not keep every campaign it ever served; an
+// evicted campaign leased again is simply rebuilt.
+const workerCacheSize = 4
 
 // workerCampaign is a worker-side prepared campaign, cached across
 // leases so repeated shards of one campaign share a single golden run.
@@ -55,6 +63,7 @@ type workerCampaign struct {
 	prep  *fault.Prepared
 	plans []interp.FaultPlan
 	meta  fault.JournalMeta
+	used  uint64 // Worker.clock at its latest lease
 }
 
 // Run polls for leases and executes them until ctx is cancelled.
@@ -114,7 +123,9 @@ func (w *Worker) prepare(ctx context.Context, grant LeaseGrant) (*workerCampaign
 	if w.cache == nil {
 		w.cache = map[string]*workerCampaign{}
 	}
+	w.clock++
 	if wc := w.cache[grant.Campaign]; wc != nil {
+		wc.used = w.clock
 		w.mu.Unlock()
 		return wc, nil
 	}
@@ -130,7 +141,17 @@ func (w *Worker) prepare(ctx context.Context, grant LeaseGrant) (*workerCampaign
 	}
 	wc := &workerCampaign{prep: prep, plans: prep.Plans(grant.Spec.Trials), meta: prep.Meta(grant.Spec.Trials)}
 	w.mu.Lock()
+	wc.used = w.clock
 	w.cache[grant.Campaign] = wc
+	for len(w.cache) > workerCacheSize {
+		var oldest string
+		for id, c := range w.cache {
+			if oldest == "" || c.used < w.cache[oldest].used {
+				oldest = id
+			}
+		}
+		delete(w.cache, oldest)
+	}
 	w.mu.Unlock()
 	return wc, nil
 }

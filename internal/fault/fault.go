@@ -422,6 +422,13 @@ type Prepared struct {
 	// campaigns): the partition, the golden boundary trace, and the
 	// per-section trial allocation.
 	secs *SectionPlan
+
+	// snaps holds the golden-run snapshots plain trials resume from
+	// (see snapshots); nil until the first plain trial, and for good
+	// when the configuration has none (more than one rank, site
+	// counting).
+	snapOnce sync.Once
+	snaps    *interp.Snapshots
 }
 
 // SectionPlan returns the sectioned substrate, nil for plain campaigns.
@@ -815,9 +822,26 @@ func (p *Prepared) attemptTrial(ctx context.Context, t int, plan interp.FaultPla
 		// Arm section targeting and the early-masked exit against the
 		// golden boundary trace.
 		cfg.Sections = p.secs.trialCfg
+	} else {
+		cfg.Resume = p.snapshots(ctx)
 	}
 	res := interp.RunContext(ctx, c.Prog, cfg)
 	return trialFromResult(plan, p.Golden, res, c.Verify)
+}
+
+// snapshots returns the golden-run snapshots plain trials start from
+// instead of instruction zero, capturing them on the first call: one
+// fault-free run on the instrumented loop, paid by the first trial
+// rather than by Prepare, so a campaign that never runs a trial (or an
+// admission-time Prepare) costs nothing extra. The capture ignores the
+// trial's cancellation — it is one golden run long, and a cancelled
+// capture would leave every later trial of this substrate without
+// snapshots.
+func (p *Prepared) snapshots(ctx context.Context) *interp.Snapshots {
+	p.snapOnce.Do(func() {
+		p.snaps = interp.CaptureSnapshots(context.WithoutCancel(ctx), p.c.Prog, p.c.Config, p.Golden.TotalDyn)
+	})
+	return p.snaps
 }
 
 // trialFromResult converts one interpreter run into a completed Trial

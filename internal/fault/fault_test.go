@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"testing"
 
 	"ipas/internal/interp"
@@ -221,6 +222,50 @@ func TestCampaignWorkerCountInvariant(t *testing.T) {
 	for i := range r1.Trials {
 		if r1.Trials[i] != r4.Trials[i] {
 			t.Fatalf("trial %d differs between 1 and 4 workers", i)
+		}
+	}
+}
+
+// TestSnapshotsOnlyForPlainSingleRank checks snapshot eligibility at the
+// campaign level: a plain single-rank campaign captures lazily, on its
+// first trial and not in Prepare, while a sectioned campaign and a
+// Ranks: 2 campaign never capture and keep full re-execution.
+func TestSnapshotsOnlyForPlainSingleRank(t *testing.T) {
+	ctx := context.Background()
+	m, err := lang.Compile(campaignProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verify := func(golden, faulty *interp.Result) bool {
+		return len(faulty.OutputF) == 1 && faulty.OutputF[0] == golden.OutputF[0]
+	}
+	for _, tc := range []struct {
+		name    string
+		c       *Campaign
+		capture bool
+	}{
+		{"plain", &Campaign{Prog: p, Verify: verify, Seed: 3}, true},
+		{"sectioned", sectionedCampaign(t, 2), false},
+		{"ranks-2", deadlockCampaign(3, 0, nil), false},
+	} {
+		prep, err := tc.c.Prepare(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prep.snaps != nil {
+			t.Fatalf("%s: Prepare captured snapshots", tc.name)
+		}
+		for i, plan := range prep.Plans(8) {
+			if tr := prep.RunTrial(ctx, i, plan); tr.Status != TrialCompleted {
+				t.Fatalf("%s: trial %d: %+v", tc.name, i, tr)
+			}
+		}
+		if got := prep.snaps.Len() > 0; got != tc.capture {
+			t.Errorf("%s: captured %d snapshots, want capture=%v", tc.name, prep.snaps.Len(), tc.capture)
 		}
 	}
 }

@@ -1,0 +1,87 @@
+package fault_test
+
+import (
+	"context"
+	"encoding/json"
+	"testing"
+
+	"ipas/internal/dup"
+	"ipas/internal/fault"
+	"ipas/internal/workloads"
+)
+
+// TestSnapshotTrialsMatchFullRuns is the fault-level identity check of
+// fork-from-golden snapshots: for every workload at input 1 and every
+// built-in error model, the trials Prepared.RunTrial resumes from
+// golden-run snapshots are JSON-identical — outcome, site, effective
+// bit and mask, latency, deadlock text, attempts, and so the journal
+// bytes — to trials classified from a full run from instruction zero.
+// A fully duplicated FFT covers Detected outcomes.
+func TestSnapshotTrialsMatchFullRuns(t *testing.T) {
+	type variant struct {
+		workload string
+		dup      bool
+	}
+	var variants []variant
+	for _, name := range append(append([]string{}, workloads.Names...), workloads.ConvergenceNames...) {
+		variants = append(variants, variant{workload: name})
+	}
+	trials := 4
+	if testing.Short() {
+		variants, trials = variants[3:5], 3 // FFT and IS
+	}
+	variants = append(variants, variant{workload: "FFT", dup: true})
+	for _, v := range variants {
+		name := v.workload
+		if v.dup {
+			name += "+dup"
+		}
+		t.Run(name, func(t *testing.T) {
+			spec := workloads.MustGet(v.workload, 1)
+			m, err := spec.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.dup {
+				if _, err := dup.FullDuplication(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			prog, err := fault.Compile(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			detected := 0
+			for _, model := range fault.BuiltinModels() {
+				// A small hang factor keeps overrunning trials short; the
+				// budget is still the one both runs share.
+				c := &fault.Campaign{Prog: prog, Verify: spec.Verify, Config: spec.BaseConfig(1), Seed: 77, Model: model, HangFactor: 2}
+				p, err := c.Prepare(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, plan := range p.Plans(trials) {
+					got := p.RunTrial(context.Background(), i, plan)
+					want, err := p.FullRunTrial(context.Background(), plan)
+					if err != nil {
+						t.Fatalf("%s trial %d: full run: %v", model.Name(), i, err)
+					}
+					gj, _ := json.Marshal(got)
+					wj, _ := json.Marshal(want)
+					if string(gj) != string(wj) {
+						t.Fatalf("%s trial %d (index %d): resumed %s, full run %s", model.Name(), i, plan.Index, gj, wj)
+					}
+					if got.Outcome == fault.OutcomeDetected {
+						detected++
+					}
+				}
+				if p.Snapshots().Len() == 0 {
+					t.Fatalf("%s: no snapshots captured", model.Name())
+				}
+			}
+			if v.dup && detected == 0 {
+				t.Error("duplicated FFT produced no Detected trial")
+			}
+		})
+	}
+}

@@ -1,8 +1,10 @@
 package interp
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ipas/internal/ir"
@@ -16,7 +18,8 @@ import (
 // on (trap taxonomy, dynamic instruction counts, injectable-instance
 // ordering, site counts, single-bit injection, output buffers) is
 // compared bit-for-bit between the reference walker and both
-// specialized loops over randprog-generated programs.
+// specialized loops over randprog-generated programs, and every armed
+// run once more resumed from the program's golden-run snapshots.
 
 // refInjectable mirrors fault.Injectable (fault imports interp, so the
 // real predicate cannot be imported here): result-producing,
@@ -461,6 +464,51 @@ func diffModule(t *testing.T, seed int64) *ir.Module {
 
 const diffBudget = 500_000_000
 
+// resumeLeg is the snapshot leg of the oracle: it resumes cfg's armed
+// run from the program's golden snapshots and compares the result with
+// the reference walker's and with the run from instruction zero — the
+// latter on every Result field, since both come from the same engine.
+// It reports whether the run actually started from a snapshot.
+func resumeLeg(t *testing.T, label string, p *Program, snaps *Snapshots, cfg Config, ref, zero *Result) bool {
+	t.Helper()
+	cfg.Resume = snaps
+	got := Run(p, cfg)
+	diffCompare(t, label+"-resumed-vs-ref", ref, got)
+	diffCompare(t, label+"-resumed-vs-zero", zero, got)
+	sameRun(t, label+"-resumed-vs-zero", zero, got)
+	return snaps.from(p, cfg.withDefaults()) != nil
+}
+
+// sameRun compares the Result fields diffCompare leaves out: trap
+// attribution, per-rank counts, the injected rank's final count and
+// the deadlock report.
+func sameRun(t *testing.T, label string, want, got *Result) {
+	t.Helper()
+	if want.TrapRank != got.TrapRank || want.TrapMsg != got.TrapMsg {
+		t.Fatalf("%s: trap attribution: (%d %q) vs (%d %q)", label, want.TrapRank, want.TrapMsg, got.TrapRank, got.TrapMsg)
+	}
+	if !slices.Equal(want.DynInstrs, got.DynInstrs) || want.MaxRankDyn != got.MaxRankDyn ||
+		want.InjectedRankDyn != got.InjectedRankDyn || !slices.Equal(want.Injectable, got.Injectable) {
+		t.Fatalf("%s: counts: dyn %v/%d injected-rank %d vs dyn %v/%d injected-rank %d", label,
+			want.DynInstrs, want.MaxRankDyn, want.InjectedRankDyn, got.DynInstrs, got.MaxRankDyn, got.InjectedRankDyn)
+	}
+	if (want.Deadlock == nil) != (got.Deadlock == nil) ||
+		(want.Deadlock != nil && want.Deadlock.Summary() != got.Deadlock.Summary()) {
+		t.Fatalf("%s: deadlock report: %v vs %v", label, want.Deadlock, got.Deadlock)
+	}
+}
+
+// captureFor captures a program's golden snapshots, failing the test
+// when a capture run of a clean program records none.
+func captureFor(t *testing.T, p *Program, golden *Result) *Snapshots {
+	t.Helper()
+	snaps := CaptureSnapshots(context.Background(), p, Config{}, golden.TotalDyn)
+	if snaps.Len() == 0 && golden.TotalDyn > 2*maxSnapshots {
+		t.Fatalf("capture of a %d-instruction golden run recorded no snapshot", golden.TotalDyn)
+	}
+	return snaps
+}
+
 // TestDifferentialGolden compares golden (fault-free) runs between the
 // reference walker and both engine loops: the fast loop (plain config)
 // and the full loop (site counting + budget armed).
@@ -502,6 +550,7 @@ func TestDifferentialInjection(t *testing.T) {
 	if testing.Short() {
 		seeds, trials = 4, 8
 	}
+	resumed := 0
 	for seed := int64(1); seed <= seeds; seed++ {
 		m := diffModule(t, seed)
 		p, err := Compile(m, refInjectable)
@@ -517,6 +566,7 @@ func TestDifferentialInjection(t *testing.T) {
 			continue
 		}
 		budget := golden.MaxRankDyn*10 + 1_000_000
+		snaps := captureFor(t, p, golden)
 		rng := rand.New(rand.NewSource(seed * 7919))
 		for k := 0; k < trials; k++ {
 			plan := &FaultPlan{Rank: 0, Index: rng.Int63n(pop), Bit: rng.Intn(64)}
@@ -528,7 +578,13 @@ func TestDifferentialInjection(t *testing.T) {
 					seed, k, plan.Index, pop)
 			}
 			diffCompare(t, "armed", ref, got)
+			if resumeLeg(t, "armed", p, snaps, cfg, ref, got) {
+				resumed++
+			}
 		}
+	}
+	if resumed == 0 {
+		t.Fatal("no armed run started from a snapshot")
 	}
 }
 
@@ -566,6 +622,7 @@ func TestDifferentialErrorModels(t *testing.T) {
 			plan.Sticky = true
 		},
 	}
+	resumed := 0
 	for seed := int64(1); seed <= seeds; seed++ {
 		m := diffModule(t, seed)
 		p, err := Compile(m, refInjectable)
@@ -581,6 +638,7 @@ func TestDifferentialErrorModels(t *testing.T) {
 			continue
 		}
 		budget := golden.MaxRankDyn*10 + 1_000_000
+		snaps := captureFor(t, p, golden)
 		rng := rand.New(rand.NewSource(seed * 6121))
 		for k := 0; k < trials; k++ {
 			plan := &FaultPlan{Rank: 0, Index: rng.Int63n(pop)}
@@ -593,14 +651,23 @@ func TestDifferentialErrorModels(t *testing.T) {
 					seed, k, plan, pop)
 			}
 			diffCompare(t, "model-armed", ref, got)
+			if resumeLeg(t, "model-armed", p, snaps, cfg, ref, got) {
+				resumed++
+			}
 		}
+	}
+	if resumed == 0 {
+		t.Fatal("no armed run started from a snapshot")
 	}
 }
 
 // FuzzDifferential fuzzes (program seed, injection index, bit, mask,
 // flags) tuples — flags bit 0 arms value-correlated flips, bit 1 arms
 // sticky re-corruption — so the fuzzer explores the full error-model
-// plan space. The corpus entries run as part of normal `go test`.
+// plan space, each armed run also resumed from golden-run snapshots.
+// The corpus entries run as part of normal `go test`; seed-13..16 of
+// program -400 and -399 resume two frames deep (see
+// TestResumeCallChain).
 func FuzzDifferential(f *testing.F) {
 	f.Add(int64(1), uint64(0), uint8(0), uint64(0), uint8(0))
 	f.Add(int64(2), uint64(17), uint8(63), uint64(0), uint8(0))
@@ -627,6 +694,8 @@ func FuzzDifferential(f *testing.F) {
 			Mask: mask, Correlated: flags&1 != 0, Sticky: flags&2 != 0,
 		}
 		cfg := Config{Fault: plan, MaxInstrs: golden.MaxRankDyn*10 + 1_000_000}
-		diffCompare(t, "fuzz-armed", refRun(m, cfg, refInjectable), Run(p, cfg))
+		ref, zero := refRun(m, cfg, refInjectable), Run(p, cfg)
+		diffCompare(t, "fuzz-armed", ref, zero)
+		resumeLeg(t, "fuzz-armed", p, captureFor(t, p, golden), cfg, ref, zero)
 	})
 }

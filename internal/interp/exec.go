@@ -67,6 +67,17 @@ type rank struct {
 	zeroFrames bool  // mirror of Program.zeroFrames
 	scratch    []Val // phi parallel-copy buffer
 
+	// Fork-from-golden snapshots (snapshot.go). capture is non-nil only
+	// on a capture run, which records a snapshot at the first branch
+	// target where executed reaches snapAt (math.MaxInt64 otherwise, so
+	// the one check at branch targets never fires). resume is the
+	// snapshot a resumed run is still rebuilding its call chain from,
+	// resumeDepth the next frame to restore.
+	capture     *capture
+	snapAt      int64
+	resume      *snapshot
+	resumeDepth int
+
 	// arenaBlocks back call frames and call-argument marshalling:
 	// regions are carved off sequentially and released LIFO on return,
 	// avoiding per-call heap allocation. Blocks never move, so
@@ -144,15 +155,16 @@ func (r *rank) run() (trap Trap, msg string) {
 			trap, msg = tp.trap, tp.msg
 		}
 	}()
-	r.callFunc(r.prog.main, nil)
+	r.callFunc(r.prog.main, nil, nil)
 	return TrapNone, ""
 }
 
 // callFunc invokes a compiled function with the given arguments,
 // dispatching to the loop selected for this run. The per-call branch is
 // the only specialization cost; inside the loops there are no disarmed
-// instrumentation checks.
-func (r *rank) callFunc(pf *progFunc, args []Val) Val {
+// instrumentation checks. site is the OpCall making the call (nil for
+// @main); only a capture run reads it.
+func (r *rank) callFunc(pf *progFunc, args []Val, site *pInstr) Val {
 	if pf.builtin != builtinNone {
 		return r.callBuiltin(pf.builtin, args)
 	}
@@ -165,10 +177,15 @@ func (r *rank) callFunc(pf *progFunc, args []Val) Val {
 	slots := r.frame(pf.numSlots, r.zeroFrames)
 	copy(slots, args)
 	var ret Val
-	if r.instrumented {
-		ret = r.execFull(pf, slots)
-	} else {
+	switch {
+	case !r.instrumented:
 		ret = r.execFast(pf, slots)
+	case r.capture != nil:
+		ret = r.execCapture(pf, slots, sp, site)
+	case r.resume != nil:
+		ret = r.execFull(pf, slots, r.resumeFrame(slots))
+	default:
+		ret = r.execFull(pf, slots, 0)
 	}
 	r.mem.PopFrame(sp)
 	r.arenaCur, r.arenaOff = saveCur, saveOff
@@ -404,15 +421,16 @@ func (r *rank) execFast(pf *progFunc, slots []Val) Val {
 // accounting (the hang detector), per-site dynamic counting, the
 // single-bit injection hook, and the section-boundary hooks, all over
 // the same flat stream. Section state is block-constant, so
-// transitions are only checked at branch targets and returns.
-func (r *rank) execFull(pf *progFunc, slots []Val) Val {
+// transitions are only checked at branch targets and returns; so is
+// the snapshot trigger of a capture run. Execution starts at pc: 0 for
+// a call, a snapshot's pc for a resumed frame.
+func (r *rank) execFull(pf *progFunc, slots []Val, pc int) Val {
 	code := pf.code
 	consts := pf.consts
 	var fs frameSec
 	if r.sec != nil {
 		fs = r.secFrame(pf)
 	}
-	pc := 0
 	for {
 		pi := &code[pc]
 		r.executed++
@@ -443,6 +461,9 @@ func (r *rank) execFull(pf *progFunc, slots []Val) Val {
 					r.secTransition(&fs, ns, pc, slots)
 				}
 			}
+			if r.executed >= r.snapAt {
+				r.snapshot(pc)
+			}
 		case ir.OpCondBr:
 			k := 1
 			if get(slots, consts, pi.a0).I != 0 {
@@ -456,6 +477,9 @@ func (r *rank) execFull(pf *progFunc, slots []Val) Val {
 				if ns := fs.tab.pcSec[pc]; ns != fs.cur {
 					r.secTransition(&fs, ns, pc, slots)
 				}
+			}
+			if r.executed >= r.snapAt {
+				r.snapshot(pc)
 			}
 		case ir.OpRet:
 			var ret Val
@@ -616,7 +640,7 @@ func (r *rank) eval(pi *pInstr, slots, consts []Val) Val {
 		for i, o := range pi.ops {
 			args[i] = get(slots, consts, o)
 		}
-		v := r.callFunc(pi.callee, args)
+		v := r.callFunc(pi.callee, args, pi)
 		r.arenaCur, r.arenaOff = saveCur, saveOff
 		return v
 	}

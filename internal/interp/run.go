@@ -2,6 +2,7 @@ package interp
 
 import (
 	"context"
+	"math"
 	"sync"
 	"time"
 )
@@ -71,6 +72,14 @@ type Config struct {
 	// single-rank runs: a rank stopping early at a boundary would
 	// strand MPI peers, so multi-rank configurations ignore it.
 	Sections *SectionConfig
+	// Resume, when non-nil, starts an armed single-rank run from the
+	// last golden-run snapshot taken before its fault plan's injection
+	// instance instead of from instruction zero (see CaptureSnapshots).
+	// Every Result field equals that of the run from zero. A run the
+	// snapshots cannot serve — more ranks, section tracking, site
+	// counting, another program or address-space size, no fault plan —
+	// starts from zero as if Resume were nil.
+	Resume *Snapshots
 	// Watchdog bounds the wall-clock blocking of one MPI operation as
 	// defense in depth (default 60s). Deadlocks are detected
 	// structurally and instantly by the rank supervisor; the watchdog
@@ -78,6 +87,9 @@ type Config struct {
 	// its TrapWatchdog is an infrastructure error, never a modeled
 	// outcome.
 	Watchdog time.Duration
+
+	// capture arms snapshot recording on rank 0 (captureRun).
+	capture *capture
 }
 
 // WithDefaults resolves zero-valued knobs to their defaults. RunContext
@@ -197,6 +209,7 @@ func RunContext(ctx context.Context, p *Program, cfg Config) *Result {
 			secTarget:    -1,
 			injSec:       -1,
 			zeroFrames:   p.zeroFrames,
+			snapAt:       math.MaxInt64,
 		}
 		if cfg.MaxInstrs > 0 {
 			r.budget = cfg.MaxInstrs
@@ -224,11 +237,20 @@ func RunContext(ctx context.Context, p *Program, cfg Config) *Result {
 				r.secTarget = cfg.Fault.Section
 			}
 		}
+		// Snapshot capture and resume only ever serve single-rank runs.
+		if cfg.capture != nil {
+			r.capture = cfg.capture
+			r.snapAt = cfg.capture.every
+		}
+		if s := cfg.Resume.from(p, cfg); s != nil {
+			r.restore(s)
+		}
 		// Loop specialization (decided once per run): a rank with any
 		// instrumentation armed — budget, site counting, section
-		// tracking, or an injection plan targeting it — takes the full
-		// loop; everything else takes the fast loop.
-		r.instrumented = r.budget >= 0 || r.countSites || r.injectArmed || r.sec != nil
+		// tracking, snapshot capture, or an injection plan targeting
+		// it — takes the full loop; everything else takes the fast
+		// loop.
+		r.instrumented = r.budget >= 0 || r.countSites || r.injectArmed || r.sec != nil || r.capture != nil
 		ranks[i] = r
 	}
 
