@@ -139,7 +139,7 @@ errmodel-smoke:
 		-run 'Model|TestDifferentialErrorModels|TestTrialRecordsEffectiveBitAndMask|TestConvergence|TestSnapshotTrialsMatchFullRuns' \
 		./internal/interp ./internal/fault/... ./internal/campaign ./internal/workloads
 
-# Short fuzz smokes. The differential oracle (fused fast loop vs
+# Short fuzz smokes. The differential oracle (fast loop vs
 # instrumented loop vs snapshot-resumed run vs IR reference walker)
 # must agree on random programs and fault plans (see
 # FuzzDifferential); the simulated MPI runtime, under the race
@@ -151,7 +151,7 @@ fuzz-smoke:
 	$(GO) test -run '^FuzzDifferential$$' -fuzz '^FuzzDifferential$$' -fuzztime 10s ./internal/interp
 	$(GO) test -run '^FuzzMPISchedule$$' -fuzz '^FuzzMPISchedule$$' -fuzztime 10s -race ./internal/interp
 
-# Long-running fuzz of the differential oracle (fused fast loop vs
+# Long-running fuzz of the differential oracle (fast loop vs
 # instrumented loop vs snapshot-resumed run vs IR reference walker)
 # and the MPI schedule invariants. The nightly CI job runs each for 10
 # minutes and uploads any crashers from testdata/fuzz as artifacts;

@@ -19,9 +19,10 @@ type rank struct {
 	cancel <-chan struct{}
 
 	// instrumented selects the execution loop, once per run: the fully
-	// instrumented loop when a fault plan is armed on this rank, site
-	// counting is on, or an instruction budget is set; the fast loop
-	// otherwise (golden runs, verification re-runs, timing runs).
+	// instrumented loop when an instruction budget is set, site counting
+	// is on, a fault plan is armed on this rank, section tracking is
+	// armed, or this is a snapshot capture run; the fast loop otherwise
+	// (golden runs, verification re-runs, timing runs).
 	instrumented bool
 
 	budget   int64 // remaining instruction budget (-1: unlimited)
@@ -234,29 +235,22 @@ func raiseTrap(code int64) {
 // counter every result consumer relies on, the injectable-population
 // counter (fault.Campaign sizes its sampling space from the golden
 // run), and a cancellation poll when a context is attached. The hottest
-// opcodes are inlined so each instruction pays a single dispatch, and
-// the stream it executes is the fused one (progFunc.fast): hot adjacent
-// pairs collapsed into superinstructions (fuse.go) that still maintain
-// the executed and injectable counters per original dynamic
-// instruction, so every observable of this loop is bit-identical to the
-// canonical stream.
+// opcodes are inlined so each instruction pays a single dispatch; the
+// rest go through eval.
 //
 // Any semantic change here must be mirrored in execFull and eval; the
 // differential tests in differential_test.go compare all three against
-// a reference IR walker, and the fusion tests additionally pin this
-// loop against an unfused compile.
+// a reference IR walker, and TestLoopsAgreeOnWorkloads pins this loop
+// against execFull on every workload.
 func (r *rank) execFast(pf *progFunc, slots []Val) Val {
-	code := pf.fast
+	code := pf.code
 	consts := pf.consts
 	cancel := r.cancel
 	pc := 0
 	for {
 		pi := &code[pc]
 		r.executed++
-		// Superinstructions advance executed by 2 per iteration, so an
-		// exact-zero test could step over the poll boundary; < 2
-		// catches every crossing at the next iteration.
-		if cancel != nil && r.executed&(cancelPollPeriod-1) < 2 {
+		if cancel != nil && r.executed&(cancelPollPeriod-1) == 0 {
 			select {
 			case <-cancel:
 				panic(trapPanic{TrapCancelled, "execution cancelled"})
@@ -314,96 +308,6 @@ func (r *rank) execFast(pf *progFunc, slots []Val) Val {
 			v = r.mem.Load(get(slots, consts, pi.a0).I, pi.elemSize, pi.isFloat)
 		case ir.OpGEP:
 			v = IntVal(get(slots, consts, pi.a0).I + get(slots, consts, pi.a1).I*pi.elemSize)
-
-		// Superinstructions (fuse.go). Each case executes its two halves
-		// strictly sequentially — first half, slot write, second half —
-		// incrementing executed before and injectableSeen after each
-		// half exactly like two unfused iterations would, so counters
-		// observed at any trap point are bit-identical.
-		case opICmpBr, opFCmpBr:
-			var c bool
-			if pi.op == opICmpBr {
-				c = icmp(pi.pred, get(slots, consts, pi.a0).I, get(slots, consts, pi.a1).I)
-			} else {
-				c = fcmp(pi.pred, get(slots, consts, pi.a0).F, get(slots, consts, pi.a1).F)
-			}
-			if pi.injectable {
-				r.injectableSeen++
-			}
-			if pi.dst >= 0 {
-				slots[pi.dst] = Bool(c)
-			}
-			r.executed++ // the condbr half
-			k := 1
-			if c {
-				k = 0
-			}
-			if e := pi.edges[k]; e >= 0 {
-				r.runCopies(slots, consts, pf.edgeCopies[e])
-			}
-			pc = int(pi.targets[k])
-			continue
-		case opGEPLoad:
-			v1 := IntVal(get(slots, consts, pi.a0).I + get(slots, consts, pi.a1).I*pi.elemSize)
-			if pi.injectable {
-				r.injectableSeen++
-			}
-			if pi.dst >= 0 {
-				slots[pi.dst] = v1
-			}
-			r.executed++ // the load half (counted before it can trap)
-			v2 := r.mem.Load(v1.I, pi.elemSize2, pi.isFloat2)
-			if pi.inj2 {
-				r.injectableSeen++
-			}
-			slots[pi.dst2] = v2
-			pc++
-			continue
-		case opLoadArith:
-			v1 := r.mem.Load(get(slots, consts, pi.a0).I, pi.elemSize, pi.isFloat)
-			if pi.injectable {
-				r.injectableSeen++
-			}
-			if pi.dst >= 0 {
-				slots[pi.dst] = v1
-			}
-			r.executed++ // the arith half
-			a := v1
-			if !pi.fuseB0 {
-				a = get(slots, consts, pi.b0)
-			}
-			b := v1
-			if !pi.fuseB1 {
-				b = get(slots, consts, pi.b1)
-			}
-			v2 := arith2(pi.op2, pi.typ, a, b)
-			if pi.inj2 {
-				r.injectableSeen++
-			}
-			slots[pi.dst2] = v2
-			pc++
-			continue
-		case opArithStore:
-			v1 := arith2(pi.op2, pi.typ, get(slots, consts, pi.a0), get(slots, consts, pi.a1))
-			if pi.injectable {
-				r.injectableSeen++
-			}
-			if pi.dst >= 0 {
-				slots[pi.dst] = v1
-			}
-			r.executed++ // the store half (counted before it can trap)
-			sv := v1
-			if !pi.fuseB0 {
-				sv = get(slots, consts, pi.b0)
-			}
-			addr := v1
-			if !pi.fuseB1 {
-				addr = get(slots, consts, pi.b1)
-			}
-			r.mem.Store(addr.I, pi.elemSize2, sv, pi.storeFloat2)
-			pc++
-			continue
-
 		default:
 			v = r.eval(pi, slots, consts)
 		}
@@ -645,30 +549,6 @@ func (r *rank) eval(pi *pInstr, slots, consts []Val) Val {
 		return v
 	}
 	panic(trapPanic{TrapAbort, "unknown opcode " + pi.op.String()})
-}
-
-// arith2 evaluates the fused arithmetic half of a superinstruction.
-// The fusion pass only admits ops from fusableArith, so the default arm
-// is unreachable; it returns a zero Val rather than panicking to keep
-// the function inlinable into the hot loop.
-func arith2(op ir.Op, t *ir.Type, a, b Val) Val {
-	switch op {
-	case ir.OpAdd:
-		return IntVal(truncToType(t, a.I+b.I))
-	case ir.OpSub:
-		return IntVal(truncToType(t, a.I-b.I))
-	case ir.OpMul:
-		return IntVal(truncToType(t, a.I*b.I))
-	case ir.OpFAdd:
-		return FloatVal(a.F + b.F)
-	case ir.OpFSub:
-		return FloatVal(a.F - b.F)
-	case ir.OpFMul:
-		return FloatVal(a.F * b.F)
-	case ir.OpFDiv:
-		return FloatVal(a.F / b.F)
-	}
-	return Val{}
 }
 
 func widthMask(w uint64) uint64 {

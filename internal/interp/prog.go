@@ -34,28 +34,16 @@ type Program struct {
 	// old deterministic zero-fill behavior.
 	zeroFrames bool
 
-	// fusedPairs counts the instruction pairs fused into
-	// superinstructions across all functions (see fuse.go).
-	fusedPairs int
-
 	// fpOnce/fp back Fingerprint.
 	fpOnce sync.Once
 	fp     string
 }
 
-// FusedPairs reports how many adjacent instruction pairs were fused
-// into superinstructions on the fast stream (0 when compiled with
-// Options.NoFuse).
-func (p *Program) FusedPairs() int { return p.fusedPairs }
-
 // Fingerprint is a stable content hash identifying this compiled
 // program for result caching: the module's canonical printed form, the
 // per-instruction injectable bitmap (two programs from one module but
 // different fault models must not share golden results — their
-// injectable populations differ), and the site-table size. It is
-// independent of fusion: both instruction streams execute identical
-// semantics, so a fused and an unfused compile of the same module may
-// share cached results.
+// injectable populations differ), and the site-table size.
 func (p *Program) Fingerprint() string {
 	p.fpOnce.Do(func() {
 		h := sha256.New()
@@ -106,12 +94,6 @@ type progFunc struct {
 	// execution loops — that lets section analysis (section.go)
 	// project an IR block partition onto flat pcs.
 	blockOf []int32
-	// fast is the superinstruction stream execFast dispatches on: code
-	// with hot adjacent pairs fused (see fuse.go). It aliases code when
-	// fusion is disabled. execFull and every side table (blockOf,
-	// section projection) keep using the canonical one-instruction-per-
-	// opcode stream, so instrumented semantics are untouched by fusion.
-	fast []pInstr
 }
 
 // phiCopy is one slot assignment of a parallel copy (dst = src). All
@@ -143,50 +125,17 @@ type pInstr struct {
 	targets [2]int32 // absolute pc of branch targets
 	edges   [2]int32 // edgeCopies index per target, -1 if the edge has no phis
 
-	// Second-half operands of a fused superinstruction (fuse.go); only
-	// meaningful in progFunc.fast entries whose op is a super-opcode.
-	// b0/b1 carry the second instruction's operands verbatim, dst2 its
-	// destination slot, elemSize2 its memory width, and op2 the fused
-	// arithmetic opcode for opLoadArith/opArithStore.
-	b0, b1    int32
-	dst2      int32
-	elemSize2 int64
-
 	op         ir.Op
-	op2        ir.Op
 	pred       ir.Pred
 	nops       uint8
 	storeFloat bool // store payload is f64
 	isFloat    bool // result type is f64 (load/bitcast interpretation)
 	injectable bool
-	// Fusion flags: fuseB0/fuseB1 mark which second-half operands are
-	// the first half's result (read from the value in flight, so the
-	// first half's slot write can be elided when it has no other uses);
-	// inj2/isFloat2/storeFloat2 mirror injectable/isFloat/storeFloat
-	// for the second half.
-	fuseB0, fuseB1 bool
-	inj2           bool
-	isFloat2       bool
-	storeFloat2    bool
-}
-
-// Options tunes compilation. The zero value is the default used by
-// Compile.
-type Options struct {
-	// NoFuse disables superinstruction fusion: the fast stream aliases
-	// the canonical one-instruction-per-opcode stream. Used by the
-	// fusion bit-identity tests and available as an escape hatch.
-	NoFuse bool
 }
 
 // Compile lowers a verified module into executable form. injectable
 // selects fault-injection sites; nil means nothing is injectable.
 func Compile(m *ir.Module, injectable func(*ir.Instr) bool) (*Program, error) {
-	return CompileWithOptions(m, injectable, Options{})
-}
-
-// CompileWithOptions is Compile with explicit compilation options.
-func CompileWithOptions(m *ir.Module, injectable func(*ir.Instr) bool, opts Options) (*Program, error) {
 	if injectable == nil {
 		injectable = func(*ir.Instr) bool { return false }
 	}
@@ -215,12 +164,6 @@ func CompileWithOptions(m *ir.Module, injectable func(*ir.Instr) bool, opts Opti
 		}
 		if err := p.compileFunc(f); err != nil {
 			return nil, err
-		}
-		pf := p.funcs[f]
-		if opts.NoFuse {
-			pf.fast = pf.code
-		} else {
-			pf.fast = p.fuseFunc(pf)
 		}
 	}
 	mainFn := m.FuncByName("main")

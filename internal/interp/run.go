@@ -54,13 +54,15 @@ type Config struct {
 	// MaxInstrs is the per-rank dynamic instruction budget; exceeding
 	// it raises TrapBudget (the hang detector). 0 means unlimited.
 	//
-	// MaxInstrs, Fault and CountSites together select the execution
-	// loop: when all three are off, ranks run the uninstrumented fast
-	// loop (see exec.go); arming any of them selects the fully
-	// instrumented loop. The choice is made once per run, never per
-	// instruction, and is invisible to results: both loops produce
-	// byte-identical outputs, traps, dynamic counts and injectable
-	// populations.
+	// MaxInstrs, CountSites, Fault and Sections together select the
+	// execution loop, per rank: a rank takes the fully instrumented loop
+	// iff MaxInstrs > 0, CountSites is set, Fault targets it, or
+	// Sections arms section tracking on it (single-rank runs only), and
+	// so does a CaptureSnapshots run; every other rank runs the
+	// uninstrumented fast loop (see exec.go). The choice is made once
+	// per run, never per instruction, and is invisible to results: both
+	// loops produce byte-identical outputs, traps, dynamic counts and
+	// injectable populations.
 	MaxInstrs int64
 	// Fault, when non-nil, arms single-bit corruption.
 	Fault *FaultPlan
