@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short vet lint race ci bench bench-svm bench-all bench-smoke bench-check bench-compose compose-smoke chaos-smoke server-chaos-smoke errmodel-smoke fuzz-smoke fuzz-nightly experiments experiments-paper examples clean
+.PHONY: build test test-short vet lint race ci bench bench-svm bench-all bench-smoke bench-check bench-compose compose-smoke chaos-smoke server-chaos-smoke errmodel-smoke fuzz-smoke fuzz-nightly ipasbench-test experiments experiments-paper examples clean
 
 build:
 	$(GO) build ./...
@@ -45,7 +45,7 @@ race:
 # The pre-push check: lint, race+shuffle tests, then every smoke suite
 # in the same order as the CI workflow's matrix (see
 # .github/workflows/ci.yml) — a green `make ci` is a green CI run.
-ci: lint build race bench-check chaos-smoke server-chaos-smoke compose-smoke errmodel-smoke fuzz-smoke
+ci: lint build race bench-check chaos-smoke server-chaos-smoke compose-smoke errmodel-smoke fuzz-smoke ipasbench-test
 
 # Interpreter + campaign throughput benchmarks (the perf trajectory of
 # the execution engine), recorded machine-readably in BENCH_interp.json.
@@ -54,7 +54,9 @@ ci: lint build race bench-check chaos-smoke server-chaos-smoke compose-smoke err
 # BenchmarkCampaignSetup records Prepare cold vs warm: the warm number
 # is the golden-run cache's enforced win (breaking the cache turns a
 # sub-millisecond hit into a full golden run, which benchdiff rejects).
-BENCH_INTERP = BenchmarkInterpreter|BenchmarkInterpreterInstrumented|BenchmarkCampaignThroughput|BenchmarkCampaignSetup|BenchmarkDeadlockDetection
+# BenchmarkSectionedCampaignThroughput records sectioned-campaign
+# trials/s next to BenchmarkCampaignThroughput's plain ones.
+BENCH_INTERP = BenchmarkInterpreter|BenchmarkInterpreterInstrumented|BenchmarkCampaignThroughput|BenchmarkSectionedCampaignThroughput|BenchmarkCampaignSetup|BenchmarkDeadlockDetection
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_INTERP)' -benchtime=2s . \
 		| $(GO) run ./cmd/bench2json -o BENCH_interp.json
@@ -131,18 +133,19 @@ server-chaos-smoke:
 # masks/correlation/stickiness, journal forward-compat (unknown models
 # refuse resume in every format), the iterative-convergence
 # workloads' golden checks across every harness path (see "Error
-# models" in DESIGN.md), and snapshot-resumed trials against full
-# re-execution for every workload and model (see "Fork-from-golden
-# snapshots").
+# models" in DESIGN.md), and snapshot-resumed trials, plain and
+# sectioned, against full re-execution for every workload and model
+# (see "Fork-from-golden snapshots").
 errmodel-smoke:
 	$(GO) test -race -shuffle=on -count=1 -timeout=10m \
 		-run 'Model|TestDifferentialErrorModels|TestTrialRecordsEffectiveBitAndMask|TestConvergence|TestSnapshotTrialsMatchFullRuns' \
 		./internal/interp ./internal/fault/... ./internal/campaign ./internal/workloads
 
 # Short fuzz smokes. The differential oracle (fast loop vs
-# instrumented loop vs snapshot-resumed run vs IR reference walker)
-# must agree on random programs and fault plans (see
-# FuzzDifferential); the simulated MPI runtime, under the race
+# instrumented loop vs snapshot-resumed run vs IR reference walker,
+# plus a sectioned leg resuming a section-targeted run from
+# section-tracked snapshots) must agree on random programs and fault
+# plans (see FuzzDifferential); the simulated MPI runtime, under the race
 # detector, must keep outcome classes schedule-independent and
 # clean/deadlock results bit-identical on random rank programs with
 # random comm patterns (see FuzzMPISchedule). CI runs this as a
@@ -152,14 +155,20 @@ fuzz-smoke:
 	$(GO) test -run '^FuzzMPISchedule$$' -fuzz '^FuzzMPISchedule$$' -fuzztime 10s -race ./internal/interp
 
 # Long-running fuzz of the differential oracle (fast loop vs
-# instrumented loop vs snapshot-resumed run vs IR reference walker)
-# and the MPI schedule invariants. The nightly CI job runs each for 10
+# instrumented loop vs snapshot-resumed run vs IR reference walker,
+# with its sectioned snapshot leg) and the MPI schedule invariants. The nightly CI job runs each for 10
 # minutes and uploads any crashers from testdata/fuzz as artifacts;
 # FUZZTIME overrides the budget locally.
 FUZZTIME ?= 10m
 fuzz-nightly:
 	$(GO) test -run '^FuzzDifferential$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME) ./internal/interp
 	$(GO) test -run '^FuzzMPISchedule$$' -fuzz '^FuzzMPISchedule$$' -fuzztime $(FUZZTIME) -race ./internal/interp
+
+# Vet and test the repository benchmark (cmd/ipasbench). It is its own
+# Go module, so the root `go test ./...` skips it; this builds it
+# against the current internal packages.
+ipasbench-test:
+	$(GO) -C cmd/ipasbench vet ./... && $(GO) -C cmd/ipasbench test ./...
 
 # One benchmark per paper table/figure plus component and ablation
 # benches; writes bench_output.txt.

@@ -205,6 +205,43 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkSectionedCampaignThroughput measures sectioned-campaign
+// speed: Prepare plus RunSections without journals, at most
+// sectionTrials trials per section. Its trials resume from
+// section-tracked golden-run snapshots as BenchmarkCampaignThroughput's
+// plain trials do, so a resume that silently fell back to instruction
+// zero would show here as a drop of about 2× next to that benchmark.
+func BenchmarkSectionedCampaignThroughput(b *testing.B) {
+	const sectionTrials = 64
+	for _, name := range []string{"FFT", "IS"} {
+		b.Run(name, func(b *testing.B) {
+			app := benchApp(b, name)
+			prog, err := fault.Compile(app.Module)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c := &fault.Campaign{
+				Prog: prog, Verify: app.Verify, Config: app.Config, Seed: 9,
+				Sections: true, Coverage: 1, MaxPerSection: sectionTrials,
+			}
+			trials := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p, err := c.Prepare(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := p.RunSections(context.Background(), "")
+				if err != nil {
+					b.Fatal(err)
+				}
+				trials += res.Completed
+			}
+			b.ReportMetric(float64(trials)/b.Elapsed().Seconds(), "trials/s")
+		})
+	}
+}
+
 // BenchmarkCampaignSetup measures Campaign.Prepare cold (golden run
 // executed, caching disabled) against warm (golden served from a
 // pre-warmed cache; the iteration still pays compiling-adjacent work —

@@ -11,7 +11,7 @@ import (
 // equal — and classifies it the way RunTrial does. Exported for the
 // external fault_test package, which can import the workloads.
 func (p *Prepared) FullRunTrial(ctx context.Context, plan interp.FaultPlan) (Trial, error) {
-	cfg := p.c.Config
+	cfg := p.config()
 	cfg.Fault = &plan
 	cfg.MaxInstrs = p.budget
 	tr, err := trialFromResult(plan, p.Golden, interp.RunContext(ctx, p.c.Prog, cfg), p.c.Verify)

@@ -423,10 +423,10 @@ type Prepared struct {
 	// per-section trial allocation.
 	secs *SectionPlan
 
-	// snaps holds the golden-run snapshots plain trials resume from
-	// (see snapshots); nil until the first plain trial, and for good
-	// when the configuration has none (more than one rank, site
-	// counting).
+	// snaps holds the golden-run snapshots every trial resumes from
+	// (see snapshots), captured section-tracked for a sectioned
+	// substrate; nil until the first trial, and for good when the
+	// configuration has none (more than one rank, site counting).
 	snapOnce sync.Once
 	snaps    *interp.Snapshots
 }
@@ -815,31 +815,37 @@ func (p *Prepared) attemptTrial(ctx context.Context, t int, plan interp.FaultPla
 	if c.beforeTrial != nil {
 		c.beforeTrial(t, attempt)
 	}
-	cfg := c.Config
+	cfg := p.config()
 	cfg.Fault = &plan
 	cfg.MaxInstrs = p.budget
-	if p.secs != nil {
-		// Arm section targeting and the early-masked exit against the
-		// golden boundary trace.
-		cfg.Sections = p.secs.trialCfg
-	} else {
-		cfg.Resume = p.snapshots(ctx)
-	}
+	cfg.Resume = p.snapshots(ctx)
 	res := interp.RunContext(ctx, c.Prog, cfg)
 	return trialFromResult(plan, p.Golden, res, c.Verify)
 }
 
-// snapshots returns the golden-run snapshots plain trials start from
-// instead of instruction zero, capturing them on the first call: one
-// fault-free run on the instrumented loop, paid by the first trial
-// rather than by Prepare, so a campaign that never runs a trial (or an
-// admission-time Prepare) costs nothing extra. The capture ignores the
-// trial's cancellation — it is one golden run long, and a cancelled
-// capture would leave every later trial of this substrate without
-// snapshots.
+// config returns the configuration every trial of the substrate runs
+// under, before its plan and budget: the campaign's, with section
+// targeting and the early-masked exit armed against the golden
+// boundary trace for a sectioned campaign.
+func (p *Prepared) config() interp.Config {
+	cfg := p.c.Config
+	if p.secs != nil {
+		cfg.Sections = p.secs.trialCfg
+	}
+	return cfg
+}
+
+// snapshots returns the golden-run snapshots trials start from instead
+// of instruction zero, capturing them on the first call: one fault-free
+// run on the instrumented loop, section-tracked for a sectioned
+// substrate, paid by the first trial rather than by Prepare, so a
+// campaign that never runs a trial (or an admission-time Prepare) costs
+// nothing extra. The capture ignores the trial's cancellation — it is
+// one golden run long, and a cancelled capture would leave every later
+// trial of this substrate without snapshots.
 func (p *Prepared) snapshots(ctx context.Context) *interp.Snapshots {
 	p.snapOnce.Do(func() {
-		p.snaps = interp.CaptureSnapshots(context.WithoutCancel(ctx), p.c.Prog, p.c.Config, p.Golden.TotalDyn)
+		p.snaps = interp.CaptureSnapshots(context.WithoutCancel(ctx), p.c.Prog, p.config(), p.Golden.TotalDyn)
 	})
 	return p.snaps
 }

@@ -226,11 +226,11 @@ func TestCampaignWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestSnapshotsOnlyForPlainSingleRank checks snapshot eligibility at the
-// campaign level: a plain single-rank campaign captures lazily, on its
-// first trial and not in Prepare, while a sectioned campaign and a
-// Ranks: 2 campaign never capture and keep full re-execution.
-func TestSnapshotsOnlyForPlainSingleRank(t *testing.T) {
+// TestSnapshotEligibility checks snapshot eligibility at the campaign
+// level: plain and sectioned single-rank campaigns capture lazily, on
+// their first trial and never in Prepare, while a Ranks: 2 campaign
+// never captures and keeps full re-execution.
+func TestSnapshotEligibility(t *testing.T) {
 	ctx := context.Background()
 	m, err := lang.Compile(campaignProg)
 	if err != nil {
@@ -249,7 +249,7 @@ func TestSnapshotsOnlyForPlainSingleRank(t *testing.T) {
 		capture bool
 	}{
 		{"plain", &Campaign{Prog: p, Verify: verify, Seed: 3}, true},
-		{"sectioned", sectionedCampaign(t, 2), false},
+		{"sectioned", sectionedCampaign(t, 2), true},
 		{"ranks-2", deadlockCampaign(3, 0, nil), false},
 	} {
 		prep, err := tc.c.Prepare(ctx)
@@ -263,9 +263,9 @@ func TestSnapshotsOnlyForPlainSingleRank(t *testing.T) {
 			if tr := prep.RunTrial(ctx, i, plan); tr.Status != TrialCompleted {
 				t.Fatalf("%s: trial %d: %+v", tc.name, i, tr)
 			}
-		}
-		if got := prep.snaps.Len() > 0; got != tc.capture {
-			t.Errorf("%s: captured %d snapshots, want capture=%v", tc.name, prep.snaps.Len(), tc.capture)
+			if got := prep.snaps.Len() > 0; got != tc.capture {
+				t.Fatalf("%s: %d snapshots after trial %d, want capture=%v", tc.name, prep.snaps.Len(), i, tc.capture)
+			}
 		}
 	}
 }

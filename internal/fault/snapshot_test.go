@@ -16,7 +16,11 @@ import (
 // golden-run snapshots are JSON-identical — outcome, site, effective
 // bit and mask, latency, deadlock text, attempts, and so the journal
 // bytes — to trials classified from a full run from instruction zero.
-// A fully duplicated FFT covers Detected outcomes.
+// The sectioned leg does the same for a sectioned campaign's trials,
+// spread over its sections, with the early-masked exit armed on both
+// sides; it runs one trial fewer per model to stay inside the
+// race-detector budget of `make errmodel-smoke`. A fully duplicated FFT
+// covers Detected outcomes.
 func TestSnapshotTrialsMatchFullRuns(t *testing.T) {
 	type variant struct {
 		workload string
@@ -52,31 +56,51 @@ func TestSnapshotTrialsMatchFullRuns(t *testing.T) {
 				t.Fatal(err)
 			}
 			detected := 0
-			for _, model := range fault.BuiltinModels() {
-				// A small hang factor keeps overrunning trials short; the
-				// budget is still the one both runs share.
-				c := &fault.Campaign{Prog: prog, Verify: spec.Verify, Config: spec.BaseConfig(1), Seed: 77, Model: model, HangFactor: 2}
-				p, err := c.Prepare(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, plan := range p.Plans(trials) {
-					got := p.RunTrial(context.Background(), i, plan)
-					want, err := p.FullRunTrial(context.Background(), plan)
+			models := fault.BuiltinModels()
+			for mi, model := range models {
+				for _, sectioned := range []bool{false, true} {
+					// A small hang factor keeps overrunning trials short;
+					// the budget is still the one both runs share.
+					c := &fault.Campaign{Prog: prog, Verify: spec.Verify, Config: spec.BaseConfig(1), Seed: 77, Model: model, HangFactor: 2}
+					label := model.Name()
+					if sectioned {
+						c.Sections, c.Coverage, c.MaxPerSection = true, 1, 2
+						label += "/sectioned"
+					}
+					p, err := c.Prepare(context.Background())
 					if err != nil {
-						t.Fatalf("%s trial %d: full run: %v", model.Name(), i, err)
+						t.Fatal(err)
 					}
-					gj, _ := json.Marshal(got)
-					wj, _ := json.Marshal(want)
-					if string(gj) != string(wj) {
-						t.Fatalf("%s trial %d (index %d): resumed %s, full run %s", model.Name(), i, plan.Index, gj, wj)
+					plans := p.Plans(trials)
+					if sectioned {
+						// Spread trials-1 plans over the sections instead
+						// of taking the first section's, each model at its
+						// own positions, so the models together cover
+						// (trials-1)·len(models) evenly spaced ones.
+						all, n := p.Plans(p.SectionTotal()), (trials-1)*len(models)
+						plans = nil
+						for k := mi; k < n; k += len(models) {
+							plans = append(plans, all[k*len(all)/n])
+						}
 					}
-					if got.Outcome == fault.OutcomeDetected {
-						detected++
+					for i, plan := range plans {
+						got := p.RunTrial(context.Background(), i, plan)
+						want, err := p.FullRunTrial(context.Background(), plan)
+						if err != nil {
+							t.Fatalf("%s trial %d: full run: %v", label, i, err)
+						}
+						gj, _ := json.Marshal(got)
+						wj, _ := json.Marshal(want)
+						if string(gj) != string(wj) {
+							t.Fatalf("%s trial %d (section %d, index %d): resumed %s, full run %s", label, i, plan.Section, plan.Index, gj, wj)
+						}
+						if got.Outcome == fault.OutcomeDetected {
+							detected++
+						}
 					}
-				}
-				if p.Snapshots().Len() == 0 {
-					t.Fatalf("%s: no snapshots captured", model.Name())
+					if p.Snapshots().Len() == 0 {
+						t.Fatalf("%s: no snapshots captured", label)
+					}
 				}
 			}
 			if v.dup && detected == 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -468,22 +469,29 @@ const diffBudget = 500_000_000
 // run from the program's golden snapshots and compares the result with
 // the reference walker's and with the run from instruction zero — the
 // latter on every Result field, since both come from the same engine.
+// ref is nil for section-tracked runs, which the walker does not model.
 // It reports whether the run actually started from a snapshot.
 func resumeLeg(t *testing.T, label string, p *Program, snaps *Snapshots, cfg Config, ref, zero *Result) bool {
 	t.Helper()
 	cfg.Resume = snaps
 	got := Run(p, cfg)
-	diffCompare(t, label+"-resumed-vs-ref", ref, got)
+	if ref != nil {
+		diffCompare(t, label+"-resumed-vs-ref", ref, got)
+	}
 	diffCompare(t, label+"-resumed-vs-zero", zero, got)
 	sameRun(t, label+"-resumed-vs-zero", zero, got)
 	return snaps.from(p, cfg.withDefaults()) != nil
 }
 
 // sameRun compares the Result fields diffCompare leaves out: trap
-// attribution, per-rank counts, the injected rank's final count and
-// the deadlock report.
+// attribution, per-rank counts, the injected rank's final count, the
+// deadlock report, the early-masked exit and the section trace.
 func sameRun(t *testing.T, label string, want, got *Result) {
 	t.Helper()
+	if want.EarlyMasked != got.EarlyMasked || !reflect.DeepEqual(want.Sections, got.Sections) {
+		t.Fatalf("%s: early-masked %v vs %v, section traces equal %v", label,
+			want.EarlyMasked, got.EarlyMasked, reflect.DeepEqual(want.Sections, got.Sections))
+	}
 	if want.TrapRank != got.TrapRank || want.TrapMsg != got.TrapMsg {
 		t.Fatalf("%s: trap attribution: (%d %q) vs (%d %q)", label, want.TrapRank, want.TrapMsg, got.TrapRank, got.TrapMsg)
 	}
@@ -502,7 +510,19 @@ func sameRun(t *testing.T, label string, want, got *Result) {
 // when a capture run of a clean program records none.
 func captureFor(t *testing.T, p *Program, golden *Result) *Snapshots {
 	t.Helper()
-	snaps := CaptureSnapshots(context.Background(), p, Config{}, golden.TotalDyn)
+	return captureUnder(t, p, Config{}, golden)
+}
+
+// captureSectioned captures a program's section-tracked golden
+// snapshots, failing the test when the capture records none.
+func captureSectioned(t *testing.T, p *Program, tables *SectionTables, golden *Result) *Snapshots {
+	t.Helper()
+	return captureUnder(t, p, Config{Sections: &SectionConfig{Tables: tables}}, golden)
+}
+
+func captureUnder(t *testing.T, p *Program, cfg Config, golden *Result) *Snapshots {
+	t.Helper()
+	snaps := CaptureSnapshots(context.Background(), p, cfg, golden.TotalDyn)
 	if snaps.Len() == 0 && golden.TotalDyn > 2*maxSnapshots {
 		t.Fatalf("capture of a %d-instruction golden run recorded no snapshot", golden.TotalDyn)
 	}
@@ -665,9 +685,13 @@ func TestDifferentialErrorModels(t *testing.T) {
 // flags) tuples — flags bit 0 arms value-correlated flips, bit 1 arms
 // sticky re-corruption — so the fuzzer explores the full error-model
 // plan space, each armed run also resumed from golden-run snapshots.
+// Flags bit 2 adds a sectioned leg: the index picks a section with a
+// non-empty population and an instance within it, and that
+// section-targeted run, with the early-masked exit armed, is resumed
+// from section-tracked snapshots and compared with its run from zero.
 // The corpus entries run as part of normal `go test`; seed-13..16 of
 // program -400 and -399 resume two frames deep (see
-// TestResumeCallChain).
+// TestResumeCallChain), seed-17..19 take the sectioned leg.
 func FuzzDifferential(f *testing.F) {
 	f.Add(int64(1), uint64(0), uint8(0), uint64(0), uint8(0))
 	f.Add(int64(2), uint64(17), uint8(63), uint64(0), uint8(0))
@@ -697,5 +721,29 @@ func FuzzDifferential(f *testing.F) {
 		ref, zero := refRun(m, cfg, refInjectable), Run(p, cfg)
 		diffCompare(t, "fuzz-armed", ref, zero)
 		resumeLeg(t, "fuzz-armed", p, captureFor(t, p, golden), cfg, ref, zero)
+		if flags&4 == 0 {
+			return
+		}
+		tables, err := NewSectionTables(p, ir.ModuleSections(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace := Run(p, Config{Sections: &SectionConfig{Tables: tables, Capture: true}}).Sections
+		var populated []int32
+		for s, n := range trace.Pops {
+			if n > 0 {
+				populated = append(populated, int32(s))
+			}
+		}
+		secPlan := *plan
+		secPlan.Section = populated[idxRaw%uint64(len(populated))]
+		secPlan.Index = int64(idxRaw / uint64(len(populated)) % uint64(trace.Pops[secPlan.Section]))
+		cfg.Fault = &secPlan
+		cfg.Sections = &SectionConfig{Tables: tables, Golden: trace}
+		zero = Run(p, cfg)
+		if !zero.Injected {
+			t.Fatalf("sectioned plan %+v did not inject", secPlan)
+		}
+		resumeLeg(t, "fuzz-sectioned", p, captureSectioned(t, p, tables, golden), cfg, nil, zero)
 	})
 }

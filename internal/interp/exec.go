@@ -184,9 +184,10 @@ func (r *rank) callFunc(pf *progFunc, args []Val, site *pInstr) Val {
 	case r.capture != nil:
 		ret = r.execCapture(pf, slots, sp, site)
 	case r.resume != nil:
-		ret = r.execFull(pf, slots, r.resumeFrame(slots))
+		pc, fs := r.resumeFrame(slots)
+		ret = r.execFull(pf, slots, pc, fs)
 	default:
-		ret = r.execFull(pf, slots, 0)
+		ret = r.execFull(pf, slots, 0, r.secFrame(pf))
 	}
 	r.mem.PopFrame(sp)
 	r.arenaCur, r.arenaOff = saveCur, saveOff
@@ -326,15 +327,12 @@ func (r *rank) execFast(pf *progFunc, slots []Val) Val {
 // single-bit injection hook, and the section-boundary hooks, all over
 // the same flat stream. Section state is block-constant, so
 // transitions are only checked at branch targets and returns; so is
-// the snapshot trigger of a capture run. Execution starts at pc: 0 for
-// a call, a snapshot's pc for a resumed frame.
-func (r *rank) execFull(pf *progFunc, slots []Val, pc int) Val {
+// the snapshot trigger of a capture run. Execution starts at pc with
+// section cursor fs: 0 and a newly opened cursor for a call, a snapshot
+// frame's pc and cursor for a resumed frame.
+func (r *rank) execFull(pf *progFunc, slots []Val, pc int, fs frameSec) Val {
 	code := pf.code
 	consts := pf.consts
-	var fs frameSec
-	if r.sec != nil {
-		fs = r.secFrame(pf)
-	}
 	for {
 		pi := &code[pc]
 		r.executed++

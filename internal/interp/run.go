@@ -76,11 +76,13 @@ type Config struct {
 	Sections *SectionConfig
 	// Resume, when non-nil, starts an armed single-rank run from the
 	// last golden-run snapshot taken before its fault plan's injection
-	// instance instead of from instruction zero (see CaptureSnapshots).
-	// Every Result field equals that of the run from zero. A run the
-	// snapshots cannot serve — more ranks, section tracking, site
-	// counting, another program or address-space size, no fault plan —
-	// starts from zero as if Resume were nil.
+	// instance instead of from instruction zero (see CaptureSnapshots):
+	// for a section-tracked run, the last one before the plan's Index
+	// within its Section. Every Result field equals that of the run from
+	// zero. A run the snapshots cannot serve — more ranks, site
+	// counting, another program, address-space size or SectionTables
+	// (including section tracking on only one side), a section capture,
+	// no fault plan — starts from zero as if Resume were nil.
 	Resume *Snapshots
 	// Watchdog bounds the wall-clock blocking of one MPI operation as
 	// defense in depth (default 60s). Deadlocks are detected
@@ -99,6 +101,15 @@ type Config struct {
 // e.g. the golden cache keying on the effective heap and stack sizes —
 // call it explicitly.
 func (c Config) WithDefaults() Config { return c.withDefaults() }
+
+// sectionTables returns the tables a run under c tracks sections with:
+// nil unless Sections arms them on a single-rank run.
+func (c Config) sectionTables() *SectionTables {
+	if c.Sections == nil || c.Ranks != 1 {
+		return nil
+	}
+	return c.Sections.Tables
+}
 
 func (c Config) withDefaults() Config {
 	if c.Ranks <= 0 {
@@ -228,8 +239,8 @@ func RunContext(ctx context.Context, p *Program, cfg Config) *Result {
 			r.countSites = true
 			r.siteCounts = make([]int64, p.NumSites)
 		}
-		if cfg.Sections != nil && cfg.Sections.Tables != nil && cfg.Ranks == 1 {
-			r.sec = cfg.Sections.Tables
+		if t := cfg.sectionTables(); t != nil {
+			r.sec = t
 			r.secOrd = make([]int64, r.sec.NumSections())
 			if cfg.Sections.Capture {
 				r.secCap = newSectionTrace(r.sec.NumSections())

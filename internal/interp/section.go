@@ -218,7 +218,8 @@ func mix(h, v uint64) uint64 {
 
 // frameSec is the per-frame section cursor execFull threads through a
 // call: the pc-to-section table of the executing function, the current
-// section, and the ordinal of the open instance.
+// section, and the ordinal of the open instance. It is zero when
+// section tracking is off.
 type frameSec struct {
 	tab *funcSections
 	cur int32
@@ -235,8 +236,12 @@ func (r *rank) secEnter(sec int32) int64 {
 	return ord
 }
 
-// secFrame initializes the section cursor for a frame entering pf.
+// secFrame opens the section cursor of a frame entering pf at pc 0
+// (the zero cursor when section tracking is off).
 func (r *rank) secFrame(pf *progFunc) frameSec {
+	if r.sec == nil {
+		return frameSec{}
+	}
 	tab := r.sec.byFunc[pf]
 	if tab == nil {
 		return frameSec{}
@@ -247,12 +252,16 @@ func (r *rank) secFrame(pf *progFunc) frameSec {
 }
 
 // secTransition closes the open instance at a branch into a different
-// section (target block at pc) and opens the next one.
+// section (target block at pc) and opens the next one. A capture run
+// mirrors the new cursor into its frame stack, which snapshots record.
 func (r *rank) secTransition(fs *frameSec, ns int32, pc int, slots []Val) {
 	d := r.boundaryDigest(fs.tab, pc, slots)
 	r.secExit(fs, d)
 	fs.cur = ns
 	fs.ord = r.secEnter(ns)
+	if c := r.capture; c != nil {
+		c.frames[len(c.frames)-1].sec = *fs
+	}
 }
 
 // retBoundaryTag distinguishes return exits (no target pc, digest folds

@@ -114,13 +114,16 @@ func TestSectionCaptureMatchesPlainRun(t *testing.T) {
 // TestSectionTargetedInjectionEquivalence proves the (section, local
 // index) trial space is exactly the global index space: running every
 // targeted trial reproduces, instance for instance, what global-index
-// trials hit (site, dynamic position, and effect).
+// trials hit (site, dynamic position, and effect). Every targeted trial
+// resumed from section-tracked snapshots equals its run from zero.
 func TestSectionTargetedInjectionEquivalence(t *testing.T) {
 	p, tabs := compileSectioned(t, secSrc)
 	golden := Run(p, Config{Sections: &SectionConfig{Tables: tabs, Capture: true}})
 	if golden.Trap != TrapNone {
 		t.Fatalf("golden trapped: %v", golden.Trap)
 	}
+	snaps := captureSectioned(t, p, tabs, golden)
+	resumed := 0
 	pop := int64(0)
 	for _, n := range golden.Sections.Pops {
 		pop += n
@@ -142,13 +145,17 @@ func TestSectionTargetedInjectionEquivalence(t *testing.T) {
 	// Targeted trials, one per (section, local ordinal).
 	for sec, n := range golden.Sections.Pops {
 		for idx := int64(0); idx < n; idx++ {
-			res := Run(p, Config{
+			cfg := Config{
 				Fault:     &FaultPlan{Index: idx, Bit: 0, Section: int32(sec)},
 				MaxInstrs: 1 << 20,
 				Sections:  &SectionConfig{Tables: tabs},
-			})
+			}
+			res := Run(p, cfg)
 			if !res.Injected {
 				t.Fatalf("trial (sec %d, idx %d) did not inject", sec, idx)
+			}
+			if resumeLeg(t, "targeted", p, snaps, cfg, nil, res) {
+				resumed++
 			}
 			h := hit{res.InjectedSite, res.InjectedAt}
 			count[h]--
@@ -162,19 +169,27 @@ func TestSectionTargetedInjectionEquivalence(t *testing.T) {
 			t.Errorf("instance %+v hit %d more times globally than targeted", h, n)
 		}
 	}
+	if resumed == 0 {
+		t.Error("no targeted trial started from a snapshot")
+	}
 }
 
 // TestSectionEarlyMaskedSoundness runs every (section, ordinal, bit)
 // trial twice — with and without the golden trace armed — and checks
 // that whenever the armed run declares EarlyMasked, the full run really
 // was masked (identical outputs), i.e. the boundary digest never
-// promotes a corrupting trial to Masked.
+// promotes a corrupting trial to Masked. Both runs, resumed from
+// section-tracked snapshots, equal their runs from zero: the resumed
+// digest starts from the snapshot's, so early exits fire exactly as
+// from zero.
 func TestSectionEarlyMaskedSoundness(t *testing.T) {
 	p, tabs := compileSectioned(t, secSrc)
 	golden := Run(p, Config{Sections: &SectionConfig{Tables: tabs, Capture: true}})
 	if golden.Trap != TrapNone {
 		t.Fatalf("golden trapped: %v", golden.Trap)
 	}
+	snaps := captureSectioned(t, p, tabs, golden)
+	resumedEarly := 0
 
 	sameOutputs := func(r *Result) bool {
 		if len(r.OutputF) != len(golden.OutputF) || len(r.OutputI) != len(golden.OutputI) {
@@ -199,20 +214,27 @@ func TestSectionEarlyMaskedSoundness(t *testing.T) {
 			for _, bit := range []int{0, 1, 17, 52, 63} {
 				total++
 				plan := FaultPlan{Index: idx, Bit: bit, Section: int32(sec)}
-				armed := Run(p, Config{
+				armedCfg := Config{
 					Fault:     &plan,
 					MaxInstrs: 1 << 20,
 					Sections:  &SectionConfig{Tables: tabs, Golden: golden.Sections},
-				})
+				}
+				armed := Run(p, armedCfg)
+				resumed := resumeLeg(t, "armed", p, snaps, armedCfg, nil, armed)
 				if !armed.EarlyMasked {
 					continue
 				}
 				early++
-				full := Run(p, Config{
+				if resumed {
+					resumedEarly++
+				}
+				fullCfg := Config{
 					Fault:     &plan,
 					MaxInstrs: 1 << 20,
 					Sections:  &SectionConfig{Tables: tabs},
-				})
+				}
+				full := Run(p, fullCfg)
+				resumeLeg(t, "full", p, snaps, fullCfg, nil, full)
 				if full.Trap != TrapNone || !sameOutputs(full) {
 					t.Fatalf("trial (sec %d, idx %d, bit %d) early-masked but full run differs (trap %v)",
 						sec, idx, bit, full.Trap)
@@ -223,5 +245,8 @@ func TestSectionEarlyMaskedSoundness(t *testing.T) {
 	if early == 0 {
 		t.Errorf("no trial early-masked out of %d — the fast path never fires", total)
 	}
-	t.Logf("early-masked %d of %d trials", early, total)
+	if resumedEarly == 0 {
+		t.Error("no early-masked trial started from a snapshot")
+	}
+	t.Logf("early-masked %d of %d trials, %d of them resumed", early, total, resumedEarly)
 }

@@ -20,8 +20,11 @@ import (
 // the executed and injectable counters, the heap and stack pointers
 // with the bytes of both dirty memory spans, the output and print
 // buffers, and every active frame's function, pc, slots and saved stack
-// pointer. Resume rebuilds the Go call chain frame by frame (see
-// resumeFrame), so every Result field equals that of the run from zero.
+// pointer. A section-tracked capture adds the section state: the
+// boundary digest, the per-section entry ordinals and injectable
+// counts, and every frame's section cursor. Resume rebuilds the Go call
+// chain frame by frame (see resumeFrame), so every Result field equals
+// that of the run from zero.
 
 const (
 	// maxSnapshots bounds the snapshots one capture run records; they
@@ -40,7 +43,10 @@ type Snapshots struct {
 	prog       *Program
 	heapBytes  int64
 	stackBytes int64
-	snaps      []snapshot // ascending executed (and injectable) counts
+	// tables is the section projection the capture tracked, nil for a
+	// plain capture; snapshots serve only runs tracking the same one.
+	tables *SectionTables
+	snaps  []snapshot // ascending executed (and injectable) counts
 }
 
 // Len reports how many snapshots were captured.
@@ -63,6 +69,12 @@ type snapshot struct {
 	outputF    []float64
 	outputI    []int64
 	printLog   []float64
+	// Section state of a section-tracked capture (zero otherwise): the
+	// boundary digest, and per section the entry ordinals and the
+	// injectable instances counted so far.
+	hist   uint64
+	secOrd []int64
+	pops   []int64
 	// frames lists the active frames from @main outwards; the last one
 	// stands at a branch target, every other at its pending OpCall.
 	frames []snapFrame
@@ -73,14 +85,25 @@ type snapFrame struct {
 	pc    int
 	sp    int64 // stack pointer on entry, restored on return
 	slots []Val
+	sec   frameSec // section cursor (zero when the capture tracks none)
 }
 
 func (s *snapshot) bytes() int64 {
-	n := int64(len(s.heap) + len(s.stack) + 8*(len(s.outputF)+len(s.outputI)+len(s.printLog)))
+	n := int64(len(s.heap) + len(s.stack) + 8*(1+len(s.outputF)+len(s.outputI)+len(s.printLog)+len(s.secOrd)+len(s.pops)))
 	for _, f := range s.frames {
-		n += 16 * int64(len(f.slots))
+		n += 16 * int64(len(f.slots)+1) // the slots, and the section cursor's (cur, ord)
 	}
 	return n
+}
+
+// seen returns how many instances of a plan's Index space the
+// snapshot's prefix executed: the whole program's injectable instances
+// for sec < 0, section sec's for a section-tracked capture.
+func (s *snapshot) seen(sec int32) int64 {
+	if sec < 0 {
+		return s.injectable
+	}
+	return s.pops[sec]
 }
 
 // capture is the capture run's bookkeeping, held by rank 0 only while
@@ -94,27 +117,31 @@ type capture struct {
 
 // liveFrame is one active frame of the capture run. site is the OpCall
 // in the caller that entered it (nil for @main): it locates the
-// caller's pending pc.
+// caller's pending pc. sec is the frame's section cursor, kept current
+// by secTransition.
 type liveFrame struct {
 	fn    *progFunc
 	slots []Val
 	sp    int64
 	site  *pInstr
+	sec   frameSec
 }
 
 // resumable reports whether a configuration runs the single-rank,
-// section-free, site-count-free execution snapshots describe.
+// site-count-free execution snapshots describe.
 func resumable(cfg Config) bool {
-	return cfg.Ranks == 1 && cfg.Sections == nil && !cfg.CountSites
+	return cfg.Ranks == 1 && !cfg.CountSites
 }
 
 // CaptureSnapshots runs p fault-free on the instrumented loop under cfg
 // and records up to maxSnapshots snapshots spaced evenly over goldenDyn
 // executed instructions (the golden run's count), thinned to stay under
-// maxSnapshotBytes. It returns nil when no snapshot can be taken: at
-// once, without running, when cfg has more than one rank, section
-// tracking or site counting; after the run when it traps, is cancelled
-// or records none.
+// maxSnapshotBytes. When cfg tracks sections the capture is a sectioned
+// golden run (SectionConfig{Tables, Capture: true}) and its snapshots
+// serve trials targeted at those tables' sections. It returns nil when
+// no snapshot can be taken: at once, without running, when cfg has more
+// than one rank or site counting; after the run when it traps, is
+// cancelled or records none.
 func CaptureSnapshots(ctx context.Context, p *Program, cfg Config, goldenDyn int64) *Snapshots {
 	s, _ := captureRun(ctx, p, cfg, goldenDyn)
 	return s
@@ -130,19 +157,26 @@ func captureRun(ctx context.Context, p *Program, cfg Config, goldenDyn int64) (*
 	c := &capture{every: max(1, goldenDyn/(maxSnapshots+1))}
 	cfg.Fault = nil
 	cfg.capture = c
+	tables := cfg.sectionTables()
+	if tables != nil {
+		// A sectioned golden run: snapshots record its trace's running
+		// per-section counts (Pops).
+		cfg.Sections = &SectionConfig{Tables: tables, Capture: true}
+	}
 	res := RunContext(ctx, p, cfg)
 	if res.Trap != TrapNone || len(c.snaps) == 0 {
 		return nil, res
 	}
-	return &Snapshots{prog: p, heapBytes: cfg.HeapBytes, stackBytes: cfg.StackBytes, snaps: c.snaps}, res
+	return &Snapshots{prog: p, heapBytes: cfg.HeapBytes, stackBytes: cfg.StackBytes, tables: tables, snaps: c.snaps}, res
 }
 
 // execCapture runs one frame of the capture run, keeping the call chain
 // the snapshots record.
 func (r *rank) execCapture(pf *progFunc, slots []Val, sp int64, site *pInstr) Val {
 	c := r.capture
-	c.frames = append(c.frames, liveFrame{fn: pf, slots: slots, sp: sp, site: site})
-	ret := r.execFull(pf, slots, 0)
+	fs := r.secFrame(pf)
+	c.frames = append(c.frames, liveFrame{fn: pf, slots: slots, sp: sp, site: site, sec: fs})
+	ret := r.execFull(pf, slots, 0, fs)
 	c.frames = c.frames[:len(c.frames)-1]
 	return ret
 }
@@ -167,12 +201,17 @@ func (r *rank) snapshot(pc int) {
 		printLog:   slices.Clone(r.printLog),
 		frames:     make([]snapFrame, len(c.frames)),
 	}
+	if r.sec != nil {
+		s.hist = r.hist
+		s.secOrd = slices.Clone(r.secOrd)
+		s.pops = slices.Clone(r.secCap.Pops)
+	}
 	for i, f := range c.frames {
 		at := pc
 		if i+1 < len(c.frames) {
 			at = callPC(f.fn, c.frames[i+1].site)
 		}
-		s.frames[i] = snapFrame{fn: f.fn, pc: at, sp: f.sp, slots: slices.Clone(f.slots)}
+		s.frames[i] = snapFrame{fn: f.fn, pc: at, sp: f.sp, slots: slices.Clone(f.slots), sec: f.sec}
 	}
 	c.snaps = append(c.snaps, s)
 	c.bytes += s.bytes()
@@ -205,14 +244,25 @@ func callPC(fn *progFunc, site *pInstr) int {
 }
 
 // from returns the snapshot an armed run under cfg should start from:
-// the last one taken before the plan's injection instance and within
-// the instruction budget. It returns nil when the snapshots cannot
-// serve cfg (another program or address space, more ranks, section
-// tracking, site counting) or none precedes the plan.
+// the last one taken before the plan's injection instance — counted in
+// the plan's section for a section-tracked run — and within the
+// instruction budget. It returns nil when the snapshots cannot serve
+// cfg (another program, address space or SectionTables, more ranks,
+// site counting, a section capture, a section outside the tables) or
+// none precedes the plan.
 func (s *Snapshots) from(p *Program, cfg Config) *snapshot {
 	if s == nil || s.prog != p || !resumable(cfg) || cfg.Fault == nil || cfg.Fault.Rank != 0 ||
-		s.heapBytes != cfg.HeapBytes || s.stackBytes != cfg.StackBytes {
+		s.heapBytes != cfg.HeapBytes || s.stackBytes != cfg.StackBytes || s.tables != cfg.sectionTables() {
 		return nil
+	}
+	sec := int32(-1) // a plain plan's Index counts every injectable instance
+	if s.tables != nil {
+		// A sectioned plan's counts its section's. A resumed capture
+		// would record only the suffix of the trace.
+		sec = cfg.Fault.Section
+		if cfg.Sections.Capture || sec < 0 || int(sec) >= s.tables.NumSections() {
+			return nil
+		}
 	}
 	// An instruction budget below a snapshot's count would have stopped
 	// the run from zero before reaching it.
@@ -221,7 +271,7 @@ func (s *Snapshots) from(p *Program, cfg Config) *snapshot {
 		limit = math.MaxInt64
 	}
 	i := sort.Search(len(s.snaps), func(i int) bool {
-		return s.snaps[i].injectable > cfg.Fault.Index || s.snaps[i].executed > limit
+		return s.snaps[i].seen(sec) > cfg.Fault.Index || s.snaps[i].executed > limit
 	})
 	if i == 0 {
 		return nil
@@ -230,9 +280,9 @@ func (s *Snapshots) from(p *Program, cfg Config) *snapshot {
 }
 
 // restore loads snapshot s into a freshly created rank (its memory just
-// reset) and arms resumeFrame to rebuild the call chain when run enters
-// @main. The budget left is the configured one minus the instructions
-// the skipped prefix executed.
+// reset, its section tracking and plan armed) and arms resumeFrame to
+// rebuild the call chain when run enters @main. The budget left is the
+// configured one minus the instructions the skipped prefix executed.
 func (r *rank) restore(s *snapshot) {
 	m := r.mem
 	copy(m.data[nullGuard:], s.heap)
@@ -242,7 +292,11 @@ func (r *rank) restore(s *snapshot) {
 	m.heapPtr = s.heapPtr
 	m.stackPtr = s.frames[0].sp
 	r.executed = s.executed
-	r.injectableSeen = s.injectable
+	r.injectableSeen = s.seen(r.secTarget)
+	if r.sec != nil {
+		r.hist = s.hist
+		copy(r.secOrd, s.secOrd)
+	}
 	if r.budget >= 0 {
 		r.budget -= s.executed
 	}
@@ -253,14 +307,16 @@ func (r *rank) restore(s *snapshot) {
 }
 
 // resumeFrame restores the next frame of the snapshot being resumed
-// into the frame callFunc just entered and returns the pc execFull
-// starts it at. The innermost frame continues at its branch target,
+// into the frame callFunc just entered and returns the pc and section
+// cursor execFull starts it with: the frame's own cursor, not a new
+// instance (in recursion an outer frame's open ordinal is older than
+// the latest one). The innermost frame continues at its branch target,
 // already counted. Every caller re-enters at its pending OpCall: the
 // loop counts that instruction again, so it is uncounted here, and the
 // call then descends into the next frame, whose eventual return value
 // takes the loop's own injectable-accounting and injection path — a
 // call result is itself an injectable instance.
-func (r *rank) resumeFrame(slots []Val) int {
+func (r *rank) resumeFrame(slots []Val) (int, frameSec) {
 	s := r.resume
 	f := &s.frames[r.resumeDepth]
 	copy(slots, f.slots)
@@ -268,12 +324,12 @@ func (r *rank) resumeFrame(slots []Val) int {
 	if r.resumeDepth == len(s.frames) {
 		r.mem.stackPtr = s.stackPtr
 		r.resume = nil
-		return f.pc
+		return f.pc, f.sec
 	}
 	r.mem.stackPtr = s.frames[r.resumeDepth].sp
 	r.executed--
 	if r.budget >= 0 {
 		r.budget++
 	}
-	return f.pc
+	return f.pc, f.sec
 }

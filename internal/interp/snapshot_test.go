@@ -9,31 +9,54 @@ import (
 )
 
 // TestCaptureRunMatchesGolden checks that a capture run is a golden
-// run: its final counters and outputs equal the fast loop's, and its
-// snapshots are evenly placed, ascending and rooted at @main.
+// run: its final counters and outputs equal the fast loop's — and, when
+// it tracks sections, its SectionTrace equals the sectioned golden
+// run's — and its snapshots are evenly placed, ascending and rooted at
+// @main, a sectioned one's per-section counts summing to its
+// injectable count.
 func TestCaptureRunMatchesGolden(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		p, err := Compile(diffModule(t, seed), refInjectable)
 		if err != nil {
 			t.Fatal(err)
 		}
-		golden := Run(p, Config{})
-		snaps, res := captureRun(context.Background(), p, Config{}, golden.TotalDyn)
-		diffCompare(t, "capture", golden, res)
-		sameRun(t, "capture", golden, res)
-		if snaps.Len() == 0 || snaps.Len() > maxSnapshots {
-			t.Fatalf("seed %d: %d snapshots of a %d-instruction run", seed, snaps.Len(), golden.TotalDyn)
+		tables, err := NewSectionTables(p, ir.ModuleSections(p.Module()))
+		if err != nil {
+			t.Fatal(err)
 		}
-		every := golden.TotalDyn / (maxSnapshots + 1)
-		for i, s := range snaps.snaps {
-			if s.executed < int64(i+1)*every || s.executed >= golden.TotalDyn {
-				t.Fatalf("seed %d: snapshot %d at %d, spacing %d", seed, i, s.executed, every)
+		for _, tc := range []struct {
+			name   string
+			golden Config
+			cfg    Config
+		}{
+			{"plain", Config{}, Config{}},
+			{"sectioned", Config{Sections: &SectionConfig{Tables: tables, Capture: true}}, Config{Sections: &SectionConfig{Tables: tables}}},
+		} {
+			golden := Run(p, tc.golden)
+			snaps, res := captureRun(context.Background(), p, tc.cfg, golden.TotalDyn)
+			diffCompare(t, tc.name+"-capture", golden, res)
+			sameRun(t, tc.name+"-capture", golden, res)
+			if snaps.Len() == 0 || snaps.Len() > maxSnapshots {
+				t.Fatalf("seed %d %s: %d snapshots of a %d-instruction run", seed, tc.name, snaps.Len(), golden.TotalDyn)
 			}
-			if i > 0 && (s.executed <= snaps.snaps[i-1].executed || s.injectable < snaps.snaps[i-1].injectable) {
-				t.Fatalf("seed %d: snapshot %d not after its predecessor", seed, i)
-			}
-			if s.frames[0].fn != p.main {
-				t.Fatalf("seed %d: snapshot %d rooted at @%s", seed, i, s.frames[0].fn.fn.Name())
+			every := golden.TotalDyn / (maxSnapshots + 1)
+			for i, s := range snaps.snaps {
+				if s.executed < int64(i+1)*every || s.executed >= golden.TotalDyn {
+					t.Fatalf("seed %d %s: snapshot %d at %d, spacing %d", seed, tc.name, i, s.executed, every)
+				}
+				if i > 0 && (s.executed <= snaps.snaps[i-1].executed || s.injectable < snaps.snaps[i-1].injectable) {
+					t.Fatalf("seed %d %s: snapshot %d not after its predecessor", seed, tc.name, i)
+				}
+				if s.frames[0].fn != p.main {
+					t.Fatalf("seed %d %s: snapshot %d rooted at @%s", seed, tc.name, i, s.frames[0].fn.fn.Name())
+				}
+				var sum int64
+				for _, n := range s.pops {
+					sum += n
+				}
+				if (s.pops != nil) != (tc.name == "sectioned") || (s.pops != nil && sum != s.injectable) {
+					t.Fatalf("seed %d %s: snapshot %d section counts %v, injectable %d", seed, tc.name, i, s.pops, s.injectable)
+				}
 			}
 		}
 	}
@@ -67,6 +90,77 @@ func TestResumeCallChain(t *testing.T) {
 			t.Fatalf("index %d: flip at site %d, pending call at site %d (%v)", tc.index, zero.InjectedSite, call.siteID, call.op)
 		}
 		resumeLeg(t, "call-chain", p, snaps, cfg, refRun(m, cfg, refInjectable), zero)
+	}
+}
+
+// TestResumeRecursiveSection resumes section-targeted trials inside a
+// recursive function whose loop section is open in every frame of the
+// recursion: at such a snapshot an outer frame's open ordinal is older
+// than the section's latest one (secOrd[cur]-1), so each frame must
+// take its cursor from the snapshot rather than from the counters, and
+// instances opened after the resume must continue the snapshot's
+// ordinals. Every trial also checks that it resumes from the last
+// snapshot counted in its section before its flip.
+func TestResumeRecursiveSection(t *testing.T) {
+	p := compileInjectable(t, `
+func rec(n int, acc int) int {
+	for (var i int = 0; i < 40; i = i + 1) {
+		acc = (acc * 31 + i) % 65521;
+		if (i == 20 && n > 0) { acc = rec(n - 1, acc); }
+	}
+	return acc;
+}
+func main() {
+	out_i64(0, rec(3, 1));
+}
+`)
+	tables, err := NewSectionTables(p, ir.ModuleSections(p.Module()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := Run(p, Config{Sections: &SectionConfig{Tables: tables, Capture: true}})
+	snaps := captureSectioned(t, p, tables, golden)
+	// nested reports whether snapshot s has a frame below the innermost
+	// whose section is the innermost's, open with an older ordinal.
+	nested := func(s *snapshot) bool {
+		in := s.frames[len(s.frames)-1].sec
+		for _, f := range s.frames[:len(s.frames)-1] {
+			if f.sec.tab != nil && f.sec.cur == in.cur && f.sec.ord != s.secOrd[in.cur]-1 {
+				return true
+			}
+		}
+		return false
+	}
+	deep := 0
+	for sec, n := range golden.Sections.Pops {
+		for idx := int64(0); idx < n; idx++ {
+			var want *snapshot
+			for i := range snaps.snaps {
+				if snaps.snaps[i].pops[sec] <= idx {
+					want = &snaps.snaps[i]
+				}
+			}
+			for _, bit := range []int{0, 9, 40} {
+				for _, gold := range []*SectionTrace{nil, golden.Sections} {
+					cfg := Config{
+						Fault:     &FaultPlan{Index: idx, Bit: bit, Section: int32(sec)},
+						MaxInstrs: golden.TotalDyn*10 + 1_000_000,
+						Sections:  &SectionConfig{Tables: tables, Golden: gold},
+					}
+					resumeLeg(t, "recursive", p, snaps, cfg, nil, Run(p, cfg))
+					s := snaps.from(p, cfg.withDefaults())
+					if s != want {
+						t.Fatalf("section %d index %d: resumed from another snapshot than the last one before it", sec, idx)
+					}
+					if s != nil && nested(s) {
+						deep++
+					}
+				}
+			}
+		}
+	}
+	if deep == 0 {
+		t.Fatal("no trial resumed with its section open in an outer frame")
 	}
 }
 
@@ -158,44 +252,76 @@ func main() {
 }
 
 // TestCaptureRefusesUnresumable checks that configurations a snapshot
-// cannot describe never capture, and that Resume is ignored for them.
+// cannot describe never capture, and that Resume is ignored for runs
+// the snapshots cannot serve: more ranks, site counting, another
+// address space or program, no plan, a plain plan on section-tracked
+// snapshots and the reverse, snapshots of other SectionTables, a
+// section capture, and a plan section outside the tables.
 func TestCaptureRefusesUnresumable(t *testing.T) {
 	p, err := Compile(diffModule(t, 3), refInjectable)
 	if err != nil {
 		t.Fatal(err)
 	}
 	golden := Run(p, Config{})
-	tables, err := NewSectionTables(p, ir.ModuleSections(p.Module()))
-	if err != nil {
-		t.Fatal(err)
+	newTables := func() *SectionTables {
+		tables, err := NewSectionTables(p, ir.ModuleSections(p.Module()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tables
 	}
+	tables, otherTables := newTables(), newTables()
 	for name, cfg := range map[string]Config{
-		"ranks":    {Ranks: 2},
-		"sites":    {CountSites: true},
-		"sections": {Sections: &SectionConfig{Tables: tables}},
+		"ranks": {Ranks: 2},
+		"sites": {CountSites: true},
 	} {
 		if snaps, res := captureRun(context.Background(), p, cfg, golden.TotalDyn); snaps != nil || res != nil {
 			t.Errorf("%s: captured", name)
 		}
 	}
 	snaps := captureFor(t, p, golden)
+	secSnaps := CaptureSnapshots(context.Background(), p, Config{Sections: &SectionConfig{Tables: tables}}, golden.TotalDyn)
 	other, err := Compile(diffModule(t, 3), refInjectable)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := &FaultPlan{Index: golden.Injectable[0] - 1}
-	for name, cfg := range map[string]Config{
-		"ranks":   {Ranks: 2, Fault: plan},
-		"sites":   {CountSites: true, Fault: plan},
-		"heap":    {HeapBytes: 1 << 20, Fault: plan},
-		"program": {Fault: plan},
-		"golden":  {},
+	// The last instance of the most populated section: every snapshot
+	// taken in or after it precedes the plan.
+	trace := Run(p, Config{Sections: &SectionConfig{Tables: tables, Capture: true}}).Sections
+	var sec int32
+	for s, n := range trace.Pops {
+		if n > trace.Pops[sec] {
+			sec = int32(s)
+		}
+	}
+	secPlan := &FaultPlan{Index: trace.Pops[sec] - 1, Section: sec}
+	sectioned := &SectionConfig{Tables: tables, Golden: trace}
+	if snaps.from(p, Config{Fault: plan}.withDefaults()) == nil ||
+		secSnaps.from(p, Config{Fault: secPlan, Sections: sectioned}.withDefaults()) == nil {
+		t.Fatal("snapshots do not serve the plans they were captured for")
+	}
+	for name, tc := range map[string]struct {
+		snaps *Snapshots
+		cfg   Config
+	}{
+		"ranks":                  {snaps, Config{Ranks: 2, Fault: plan}},
+		"sites":                  {snaps, Config{CountSites: true, Fault: plan}},
+		"heap":                   {snaps, Config{HeapBytes: 1 << 20, Fault: plan}},
+		"program":                {snaps, Config{Fault: plan}},
+		"golden":                 {snaps, Config{}},
+		"sectioned-serves-plain": {secSnaps, Config{Fault: plan}},
+		"plain-serves-sectioned": {snaps, Config{Fault: secPlan, Sections: sectioned}},
+		"other-tables":           {secSnaps, Config{Fault: secPlan, Sections: &SectionConfig{Tables: otherTables}}},
+		"section-capture":        {secSnaps, Config{Fault: secPlan, Sections: &SectionConfig{Tables: tables, Capture: true}}},
+		"section-out-of-range":   {secSnaps, Config{Fault: &FaultPlan{Section: int32(tables.NumSections())}, Sections: sectioned}},
+		"section-negative":       {secSnaps, Config{Fault: &FaultPlan{Section: -1}, Sections: sectioned}},
 	} {
 		prog := p
 		if name == "program" {
 			prog = other
 		}
-		if snaps.from(prog, cfg.withDefaults()) != nil {
+		if tc.snaps.from(prog, tc.cfg.withDefaults()) != nil {
 			t.Errorf("%s: snapshot served an unresumable run", name)
 		}
 	}
