@@ -90,15 +90,16 @@ bench-check: bench-smoke
 
 # Sectioned-campaign differential smoke (what CI runs): the composed
 # whole-program distribution must agree with a monolithic campaign on
-# the two fastest workloads, incremental re-analysis accounting must be
-# exact (internal/compose/differential_test.go), and the analytic
+# the two fastest workloads, an edited program must refuse the old
+# program's journal, sectioned or plain, and match a fresh run
+# (internal/compose/differential_test.go), and the analytic
 # trial-count advantage is regenerated and diffed against the
 # checked-in BENCH_compose.json — the counts are exact and
 # machine-independent, so the benchdiff gate catches any allocation
 # that balloons. Regenerate the reference with `make bench-compose`.
 compose-smoke:
 	$(GO) test -race -shuffle=on -count=1 -timeout=10m \
-		-run 'TestDifferentialComposedVsMonolithic/(FFT|IS)|TestIncrementalReanalysis' ./internal/compose
+		-run 'TestDifferentialComposedVsMonolithic/(FFT|IS)|TestEditedProgramRefusesOldJournal' ./internal/compose
 	$(GO) run ./cmd/composebench -o bench_smoke_compose.json
 	$(GO) run ./cmd/benchdiff -base BENCH_compose.json -min-ns 1 bench_smoke_compose.json
 
@@ -107,14 +108,14 @@ bench-compose:
 	$(GO) run ./cmd/composebench -o BENCH_compose.json
 
 # Crash/resume tests under the race detector: campaigns cancelled
-# mid-run (plain, per error model, and on a golden-cache hit) must
-# resume to the bit-identical result, a torn journal tail is dropped,
-# corrupt or stale per-section journals are rebuilt, a structurally
-# corrupt journal is refused with its bytes untouched (see
-# internal/fault/*_test.go), and a coordinator campaign killed twice
-# with torn, corrupt and deleted shard journals resumes to the
-# bit-identical merged journal (internal/fault/shard).
-CHAOS_TESTS = TestCampaignCancelThenResumeBitIdentical|TestJournalDiscardsTornTail|TestRunSectionsCorruptJournalRebuilt|TestRunSectionsStaleJournalRebuilt|TestModelCancelThenResumeBitIdentical|TestGoldenCacheCancelResumeBitIdentical|TestOpenJournalRefusesCorruptUntouched|TestChaosCrashResumeBitIdentical
+# mid-run (plain and sectioned, per error model, and on a golden-cache
+# hit) must resume to the bit-identical result, a torn journal tail is
+# dropped, a structurally corrupt journal, plain or sectioned, is
+# refused with its bytes untouched (see internal/fault/*_test.go), and
+# a coordinator campaign killed twice with torn, corrupt and deleted
+# shard journals resumes to the bit-identical merged journal
+# (internal/fault/shard).
+CHAOS_TESTS = TestCampaignCancelThenResumeBitIdentical|TestJournalDiscardsTornTail|TestModelCancelThenResumeBitIdentical|TestGoldenCacheCancelResumeBitIdentical|TestOpenJournalRefusesCorruptUntouched|TestChaosCrashResumeBitIdentical
 chaos-smoke:
 	$(GO) test -race -shuffle=on -count=1 -run '^($(CHAOS_TESTS))$$' -timeout=10m ./internal/fault/...
 

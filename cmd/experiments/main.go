@@ -50,7 +50,7 @@ func main() {
 	remote := flag.String("remote", "", "campaignd coordinator URL; dispatch each workflow's collection campaign there")
 	trainWorkers := flag.Int("train-workers", 0, "concurrent grid-search workers for SVM training (0 = GOMAXPROCS; results are identical for any count)")
 	progress := flag.Bool("progress", false, "report per-campaign progress and error summaries on stderr")
-	sections := flag.Bool("sections", false, "run each campaign sectioned: stratify trials over IR sections with per-section budgets and fingerprint-keyed journals")
+	sections := flag.Bool("sections", false, "run each single-rank campaign sectioned: stratify trials over IR sections with per-section budgets")
 	sectionCoverage := flag.Int("coverage", 1, "sectioned coverage factor: expected injections per exercised site per section")
 	maxPerSection := flag.Int("max-per-section", 0, "cap on any one section's trial budget (0 = engine default)")
 	errorModel := flag.String("error-model", "", "error model for every injection campaign: single-bit (default), burst-N, random-N, correlated, sticky")

@@ -19,16 +19,16 @@
 //
 // With -sections the trial space stratifies over IR sections
 // (outermost loop nests and the straight-line runs between them): each
-// section gets its own budget from -coverage, the whole-program
-// distribution is composed by population weighting, and -journal names
-// a directory of per-section journals keyed by content fingerprint —
-// re-running after a program edit re-injects only the sections whose
-// IR changed.
+// section gets its own budget from -coverage, and the whole-program
+// distribution is composed by population weighting. -journal and
+// -resume work as for a plain campaign. A journal's header pins the
+// whole program, so a journal written before an edit to the program is
+// refused, never resumed.
 //
 // Usage:
 //
 //	flipit [-workload NAME] [-input N] [-n TRIALS] [-seed S] [-funcs]
-//	       [-journal FILE|DIR [-resume]] [-deadline D] [-max-retries N]
+//	       [-journal FILE [-resume]] [-deadline D] [-max-retries N]
 //	       [-workers N] [-watchdog D] [-remote URL [-shards K]]
 //	       [-progress]
 //	       [-sections [-coverage N] [-max-per-section N]]
@@ -71,7 +71,7 @@ func main() {
 	watchdog := flag.Duration("watchdog", 0, "per-MPI-op wall-clock watchdog (0 = interpreter default)")
 	remote := flag.String("remote", "", "campaignd coordinator URL; submit the campaign there instead of running locally")
 	progress := flag.Bool("progress", false, "report trial progress on stderr")
-	sections := flag.Bool("sections", false, "sectioned campaign: stratify the trial space over IR sections and compose the whole-program distribution; -n is ignored (the per-section allocation sets the budget) and -journal names a directory of fingerprint-keyed per-section journals reused incrementally across program edits")
+	sections := flag.Bool("sections", false, "sectioned campaign: stratify the trial space over IR sections and compose the whole-program distribution; -n is ignored (the per-section allocation sets the budget)")
 	coverage := flag.Int("coverage", 1, "sectioned coverage factor: expected injections per exercised site per section")
 	maxPerSection := flag.Int("max-per-section", 0, "cap on any one section's trial budget (0 = engine default)")
 	errorModel := flag.String("error-model", "", "error model for injected faults: single-bit (default), burst-N, random-N, correlated, sticky")
@@ -121,12 +121,7 @@ func main() {
 	}
 
 	var journal *fault.Journal
-	if *sections && *journalPath != "" {
-		// Sectioned: -journal is a directory of per-section journals
-		// keyed by content fingerprint. Reuse is always incremental —
-		// unchanged sections restore, changed ones rebuild — so there
-		// is no -resume guard to trip.
-	} else if *journalPath != "" {
+	if *journalPath != "" {
 		journal, err = fault.OpenJournal(*journalPath)
 		if err != nil {
 			fatal(err)
@@ -166,22 +161,10 @@ func main() {
 		}
 	}
 
-	var (
-		res    *fault.CampaignResult
-		secRes *fault.SectionResult
-	)
-	switch {
-	case *remote != "":
-		res, secRes, err = runRemote(ctx, *remote, c, campaign.Spec{Workload: *name, Input: *input, Shards: *shards}, *n, *progress)
-	case *sections:
-		var prep *fault.Prepared
-		if prep, err = c.Prepare(ctx); err == nil {
-			secRes, err = prep.RunSections(ctx, *journalPath)
-		}
-		if secRes != nil {
-			res = secRes.CampaignResult
-		}
-	default:
+	var res *fault.CampaignResult
+	if *remote != "" {
+		res, err = runRemote(ctx, *remote, c, campaign.Spec{Workload: *name, Input: *input, Shards: *shards}, *n, *progress)
+	} else {
 		res, err = c.RunContext(ctx, *n)
 	}
 	if res == nil {
@@ -204,8 +187,16 @@ func main() {
 
 	fmt.Printf("%s input %d (%s): %d/%d injections completed, golden run %d dyn instrs\n",
 		*name, *input, spec.InputDesc, res.Completed, len(res.Trials), res.GoldenDyn)
-	if secRes != nil {
-		printSectioned(secRes)
+	if *sections {
+		// Re-derive the section plan locally: it is deterministic, a
+		// golden-cache hit after a local run, and is derived even once
+		// ctx is done, so an interrupted campaign reports its partial
+		// result too.
+		prep, err := c.Prepare(context.WithoutCancel(ctx))
+		if err != nil {
+			fatal(err)
+		}
+		printSectioned(prep.SectionResult(res))
 	} else {
 		for _, o := range []fault.Outcome{fault.OutcomeSymptom, fault.OutcomeDetected, fault.OutcomeMasked, fault.OutcomeSOC} {
 			p := res.Proportion(o)
@@ -265,10 +256,10 @@ func main() {
 	}
 }
 
-// printSectioned reports a sectioned campaign: the composed
-// whole-program distribution (raw trial proportions would overweight
-// cold sections), per-section dispositions, and the incremental-reuse
-// accounting.
+// printSectioned reports a sectioned campaign, run here or on a
+// coordinator: the composed whole-program distribution (raw trial
+// proportions would overweight cold sections) and the per-section
+// allocation.
 func printSectioned(secRes *fault.SectionResult) {
 	d, err := compose.Whole(compose.FromSectionResult(secRes))
 	if err != nil {
@@ -279,12 +270,11 @@ func printSectioned(secRes *fault.SectionResult) {
 			fmt.Printf("  %-9s %6.2f%%\n", o, 100*d[o])
 		}
 	}
-	fmt.Printf("sectioned: %d trials executed, %d restored from journals; monolithic equivalent at equal coverage: %d trials\n",
-		secRes.Executed, secRes.Restored, secRes.Plan.MonoTrials)
+	fmt.Printf("sectioned: %d trials; monolithic equivalent at equal coverage: %d trials\n",
+		secRes.Plan.Total, secRes.Plan.MonoTrials)
 	fmt.Println("per-section allocation:")
 	for _, st := range secRes.Stats {
-		fmt.Printf("  %-32s pop %8d  trials %4d  restored %4d  fp %.12s\n",
-			st.Label, st.Pop, st.Trials, st.Restored, st.FP)
+		fmt.Printf("  %-32s pop %8d  trials %4d  fp %.12s\n", st.Label, st.Pop, st.Trials, st.FP)
 	}
 }
 
@@ -292,15 +282,13 @@ func printSectioned(secRes *fault.SectionResult) {
 // coordinator as spec, which names the program and shard count, and
 // polls it to completion. The coordinator's workers run the identical
 // plan sequence, so the returned result is bit-identical to a local
-// run with the same flags. For a sectioned campaign it also re-derives
-// the (deterministic) section plan locally, so the remote trials can
-// be composed.
-func runRemote(ctx context.Context, url string, c *fault.Campaign, spec campaign.Spec, n int, progress bool) (*fault.CampaignResult, *fault.SectionResult, error) {
+// run with the same flags.
+func runRemote(ctx context.Context, url string, c *fault.Campaign, spec campaign.Spec, n int, progress bool) (*fault.CampaignResult, error) {
 	spec.Fill(c, n)
 	client := &campaign.Client{Base: url}
 	sub, status, err := client.Submit(ctx, spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	switch status {
 	case 200:
@@ -322,25 +310,12 @@ func runRemote(ctx context.Context, url string, c *fault.Campaign, spec campaign
 	}
 	res, err := client.WaitResult(ctx, sub.ID, time.Second, onProgress)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if res.Failed > 0 {
 		err = errors.New(res.ErrorSummary())
 	}
-	if !c.Sections {
-		return res, nil, err
-	}
-	prep, perr := c.Prepare(ctx)
-	if perr != nil {
-		return nil, nil, perr
-	}
-	secRes := &fault.SectionResult{CampaignResult: res, Plan: prep.SectionPlan(), Executed: res.Completed}
-	for _, a := range secRes.Plan.Alloc {
-		secRes.Stats = append(secRes.Stats, fault.SectionStat{
-			Section: a.Section, FP: a.FP, Label: a.Label, Pop: a.Pop, Trials: a.Trials,
-		})
-	}
-	return res, secRes, err
+	return res, err
 }
 
 // reportModels runs the per-model resilience comparison: for every

@@ -8,6 +8,12 @@
 // trials into per-stage JSONL journals under DIR; re-running with
 // -journal DIR -resume continues from the checkpoint and produces a
 // result identical to an uninterrupted run with the same parameters.
+// Every journal's header pins the program it ran, so a checkpoint
+// written before an edit to the program is refused, never resumed.
+//
+// With -sections every single-rank campaign stratifies its trials over
+// IR sections (outermost loop nests and the straight-line runs between
+// them), with per-section budgets from -coverage.
 //
 // With -remote URL the collection campaign — the workflow's dominant
 // fault-injection cost, and the one stage expressible as a
@@ -24,6 +30,7 @@
 //	     [-trials N] [-topn N] [-seed S]
 //	     [-journal DIR [-resume]] [-deadline D] [-max-retries N]
 //	     [-watchdog D] [-remote URL [-shards K]] [-progress]
+//	     [-sections [-coverage N] [-max-per-section N]]
 package main
 
 import (
@@ -65,16 +72,11 @@ func main() {
 	remote := flag.String("remote", "", "campaignd coordinator URL; dispatch the collection campaign there")
 	trainWorkers := flag.Int("train-workers", 0, "concurrent grid-search workers for SVM training (0 = GOMAXPROCS; results are identical for any count)")
 	progress := flag.Bool("progress", false, "report campaign and training progress on stderr")
-	sections := flag.Bool("sections", false, "run each campaign sectioned: stratify trials over IR sections with per-section budgets and fingerprint-keyed journals")
+	sections := flag.Bool("sections", false, "run each single-rank campaign sectioned: stratify trials over IR sections with per-section budgets (checkpointed like plain campaigns, one journal per stage)")
 	sectionCoverage := flag.Int("coverage", 1, "sectioned coverage factor: expected injections per exercised site per section")
 	maxPerSection := flag.Int("max-per-section", 0, "cap on any one section's trial budget (0 = engine default)")
-	incremental := flag.Bool("incremental", false, "incremental re-analysis: implies -sections and -resume, so a re-run against the same -journal re-injects only sections whose IR changed")
 	errorModel := flag.String("error-model", "", "error model for every injection campaign: single-bit (default), burst-N, random-N, correlated, sticky")
 	flag.Parse()
-	if *incremental {
-		*sections = true
-		*resume = true
-	}
 	if *shards > 1 && *remote == "" {
 		fatal(errors.New("-shards partitions the -remote collection campaign across the coordinator's workers; it needs -remote"))
 	}

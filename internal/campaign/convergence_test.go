@@ -76,8 +76,8 @@ func TestConvergenceWorkloadsAcrossHarnessPaths(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if secRes.Executed == 0 || len(secRes.Trials) != sprep.SectionTotal() {
-				t.Fatalf("sectioned run executed %d of %d trials", secRes.Executed, sprep.SectionTotal())
+			if secRes.Completed == 0 || len(secRes.Trials) != sprep.SectionTotal() {
+				t.Fatalf("sectioned run completed %d of %d trials", secRes.Completed, sprep.SectionTotal())
 			}
 
 			// Path 4: remote (coordinator + workers).

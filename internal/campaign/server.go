@@ -456,7 +456,7 @@ func sameCampaignDifferentSharding(path string, meta fault.JournalMeta) bool {
 	if m == nil {
 		return false
 	}
-	return m.Seed == meta.Seed && m.Trials == meta.Trials &&
+	return m.Seed == meta.Seed && m.Trials == meta.Trials && m.ProgramFP == meta.ProgramFP &&
 		m.GoldenDyn == meta.GoldenDyn && m.Population == meta.Population
 }
 

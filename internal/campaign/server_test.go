@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -372,6 +373,35 @@ func TestServerJournalPathologies(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "different shard partition") {
 			t.Fatalf("repartition error does not name the cause: %v", err)
+		}
+	})
+
+	t.Run("older-build shard journal rejected 409", func(t *testing.T) {
+		// A header without the program fingerprint was written by an
+		// older build: a plain mismatch, not a repartition.
+		root := t.TempDir()
+		copyDir(t, seedRoot, root)
+		if err := os.Remove(merged(root)); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(shard0(root))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stripped := regexp.MustCompile(`,"program_fp":"[0-9a-f]*"`).ReplaceAll(data, nil)
+		if bytes.Equal(stripped, data) {
+			t.Fatal("shard journal header carries no program fingerprint")
+		}
+		if err := os.WriteFile(shard0(root), stripped, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		client := newTestServer(t, Options{Dir: root})
+		_, status, err := client.Submit(context.Background(), spec)
+		if status != http.StatusConflict || !errors.Is(err, fault.ErrCampaignMismatch) {
+			t.Fatalf("older-build journal returned HTTP %d, %v; want 409 and ErrCampaignMismatch", status, err)
+		}
+		if strings.Contains(err.Error(), "different shard partition") {
+			t.Fatalf("older-build journal misreported as a repartition: %v", err)
 		}
 	})
 

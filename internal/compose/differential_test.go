@@ -2,6 +2,11 @@ package compose_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -94,29 +99,29 @@ func TestDifferentialComposedVsMonolithic(t *testing.T) {
 	}
 }
 
-// incrSrcA is a controlled multi-function program for exact incremental
-// accounting; incrSrcB differs from it in exactly one constant inside
-// @scale (a value-only edit: no control flow or dynamic counts change,
-// so every other section's fingerprint, population and allocation are
-// identical between the two binaries).
-const incrSrcA = `
+// editSrc is a controlled multi-function program for the edit tests:
+// @scale sets a factor, the @accum loop sums i·factor for i < 20, and
+// @clip caps the sum at 100 before @main prints it. At factor 1 the sum
+// is 190, so most corruptions inside the loop still leave it above the
+// cap and are masked by @clip.
+const editSrc = `
 builtin @out_f64(i64, f64) void
 
-func @scale(f64 %x) f64 {
+func @scale() f64 {
 entry:
-  %r = fmul f64 %x, 3.0
-  ret f64 %r
+  %s = fadd f64 0.0, 1.0
+  ret f64 %s
 }
 
-func @accum(i64 %n) f64 {
+func @accum(i64 %n, f64 %s) f64 {
 entry:
   br %loop
 loop:
   %i = phi i64 [0, %entry], [%i1, %loop]
   %acc = phi f64 [0.0, %entry], [%acc1, %loop]
   %xf = sitofp i64 %i to f64
-  %s = call f64 @scale(f64 %xf)
-  %acc1 = fadd f64 %acc, %s
+  %t = fmul f64 %xf, %s
+  %acc1 = fadd f64 %acc, %t
   %i1 = add i64 %i, 1
   %c = icmp lt i64 %i1, %n
   condbr %c, %loop, %exit
@@ -124,18 +129,33 @@ exit:
   ret f64 %acc1
 }
 
+func @clip(f64 %x) f64 {
+entry:
+  %c = fcmp gt f64 %x, 100.0
+  condbr %c, %hi, %lo
+hi:
+  ret f64 100.0
+lo:
+  ret f64 %x
+}
+
 func @main() void {
 entry:
   %n = add i64 20, 0
-  %a = call f64 @accum(i64 %n)
-  %b = fmul f64 %a, 0.25
-  call void @out_f64(i64 0, f64 %a)
-  call void @out_f64(i64 1, f64 %b)
+  %s = call f64 @scale()
+  %a = call f64 @accum(i64 %n, f64 %s)
+  %r = call f64 @clip(f64 %a)
+  call void @out_f64(i64 0, f64 %r)
   ret void
 }
 `
 
-func incrProgram(t *testing.T, src string) (*fault.Campaign, *ir.Module) {
+// editTrials is the plain campaigns' trial count in the edit tests.
+const editTrials = 24
+
+// editCampaign compiles src into a campaign, sectioned or plain, with
+// an exact-match verifier.
+func editCampaign(t *testing.T, src string, sections bool) *fault.Campaign {
 	t.Helper()
 	m, err := ir.Parse(src)
 	if err != nil {
@@ -149,105 +169,162 @@ func incrProgram(t *testing.T, src string) (*fault.Campaign, *ir.Module) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &fault.Campaign{
+	return &fault.Campaign{
 		Prog: prog,
 		Verify: func(golden, faulty *interp.Result) bool {
-			return sameF(golden.OutputF, faulty.OutputF)
+			return slices.Equal(golden.OutputF, faulty.OutputF)
 		},
-		Seed: 7, Sections: true, Coverage: 2,
+		Seed: 7, Sections: sections, Coverage: 2, MaxPerSection: 16,
 	}
-	return c, m
 }
 
-func sameF(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
+// editPrepare prepares src's campaign.
+func editPrepare(t *testing.T, src string, sections bool) *fault.Prepared {
+	t.Helper()
+	p, err := editCampaign(t, src, sections).Prepare(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return p
 }
 
-// TestIncrementalReanalysis drives the edit-one-function re-protect
-// loop and asserts the journal trial-count accounting exactly:
-// run A, re-run A (everything restored), then run the edited binary B
-// (only @scale's section re-executes).
-func TestIncrementalReanalysis(t *testing.T) {
-	dir := t.TempDir()
+// runEdit runs c to completion, journaling into dir when dir is not
+// "": a sectioned campaign through RunSections into dir, a plain one
+// through Campaign.Journal on dir's one file.
+func runEdit(c *fault.Campaign, dir string) (*fault.CampaignResult, error) {
 	ctx := context.Background()
+	if c.Sections {
+		prep, err := c.Prepare(ctx)
+		if err != nil {
+			return nil, err
+		}
+		res, err := prep.RunSections(ctx, dir)
+		if res == nil {
+			return nil, err
+		}
+		return res.CampaignResult, err
+	}
+	if dir != "" {
+		j, err := fault.OpenJournal(filepath.Join(dir, "trials.jsonl"))
+		if err != nil {
+			return nil, err
+		}
+		defer j.Close()
+		c.Journal = j
+	}
+	return c.RunContext(ctx, editTrials)
+}
 
-	cA, _ := incrProgram(t, incrSrcA)
-	prepA, err := cA.Prepare(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resA, err := prepA.RunSections(ctx, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resA.Restored != 0 || resA.Executed != resA.Plan.Total {
-		t.Fatalf("first run: restored=%d executed=%d, want 0/%d",
-			resA.Restored, resA.Executed, resA.Plan.Total)
-	}
+// TestEditedProgramRefusesOldJournal pins the rule that no trial
+// journaled by one program is restored into an edited one. A trial
+// records the program's end-to-end outcome, so an edit changes trials
+// that never injected into the edited code: @clip's cap, which runs
+// after the @accum loop, decides whether a corrupted sum is masked, and
+// @scale, which runs before it, decides the sum the loop starts from.
+// Both edits keep every dynamic count and leave the loop's section
+// unchanged, so neither the golden run nor the section fingerprints
+// can tell the programs apart. Run against the old program's journal,
+// sectioned or plain, the edited program must be refused with
+// ErrCampaignMismatch and leave the journal untouched; run into a fresh
+// journal it must equal a fresh run, trial for trial.
+func TestEditedProgramRefusesOldJournal(t *testing.T) {
+	for _, edit := range []struct{ name, from, to string }{
+		{"after the section", "fcmp gt f64 %x, 100.0", "fcmp gt f64 %x, 1e300"},
+		{"before the section", "fadd f64 0.0, 1.0", "fadd f64 0.0, 0.1"},
+	} {
+		if !strings.Contains(editSrc, edit.from) {
+			t.Fatalf("%s: edit pattern %q not in the source", edit.name, edit.from)
+		}
+		edited := strings.Replace(editSrc, edit.from, edit.to, 1)
+		for _, sections := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/sections=%t", edit.name, sections), func(t *testing.T) {
+				dir := t.TempDir()
+				old, err := runEdit(editCampaign(t, editSrc, sections), dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := runEdit(editCampaign(t, edited, sections), "")
+				if err != nil {
+					t.Fatal(err)
+				}
 
-	// Same binary again: every trial restores, nothing executes.
-	cA2, _ := incrProgram(t, incrSrcA)
-	prepA2, err := cA2.Prepare(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resA2, err := prepA2.RunSections(ctx, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resA2.Executed != 0 || resA2.Restored != resA.Plan.Total {
-		t.Fatalf("unchanged re-run: restored=%d executed=%d, want %d/0",
-			resA2.Restored, resA2.Executed, resA.Plan.Total)
-	}
-	for i := range resA.Trials {
-		x, y := resA.Trials[i], resA2.Trials[i]
-		if x.Site != y.Site || x.Outcome != y.Outcome || x.Index != y.Index || x.Bit != y.Bit {
-			t.Fatalf("trial %d differs after restore: %+v vs %+v", i, x, y)
+				// The premise: only the program fingerprint tells the two
+				// campaigns apart, yet trials the old journal would have
+				// restored — for a sectioned campaign, those of sections
+				// whose fingerprint the edit left alone — change outcome.
+				po, pe := editPrepare(t, editSrc, sections), editPrepare(t, edited, sections)
+				mo, me := po.Meta(len(old.Trials)), pe.Meta(len(old.Trials))
+				if mo.ProgramFP == me.ProgramFP {
+					t.Fatal("the edit left the program fingerprint unchanged")
+				}
+				me.ProgramFP = mo.ProgramFP
+				if mo != me || len(fresh.Trials) != len(old.Trials) {
+					t.Fatalf("the edit changed more than the program: %+v vs %+v", mo, me)
+				}
+				// restorable marks the trials an old journal would hand
+				// the edited program: every trial of a plain campaign, and
+				// a sectioned one's in sections the edit left alone.
+				restorable := make([]bool, len(old.Trials))
+				for k := range restorable {
+					restorable[k] = !sections
+				}
+				if sections {
+					for i, a := range pe.SectionPlan().Alloc {
+						if a.FP == po.SectionPlan().Alloc[i].FP {
+							for k := a.Start; k < a.Start+a.Trials; k++ {
+								restorable[k] = true
+							}
+						}
+					}
+				}
+				changed, wrong := 0, 0
+				for k := range fresh.Trials {
+					if fresh.Trials[k].Outcome != old.Trials[k].Outcome {
+						changed++
+						if restorable[k] {
+							wrong++
+						}
+					}
+				}
+				if wrong == 0 {
+					t.Fatal("no trial an old journal would restore changed outcome: restoring it would not be wrong")
+				}
+				t.Logf("%d of %d trials changed outcome; an old journal would restore %d of them", changed, len(fresh.Trials), wrong)
+
+				before := journalBytes(t, dir)
+				if _, err := runEdit(editCampaign(t, edited, sections), dir); !errors.Is(err, fault.ErrCampaignMismatch) {
+					t.Fatalf("edited program against the old journal: err=%v, want ErrCampaignMismatch", err)
+				}
+				if after := journalBytes(t, dir); after != before {
+					t.Fatal("the refused journal was modified")
+				}
+
+				got, err := runEdit(editCampaign(t, edited, sections), t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got.Trials, fresh.Trials) {
+					t.Fatal("edited program journaled into a fresh journal differs from a fresh run")
+				}
+			})
 		}
 	}
+}
 
-	// Edit @scale's constant: only its section re-runs.
-	if !strings.Contains(incrSrcA, "fmul f64 %x, 3.0") {
-		t.Fatal("edit pattern not found in source")
+// journalBytes returns the concatenated contents of dir's files.
+func journalBytes(t *testing.T, dir string) string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no journal in %s (err=%v)", dir, err)
 	}
-	incrSrcB := strings.Replace(incrSrcA, "fmul f64 %x, 3.0", "fmul f64 %x, 5.0", 1)
-	cB, _ := incrProgram(t, incrSrcB)
-	prepB, err := cB.Prepare(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB, err := prepB.RunSections(ctx, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	changed := 0
-	fpsA := map[string]bool{}
-	for _, a := range prepA.SectionPlan().Alloc {
-		fpsA[a.FP] = true
-	}
-	for _, b := range prepB.SectionPlan().Alloc {
-		if !fpsA[b.FP] {
-			changed += b.Trials
+	var all string
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		all += string(data)
 	}
-	if changed == 0 {
-		t.Fatal("edit changed no section fingerprint")
-	}
-	if resB.Executed != changed {
-		t.Errorf("incremental run executed %d trials, want %d (only the edited section)",
-			resB.Executed, changed)
-	}
-	if resB.Restored != resB.Plan.Total-changed {
-		t.Errorf("incremental run restored %d trials, want %d",
-			resB.Restored, resB.Plan.Total-changed)
-	}
+	return all
 }

@@ -66,11 +66,10 @@ type CampaignControls struct {
 	// campaign so an interrupted workflow resumes from disk.
 	Checkpoint *Checkpoint
 	// Sections, when true, runs eligible campaigns (single-rank) as
-	// sectioned campaigns: the trial space stratifies over IR sections,
-	// per-section budgets replace the flat trial count, and — with a
-	// Checkpoint — per-section journals keyed by content fingerprint
-	// make re-analysis after an edit incremental. Multi-rank campaigns
-	// degrade gracefully to plain ones.
+	// sectioned campaigns: the trial space stratifies over IR sections
+	// and per-section budgets replace the flat trial count. A sectioned
+	// stage checkpoints into its ordinary stage journal. Multi-rank
+	// campaigns degrade gracefully to plain ones.
 	Sections bool
 	// SectionCoverage is the per-section coverage factor (expected
 	// injections per exercised site); 0 means 1.
@@ -117,9 +116,9 @@ func (cc *CampaignControls) Apply(c *fault.Campaign, stage string) error {
 }
 
 // Run executes the golden run plus n injection trials of campaign c
-// under the controls: on the coordinator when RemoteSpec renders the
-// stage, else on the sectioned engine when Sections applies (the
-// per-section allocation replaces n), else in-process with the stage's
+// under the controls — sectioned when Sections applies, where the
+// per-section allocation replaces n — on the coordinator when
+// RemoteSpec renders the stage, else in-process with the stage's
 // journal. Every route gets the same knobs, and results match the
 // local run trial for trial.
 func (cc *CampaignControls) Run(ctx context.Context, c *fault.Campaign, n int, stage string) (*fault.CampaignResult, error) {
@@ -140,9 +139,6 @@ func (cc *CampaignControls) Run(ctx context.Context, c *fault.Campaign, n int, s
 			return cc.runRemote(ctx, c, *spec, n, stage)
 		}
 	}
-	if c.Sections {
-		return cc.runSectioned(ctx, c, stage)
-	}
 	if cc.Checkpoint != nil {
 		j, err := cc.Checkpoint.Journal(stage)
 		if err != nil {
@@ -151,30 +147,6 @@ func (cc *CampaignControls) Run(ctx context.Context, c *fault.Campaign, n int, s
 		c.Journal = j
 	}
 	return c.RunContext(ctx, n)
-}
-
-// runSectioned runs one configured sectioned campaign. Checkpointing
-// goes to a per-stage section journal directory whose
-// fingerprint-keyed journals make resumption incremental across
-// program edits: only sections whose IR changed re-execute.
-func (cc *CampaignControls) runSectioned(ctx context.Context, c *fault.Campaign, stage string) (*fault.CampaignResult, error) {
-	var dir string
-	if cc.Checkpoint != nil {
-		d, err := cc.Checkpoint.SectionDir(stage)
-		if err != nil {
-			return nil, err
-		}
-		dir = d
-	}
-	prep, err := c.Prepare(ctx)
-	if err != nil {
-		return nil, err
-	}
-	res, err := prep.RunSections(ctx, dir)
-	if err != nil {
-		return nil, err
-	}
-	return res.CampaignResult, nil
 }
 
 // runRemote dispatches one configured campaign to the coordinator and
@@ -282,7 +254,7 @@ func (c *Checkpoint) Journal(stage string) (*fault.Journal, error) {
 	if j, ok := c.open[stage]; ok {
 		return j, nil
 	}
-	if err := c.refuseLegacyShards(stage); err != nil {
+	if err := c.refuseLegacy(stage); err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
@@ -302,34 +274,17 @@ func (c *Checkpoint) Journal(stage string) (*fault.Journal, error) {
 	return j, nil
 }
 
-// SectionDir returns (creating it) the per-section journal directory
-// for the named campaign stage. Unlike Journal there is no resume
-// guard: section journals are keyed by content fingerprint and
-// self-invalidate when the program, seed, or budget changes, so
-// reusing the directory is exactly the incremental re-analysis
-// contract — unchanged sections restore, changed ones rebuild.
-func (c *Checkpoint) SectionDir(stage string) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.refuseLegacyShards(stage); err != nil {
-		return "", err
-	}
-	dir := filepath.Join(c.Dir, stageFileName(stage)+".sections")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("core: creating section journal dir: %w", err)
-	}
-	return dir, nil
-}
-
-// refuseLegacyShards fails for a stage checkpointed by the in-process
-// sharded engine of older builds: its trials sit in
-// "<stage>.shards/", which no run path reads any more, so carrying on
-// would silently re-run them.
-func (c *Checkpoint) refuseLegacyShards(stage string) error {
-	dir := filepath.Join(c.Dir, stageFileName(stage)+".shards")
-	if _, err := os.Stat(dir); err == nil {
-		return fmt.Errorf("core: %s holds a sharded checkpoint of an older build, which this one cannot resume: %w; finish it with that build or start a fresh checkpoint dir",
-			dir, fault.ErrCampaignMismatch)
+// refuseLegacy fails for a stage checkpointed in a layout of older
+// builds: the in-process sharded engine's "<stage>.shards/" or the
+// per-section journals of "<stage>.sections/". No run path reads
+// either any more, so carrying on would silently re-run their trials.
+func (c *Checkpoint) refuseLegacy(stage string) error {
+	for _, layout := range []string{"shards", "sections"} {
+		dir := filepath.Join(c.Dir, stageFileName(stage)+"."+layout)
+		if _, err := os.Stat(dir); err == nil {
+			return fmt.Errorf("core: %s holds a checkpoint of an older build, which this one cannot resume: %w; finish it with that build or start a fresh checkpoint dir",
+				dir, fault.ErrCampaignMismatch)
+		}
 	}
 	return nil
 }

@@ -125,11 +125,10 @@ func TestCheckpointSubScopesStages(t *testing.T) {
 	}
 }
 
-// A sectioned collection checkpoints one fingerprint-keyed journal per
-// section; re-running against the same directory restores every trial
-// bit-identically (the incremental re-analysis contract at the
-// workflow layer).
-func TestCollectSectionedIncrementalCheckpoint(t *testing.T) {
+// A sectioned collection checkpoints into its ordinary stage journal,
+// like a plain one; re-running against the same directory with resume
+// restores every trial bit-identically.
+func TestCollectSectionedCheckpointResume(t *testing.T) {
 	app := loadApp(t, "FFT")
 	dir := filepath.Join(t.TempDir(), "ckpt")
 
@@ -145,9 +144,12 @@ func TestCollectSectionedIncrementalCheckpoint(t *testing.T) {
 	if len(d1.X) == 0 {
 		t.Fatal("sectioned collection produced no samples")
 	}
-	secs, err := filepath.Glob(filepath.Join(dir, "collect.sections", "sec-*.jsonl"))
-	if err != nil || len(secs) == 0 {
-		t.Fatalf("no per-section journals under collect.sections (err=%v)", err)
+	names, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(names) != 1 || filepath.Base(names[0]) != "collect.jsonl" {
+		t.Fatalf("checkpoint dir holds %v (err=%v), want just collect.jsonl", names, err)
+	}
+	if m := cp1.open["collect"].Meta(); m == nil || m.Format != fault.JournalFormatSectioned {
+		t.Fatalf("collect.jsonl header %+v, want the sectioned format", m)
 	}
 	if err := cp1.Close(); err != nil {
 		t.Fatal(err)
@@ -179,35 +181,41 @@ func TestCollectSectionedIncrementalCheckpoint(t *testing.T) {
 	}
 }
 
-// A checkpoint directory from a build with the in-process sharded
-// engine keeps a stage's trials in "<stage>.shards/", which nothing
-// reads any more: resuming that stage must be refused with
-// ErrCampaignMismatch naming the directory, never silently re-run —
-// on the plain and the sectioned route alike.
+// A checkpoint directory from an older build may keep a stage's trials
+// in layouts nothing reads any more: the in-process sharded engine's
+// "<stage>.shards/" or the per-section journals of "<stage>.sections/".
+// Resuming that stage must be refused with ErrCampaignMismatch naming
+// the directory, never silently re-run — on the plain and the
+// sectioned route alike.
 func TestCheckpointRefusesLegacyShards(t *testing.T) {
-	dir := t.TempDir()
-	legacy := filepath.Join(dir, "collect.shards")
-	if err := os.MkdirAll(legacy, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(legacy, "shard-0000.jsonl"), []byte("{}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := NewCheckpoint(dir, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp.Close()
 	app := loadApp(t, "FFT")
-	for _, sections := range []bool{false, true} {
-		cc := &CampaignControls{Checkpoint: cp, Sections: sections}
-		_, err := CollectContext(context.Background(), app, 10, 4, cc)
-		if !errors.Is(err, fault.ErrCampaignMismatch) || !strings.Contains(err.Error(), legacy) {
-			t.Fatalf("sections=%t: resuming over %s: err = %v, want ErrCampaignMismatch naming it", sections, legacy, err)
+	for _, layout := range []struct{ dir, file string }{
+		{"collect.shards", "shard-0000.jsonl"},
+		{"collect.sections", "sec-0123456789abcdef.jsonl"},
+	} {
+		dir := t.TempDir()
+		legacy := filepath.Join(dir, layout.dir)
+		if err := os.MkdirAll(legacy, 0o755); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Stages without a legacy directory are unaffected.
-	if _, err := cp.Journal("eval IPAS-1"); err != nil {
-		t.Fatal(err)
+		if err := os.WriteFile(filepath.Join(legacy, layout.file), []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := NewCheckpoint(dir, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cp.Close()
+		for _, sections := range []bool{false, true} {
+			cc := &CampaignControls{Checkpoint: cp, Sections: sections}
+			_, err := CollectContext(context.Background(), app, 10, 4, cc)
+			if !errors.Is(err, fault.ErrCampaignMismatch) || !strings.Contains(err.Error(), legacy) {
+				t.Fatalf("sections=%t: resuming over %s: err = %v, want ErrCampaignMismatch naming it", sections, legacy, err)
+			}
+		}
+		// Stages without a legacy directory are unaffected.
+		if _, err := cp.Journal("eval IPAS-1"); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -286,7 +286,8 @@ type Campaign struct {
 	// boundary state, each section gets its own deterministic trial
 	// allocation sized by Coverage, plans carry section targets, and
 	// trials that return to the golden boundary state stop early as
-	// Masked. Requires Ranks == 1 and AssignSiteIDs on the module.
+	// Masked. The allocation replaces RunContext's trial count.
+	// Requires Ranks == 1 and AssignSiteIDs on the module.
 	Sections bool
 	// Coverage is the per-site dynamic-occurrence coverage target k for
 	// sectioned campaigns: section s receives
@@ -577,19 +578,20 @@ func (p *Prepared) Plans(n int) []interp.FaultPlan {
 }
 
 // Meta fingerprints an n-trial campaign over this substrate for
-// journal validation.
+// journal validation. ProgramFP pins the whole program: a trial's
+// outcome is the end-to-end classification of the verified output, so
+// it depends on every instruction, and no journal may outlive an edit.
 func (p *Prepared) Meta(n int) JournalMeta {
 	m := JournalMeta{
 		Format: JournalFormat, Seed: p.c.Seed, Trials: n,
 		GoldenDyn: p.Golden.TotalDyn, Population: p.Population,
-		Model: ModelName(p.c.Model),
+		Model: ModelName(p.c.Model), ProgramFP: p.c.Prog.Fingerprint(),
 	}
 	if p.secs != nil {
-		// The distinct format and the partition fingerprint make a
-		// sectioned journal refuse a plain campaign (and vice versa)
-		// with ErrCampaignMismatch instead of misreading trial spaces.
+		// The distinct format makes a sectioned journal refuse a plain
+		// campaign (and vice versa) with ErrCampaignMismatch instead of
+		// misreading one trial space as the other.
 		m.Format = JournalFormatSectioned
-		m.SectionFP = p.secs.FP
 	}
 	return m
 }
@@ -649,7 +651,8 @@ func (r *CampaignResult) Finalize() error {
 // trials stay TrialPending. When any trial failed, the (complete)
 // result is returned together with the joined per-trial errors.
 //
-// A non-nil result always accounts for all n trials; inspect
+// A non-nil result always accounts for all n trials — for a sectioned
+// campaign, its whole allocation, which replaces n; inspect
 // Completed/Failed/Pending (or ErrorSummary) to see how the campaign
 // degraded. To spread the same trial space over worker processes see
 // internal/campaign.
@@ -658,15 +661,22 @@ func (c *Campaign) RunContext(ctx context.Context, n int) (*CampaignResult, erro
 	if err != nil {
 		return nil, err
 	}
+	if p.secs != nil {
+		n = p.secs.Total
+	}
+	return p.run(ctx, n, c.Journal)
+}
+
+// run is the one path behind RunContext and RunSections: bind the
+// journal j (when non-nil) to this n-trial campaign, restore the
+// trials it already holds — its header pins seed, trial count, program
+// and model, so restored plans line up — and execute the rest.
+func (p *Prepared) run(ctx context.Context, n int, j *Journal) (*CampaignResult, error) {
 	plans := p.Plans(n)
 	out := p.NewResult(plans)
-
-	// Resume: restore trials already journaled by a previous run of
-	// the same campaign (the journal header pins seed, trial count and
-	// the golden run's fingerprint, so restored plans line up).
 	var record func(t int, tr Trial) error
-	if c.Journal != nil {
-		prev, err := c.Journal.Begin(p.Meta(n))
+	if j != nil {
+		prev, err := j.Begin(p.Meta(n))
 		if err != nil {
 			return nil, err
 		}
@@ -675,13 +685,13 @@ func (c *Campaign) RunContext(ctx context.Context, n int) (*CampaignResult, erro
 				out.Trials[t] = tr
 			}
 		}
-		record = c.Journal.Record
+		record = j.Record
 	}
 	return out, p.execute(ctx, plans, out, record)
 }
 
-// execute is the executor behind RunContext and RunSections: a pool of
-// Workers goroutines over out's still-pending trials. Every finished
+// execute is the executor behind run: a pool of Workers goroutines
+// over out's still-pending trials. Every finished
 // trial takes one serialized path — its result slot, record (the
 // journal write, when record is non-nil), the failed/deadlocked
 // tallies, and Progress, whose counts include the trials restored

@@ -286,8 +286,8 @@ func TestGoldenCacheSectioned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Executed != res.Plan.Total {
-			t.Fatalf("prepare %d: executed %d of %d", i, res.Executed, res.Plan.Total)
+		if res.Completed != res.Plan.Total {
+			t.Fatalf("prepare %d: completed %d of %d", i, res.Completed, res.Plan.Total)
 		}
 	}
 	if totals[0] != totals[1] {

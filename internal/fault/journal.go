@@ -14,20 +14,19 @@ import (
 // JournalFormat identifies the trial-journal file format.
 const JournalFormat = "ipas-trial-journal-v1"
 
-// JournalFormatSectioned identifies per-section trial journals
-// (internal/fault section campaigns): same line format, but Trial.Site
-// holds section-local site ordinals and the header carries the
-// section's content fingerprint. The distinct format string makes a
-// plain campaign driving a sectioned journal (or vice versa) fail
-// loudly with ErrCampaignMismatch instead of silently misreading
-// site ids.
+// JournalFormatSectioned identifies the journal of a sectioned
+// campaign: the same line format and global SiteIDs, but trial t holds
+// the t-th plan of the concatenated per-section streams, not of the
+// flat stream. The distinct format string makes a plain campaign
+// driving a sectioned journal (or vice versa) fail loudly with
+// ErrCampaignMismatch instead of silently mixing the two trial spaces.
 const JournalFormatSectioned = "ipas-trial-journal-sectioned-v1"
 
 // JournalMeta fingerprints the campaign a journal belongs to. Seed and
-// Trials pin the plan sequence; GoldenDyn and Population pin the
-// program + configuration (a different binary or input produces a
-// different golden run, and resuming across them would silently mix
-// incompatible trials).
+// Trials pin the plan sequence; ProgramFP pins the program, and
+// GoldenDyn and Population the execution configuration (a different
+// input produces a different golden run). Resuming across any of them
+// would silently mix incompatible trials, so Begin refuses it.
 type JournalMeta struct {
 	Format    string `json:"format"`
 	Seed      int64  `json:"seed"`
@@ -59,14 +58,14 @@ type JournalMeta struct {
 	// replace one trial space with another.
 	Model string `json:"model,omitempty"`
 
-	// SectionFP pins a sectioned journal to code content: the section's
-	// own fingerprint for a per-section journal, or the whole-partition
-	// fingerprint for a campaign-level sectioned header. Empty — and
-	// omitted, so plain v1 journals parse and compare equal — outside
-	// sectioned campaigns. Incremental re-analysis keys on it: a
-	// journal whose fingerprint still matches the recompiled section is
-	// reused wholesale, one that does not is discarded.
-	SectionFP string `json:"section_fp,omitempty"`
+	// ProgramFP is the whole program's content fingerprint
+	// (interp.Program.Fingerprint), set in every campaign's header —
+	// plain, sectioned and shard. A trial records the program's
+	// end-to-end outcome, so an edit anywhere, even outside the section
+	// a trial injected into, can change it: no journal outlives an edit
+	// to its program. A header without it was written by an older
+	// build and is refused.
+	ProgramFP string `json:"program_fp"`
 }
 
 // journalLine is one JSONL record: exactly one of Meta (first line) or
@@ -103,27 +102,26 @@ var ErrJournalLocked = errors.New("journal is locked by a concurrent campaign")
 
 // ErrJournalCorrupt reports structural damage beyond a torn tail — an
 // unknown format, a duplicate header, a body without a header.
-// OpenJournal refuses such a file without touching it. The coordinator
-// treats a corrupt *shard* journal as "re-run that shard" and
-// RunSections rebuilds a corrupt section journal; a locked or foreign
-// journal is never recoverable that way.
+// OpenJournal refuses such a file without touching it, plain or
+// sectioned. Only the coordinator recovers from it, treating a corrupt
+// *shard* journal as "re-run that shard"; a locked or foreign journal
+// is never recoverable that way.
 var ErrJournalCorrupt = errors.New("journal is corrupt")
 
 // ErrCampaignMismatch reports that a journal's header pins a different
 // campaign than the one trying to drive it; Journal.Begin wraps it.
 // Callers distinguishing "foreign but valid journal" (hard error:
 // never clobber someone else's checkpoint) from "corrupt journal"
-// (recoverable: rebuild) test for it with errors.Is.
+// (the coordinator re-runs a corrupt shard) test for it with errors.Is.
 var ErrCampaignMismatch = errors.New("journal belongs to a different campaign")
 
 // ErrModelUnknown reports that a journal's header names an error model
 // this build does not know — a forward-compatibility refusal, not
 // corruption. It always arrives wrapped together with
-// ErrCampaignMismatch, so paths that hard-fail on foreign journals (a
-// resumed campaign, the coordinator) inherit the right behavior; paths
-// that *rebuild* on mismatch (per-section journals) must check for this
-// sentinel first and fail instead: rebuilding would silently re-run a
-// newer build's trials under the default model.
+// ErrCampaignMismatch, so every path that hard-fails on foreign
+// journals (a resumed campaign, plain or sectioned, and the
+// coordinator) refuses it; the distinct sentinel lets callers tell the
+// user the journal came from a newer build.
 var ErrModelUnknown = errors.New("journal names an unknown error model")
 
 // OpenJournal opens (or creates) the campaign journal at path and
@@ -236,8 +234,8 @@ func (j *Journal) Meta() *JournalMeta {
 
 // Begin binds the journal to a campaign: a fresh journal writes the
 // meta header; an existing one verifies that it belongs to the same
-// campaign (same seed, trial count, golden-run fingerprint, and shard
-// header) and hands back the restored trials.
+// campaign (same seed, trial count, program, golden-run fingerprint,
+// model and shard header) and hands back the restored trials.
 func (j *Journal) Begin(meta JournalMeta) (map[int]Trial, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -255,10 +253,10 @@ func (j *Journal) Begin(meta JournalMeta) (map[int]Trial, error) {
 		}
 		if *j.meta != meta {
 			return nil, fmt.Errorf(
-				"fault: journal %s: %w (journal format=%q seed=%d trials=%d goldenDyn=%d pop=%d shard=%d/%d model=%q sectionFP=%.16s; campaign format=%q seed=%d trials=%d goldenDyn=%d pop=%d shard=%d/%d model=%q sectionFP=%.16s)",
+				"fault: journal %s: %w (journal format=%q seed=%d trials=%d goldenDyn=%d pop=%d shard=%d/%d model=%q programFP=%.16s; campaign format=%q seed=%d trials=%d goldenDyn=%d pop=%d shard=%d/%d model=%q programFP=%.16s)",
 				j.path, ErrCampaignMismatch,
-				j.meta.Format, j.meta.Seed, j.meta.Trials, j.meta.GoldenDyn, j.meta.Population, j.meta.Shard, j.meta.Shards, j.meta.Model, j.meta.SectionFP,
-				meta.Format, meta.Seed, meta.Trials, meta.GoldenDyn, meta.Population, meta.Shard, meta.Shards, meta.Model, meta.SectionFP)
+				j.meta.Format, j.meta.Seed, j.meta.Trials, j.meta.GoldenDyn, j.meta.Population, j.meta.Shard, j.meta.Shards, j.meta.Model, j.meta.ProgramFP,
+				meta.Format, meta.Seed, meta.Trials, meta.GoldenDyn, meta.Population, meta.Shard, meta.Shards, meta.Model, meta.ProgramFP)
 		}
 		j.began = true
 		return j.restored, nil

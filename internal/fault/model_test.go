@@ -348,16 +348,15 @@ func TestJournalUnknownModelRefusesResume(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		format string
-		fp     string
 	}{
-		{"plain", JournalFormat, ""},
-		{"sectioned", JournalFormatSectioned, "deadbeefdeadbeefdeadbeefdeadbeef"},
+		{"plain", JournalFormat},
+		{"sectioned", JournalFormatSectioned},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "trials.jsonl")
 			meta := JournalMeta{
 				Format: tc.format, Seed: 11, Trials: 8, Population: 100,
-				Model: "future-model-v9", SectionFP: tc.fp,
+				Model: "future-model-v9", ProgramFP: "deadbeefdeadbeefdeadbeefdeadbeef",
 			}
 			writeJournalHeader(t, path, meta)
 
@@ -420,38 +419,32 @@ func writeJournalHeader(t *testing.T, path string, meta JournalMeta) {
 }
 
 // TestRunSectionsUnknownModelFailsNotRebuilds guards the sectioned
-// engine's rebuild-on-mismatch path: a stale or corrupt section
-// journal is rebuilt, but one naming an unknown model must hard-fail —
-// rebuilding would silently discard a newer build's trials.
+// engine's journal: one naming an unknown model must hard-fail and stay
+// on disk — rebuilding it would silently discard a newer build's
+// trials.
 func TestRunSectionsUnknownModelFailsNotRebuilds(t *testing.T) {
 	dir := t.TempDir()
 	runSectioned(t, 2, dir)
-	names, err := filepath.Glob(filepath.Join(dir, "sec-*.jsonl"))
-	if err != nil || len(names) == 0 {
-		t.Fatalf("no section journals written (err=%v)", err)
-	}
+	path := filepath.Join(dir, sectionsJournal)
 
-	// Stamp an unknown model into one journal's header, preserving
+	// Stamp an unknown model into the journal's header, preserving
 	// everything else so only the model mismatches.
-	data, err := os.ReadFile(names[0])
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.SplitN(string(data), "\n", 2)
 	var rec journalLine
 	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil || rec.Meta == nil {
-		t.Fatalf("section journal %s: malformed header (err=%v)", names[0], err)
+		t.Fatalf("sectioned journal %s: malformed header (err=%v)", path, err)
 	}
 	rec.Meta.Model = "future-model-v9"
 	hdr, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rest := ""
-	if len(lines) > 1 {
-		rest = lines[1]
-	}
-	if err := os.WriteFile(names[0], []byte(string(hdr)+"\n"+rest), 0o644); err != nil {
+	stamped := string(hdr) + "\n" + lines[1]
+	if err := os.WriteFile(path, []byte(stamped), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -463,7 +456,7 @@ func TestRunSectionsUnknownModelFailsNotRebuilds(t *testing.T) {
 	if !errors.Is(err, ErrModelUnknown) {
 		t.Fatalf("sectioned run over unknown-model journal: err=%v, want ErrModelUnknown", err)
 	}
-	if _, err := os.Stat(names[0]); err != nil {
-		t.Fatalf("unknown-model journal was removed (rebuilt) instead of preserved: %v", err)
+	if after, err := os.ReadFile(path); err != nil || string(after) != stamped {
+		t.Fatalf("unknown-model journal was rewritten instead of preserved (err=%v)", err)
 	}
 }

@@ -121,96 +121,176 @@ func TestCampaignPanicIsolationExhaustsRetries(t *testing.T) {
 }
 
 // A campaign cancelled mid-run and resumed from its journal must be
-// bit-identical to an uninterrupted campaign.
+// bit-identical to an uninterrupted campaign: plain, journaling through
+// Campaign.Journal, and sectioned, through RunSections' one journal
+// under its directory.
 func TestCampaignCancelThenResumeBitIdentical(t *testing.T) {
 	p, verify := compileCampaignProg(t)
-	const n = 50
-
-	ref := &Campaign{Prog: p, Verify: verify, Seed: 21}
-	refRes, err := ref.Run(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "trials.jsonl")
-	j1, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	c1 := &Campaign{
-		Prog: p, Verify: verify, Seed: 21, Workers: 2, Journal: j1,
-		Progress: func(done, total, failed, deadlocked int) {
-			if done >= 10 {
-				cancel()
+	for _, tc := range []struct {
+		name     string
+		sections bool
+	}{{"plain", false}, {"sectioned", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, sectionsJournal)
+			// run executes the campaign, journaling into dir when
+			// journal is set.
+			run := func(ctx context.Context, journal bool, progress func(done, total, failed, deadlocked int)) (*CampaignResult, error) {
+				c := &Campaign{Prog: p, Verify: verify, Seed: 21, Workers: 2, Progress: progress}
+				if tc.sections {
+					c.Sections, c.Coverage = true, 2
+					prep, err := c.Prepare(ctx)
+					if err != nil {
+						return nil, err
+					}
+					jdir := ""
+					if journal {
+						jdir = dir
+					}
+					res, err := prep.RunSections(ctx, jdir)
+					if res == nil {
+						return nil, err
+					}
+					return res.CampaignResult, err
+				}
+				if journal {
+					j, err := OpenJournal(path)
+					if err != nil {
+						return nil, err
+					}
+					defer j.Close()
+					c.Journal = j
+				}
+				return c.RunContext(ctx, 50)
 			}
-		},
-	}
-	partial, err := c1.RunContext(ctx, n)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
-	}
-	if partial == nil || partial.Pending == 0 {
-		t.Fatalf("cancellation left no pending trials (partial=%+v)", partial)
-	}
-	if partial.Completed+partial.Failed+partial.Pending != n {
-		t.Fatalf("status partition does not cover all trials: %+v", partial)
-	}
-	if err := j1.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.Restored() == 0 {
-		t.Fatal("journal restored no trials")
-	}
-	c2 := &Campaign{Prog: p, Verify: verify, Seed: 21, Workers: 2, Journal: j2}
-	resumed, err := c2.RunContext(context.Background(), n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Completed != n {
-		t.Fatalf("resumed campaign completed %d/%d", resumed.Completed, n)
-	}
-	for i := range refRes.Trials {
-		if resumed.Trials[i] != refRes.Trials[i] {
-			t.Fatalf("trial %d differs after resume: %+v vs %+v", i, resumed.Trials[i], refRes.Trials[i])
-		}
-	}
-	if resumed.Counts != refRes.Counts {
-		t.Fatalf("outcome counts differ after resume: %v vs %v", resumed.Counts, refRes.Counts)
+			ref, err := run(context.Background(), false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(ref.Trials)
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			partial, err := run(ctx, true, func(done, total, failed, deadlocked int) {
+				if done >= 10 {
+					cancel()
+				}
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
+			}
+			if partial == nil || partial.Pending == 0 {
+				t.Fatalf("cancellation left no pending trials (partial=%+v)", partial)
+			}
+			if partial.Completed+partial.Failed+partial.Pending != n {
+				t.Fatalf("status partition does not cover all trials: %+v", partial)
+			}
+
+			j, err := OpenJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored := j.Restored()
+			j.Close()
+			if restored == 0 {
+				t.Fatal("journal restored no trials")
+			}
+			resumed, err := run(context.Background(), true, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed.Completed != n {
+				t.Fatalf("resumed campaign completed %d/%d", resumed.Completed, n)
+			}
+			for i := range ref.Trials {
+				if resumed.Trials[i] != ref.Trials[i] {
+					t.Fatalf("trial %d differs after resume: %+v vs %+v", i, resumed.Trials[i], ref.Trials[i])
+				}
+			}
+			if resumed.Counts != ref.Counts {
+				t.Fatalf("outcome counts differ after resume: %v vs %v", resumed.Counts, ref.Counts)
+			}
+		})
 	}
 }
 
 // A journal written by one campaign must refuse to drive a different
-// one (different seed => different plan sequence).
+// one: a different seed draws a different plan sequence, and a
+// value-only edit to the program — the same dynamic instruction counts,
+// so the same golden fingerprint — changes what its trials observe.
+// A header written before journals pinned the program is refused too.
 func TestJournalRejectsDifferentCampaign(t *testing.T) {
 	p, verify := compileCampaignProg(t)
-	path := filepath.Join(t.TempDir(), "trials.jsonl")
-
-	j1, err := OpenJournal(path)
+	m, err := lang.Compile(strings.Replace(campaignProg, "/ 7.0", "/ 9.0", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := &Campaign{Prog: p, Verify: verify, Seed: 5, Journal: j1}
-	if _, err := c1.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	j1.Close()
-
-	j2, err := OpenJournal(path)
+	edited, err := Compile(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
-	c2 := &Campaign{Prog: p, Verify: verify, Seed: 6, Journal: j2}
-	if _, err := c2.Run(10); err == nil || !strings.Contains(err.Error(), "different campaign") {
-		t.Fatalf("journal accepted a campaign with a different seed: %v", err)
+	// The edit keeps every dynamic count, so only the program
+	// fingerprint tells the two campaigns' headers apart.
+	var metas [2]JournalMeta
+	for i, prog := range []*interp.Program{p, edited} {
+		prep, err := (&Campaign{Prog: prog, Verify: verify, Seed: 5}).Prepare(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		metas[i] = prep.Meta(10)
+	}
+	if metas[0].ProgramFP == metas[1].ProgramFP {
+		t.Fatal("the edit left the program fingerprint unchanged")
+	}
+	metas[1].ProgramFP = metas[0].ProgramFP
+	if metas[0] != metas[1] {
+		t.Fatalf("the edit changed more than the program: %+v vs %+v", metas[0], metas[1])
+	}
+
+	for _, tc := range []struct {
+		name   string
+		second *Campaign
+		// stripFP rewrites the journal's header without its program
+		// fingerprint, as an older build wrote it.
+		stripFP bool
+	}{
+		{name: "different seed", second: &Campaign{Prog: p, Verify: verify, Seed: 6}},
+		{name: "value-only program edit", second: &Campaign{Prog: edited, Verify: verify, Seed: 5}},
+		{name: "header without program fingerprint", second: &Campaign{Prog: p, Verify: verify, Seed: 5}, stripFP: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "trials.jsonl")
+			j1, err := OpenJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c1 := &Campaign{Prog: p, Verify: verify, Seed: 5, Journal: j1}
+			if _, err := c1.Run(10); err != nil {
+				t.Fatal(err)
+			}
+			j1.Close()
+			if tc.stripFP {
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data = []byte(strings.Replace(string(data), `,"program_fp":"`+p.Fingerprint()+`"`, "", 1))
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			j2, err := OpenJournal(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j2.Close()
+			tc.second.Journal = j2
+			if _, err := tc.second.Run(10); !errors.Is(err, ErrCampaignMismatch) {
+				t.Fatalf("journal accepted a different campaign: %v", err)
+			}
+		})
 	}
 }
 
@@ -261,20 +341,29 @@ func TestJournalDiscardsTornTail(t *testing.T) {
 }
 
 // OpenJournal must refuse a structurally corrupt journal — a header of
-// an unknown format, or a trial line before any header — with
-// ErrJournalCorrupt, and leave the file exactly as it found it: even
-// its torn tail, which a valid journal would have truncated, stays.
+// an unknown format, a trial line before any header, a duplicate
+// header — with ErrJournalCorrupt, and leave the file exactly as it
+// found it: even its torn tail, which a valid journal would have
+// truncated, stays. RunSections over the same file follows the same
+// rule: a corrupt sectioned journal is refused, never rebuilt.
 func TestOpenJournalRefusesCorruptUntouched(t *testing.T) {
 	const (
-		trial = `{"t":0,"trial":{"site":3,"bit":5,"index":17,"outcome":2,"latency":40}}` + "\n"
-		torn  = `{"t":1,"tri`
+		trial     = `{"t":0,"trial":{"site":3,"bit":5,"index":17,"outcome":2,"latency":40}}` + "\n"
+		torn      = `{"t":1,"tri`
+		sectioned = `{"meta":{"format":"ipas-trial-journal-sectioned-v1","seed":11,"trials":4,"golden_dyn":100,"population":50,"program_fp":"deadbeef"}}` + "\n"
 	)
+	prep, err := sectionedCampaign(t, 1).Prepare(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct{ name, data string }{
 		{"unknown format", `{"meta":{"format":"ipas-trial-journal-v9","seed":1,"trials":4,"golden_dyn":100,"population":50}}` + "\n" + trial + torn},
 		{"trial before header", trial + torn},
+		{"sectioned duplicate header", sectioned + trial + sectioned + torn},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "trials.jsonl")
+			dir := t.TempDir()
+			path := filepath.Join(dir, sectionsJournal)
 			if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -285,6 +374,9 @@ func TestOpenJournalRefusesCorruptUntouched(t *testing.T) {
 			}
 			if !errors.Is(err, ErrJournalCorrupt) {
 				t.Fatalf("OpenJournal = %v, want ErrJournalCorrupt", err)
+			}
+			if _, err := prep.RunSections(context.Background(), dir); !errors.Is(err, ErrJournalCorrupt) {
+				t.Fatalf("RunSections = %v, want ErrJournalCorrupt", err)
 			}
 			after, err := os.ReadFile(path)
 			if err != nil {

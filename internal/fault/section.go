@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"ipas/internal/interp"
 	"ipas/internal/ir"
@@ -17,26 +16,17 @@ import (
 
 // This file implements sectioned campaigns: the trial space is
 // stratified by IR section (outermost loop nests and straight-line
-// runs; see internal/ir/section.go), each stratum gets its own
-// deterministic allocation and seed derived from the section's content
-// fingerprint, and per-section journals make re-analysis after a code
-// edit incremental — only sections whose fingerprints changed re-run.
+// runs; see internal/ir/section.go), and each stratum gets its own
+// deterministic allocation and plan stream.
 //
-// Two execution paths share the substrate:
-//
-//   - Campaign.RunContext and the coordinator (internal/campaign) see a
-//     sectioned campaign as an ordinary one whose Plans carry section
-//     targets: Prepare captures the golden boundary trace, Plans
-//     returns the concatenated per-section lists, and Meta pins the
-//     partition fingerprint in a distinct journal format.
-//
-//   - RunSections adds incrementality on top: one journal per section,
-//     named by fingerprint, holding section-local site ordinals so a
-//     journal stays valid even when edits elsewhere shift global
-//     SiteIDs. A journal whose header still matches is reused
-//     wholesale; a stale one (the section's code changed) is discarded
-//     and its trials re-run. The trials it does not restore run on
-//     RunContext's executor.
+// Beyond that, a sectioned campaign is an ordinary one whose Plans carry
+// section targets: Prepare captures the golden boundary trace, Plans
+// returns the concatenated per-section lists, and Meta pins the whole
+// program in a distinct journal format. Campaign.RunContext,
+// RunSections and the coordinator (internal/campaign) journal it like
+// a plain campaign — one journal, global SiteIDs — because a trial
+// records the whole program's outcome: no trial outlives an edit to
+// any part of the program.
 
 // SectionAlloc is one section's slice of a sectioned trial space.
 type SectionAlloc struct {
@@ -55,21 +45,17 @@ type SectionAlloc struct {
 	// Campaign.MaxPerSection.
 	Trials int
 	// Seed drives this section's plan sequence; derived from the
-	// campaign seed and FP, so it survives edits to other sections.
+	// campaign seed and FP (see sectionSeed).
 	Seed int64
 	// Start is the section's offset in the concatenated plan list.
 	Start int
 }
 
-// SectionPlan is the sectioned substrate Prepare builds: the partition,
-// the golden boundary trace, and the per-section allocations.
+// SectionPlan is the sectioned substrate Prepare builds: the golden
+// boundary trace and the per-section allocations.
 type SectionPlan struct {
-	// Partition is the module's section partition.
-	Partition *ir.Sections
 	// Trace is the golden run's boundary capture.
 	Trace *interp.SectionTrace
-	// FP is the whole-partition fingerprint (journal headers pin it).
-	FP string
 	// Alloc holds one entry per section, in section-ID order.
 	Alloc []SectionAlloc
 	// Total is the summed trial count.
@@ -80,14 +66,15 @@ type SectionPlan struct {
 	// is MonoTrials / Total.
 	MonoTrials int64
 
-	tables   *interp.SectionTables
 	trialCfg *interp.SectionConfig
 	model    ErrorModel
 }
 
 // sectionSeed derives a per-section plan seed from the campaign seed
-// and the section's content fingerprint: stable across edits elsewhere
-// in the module, changed whenever the section itself changes.
+// and the section's content fingerprint, which keeps every section's
+// plan stream, and with it every recorded sectioned result, stable. It
+// does not let trials survive an edit: Prepared.Meta pins the whole
+// program, so journals never carry trials across program versions.
 func sectionSeed(seed int64, fp string) int64 {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(seed))
@@ -104,12 +91,9 @@ func newSectionPlan(c *Campaign, parts *ir.Sections, tables *interp.SectionTable
 		return nil, fmt.Errorf("fault: sectioned golden run recorded no boundary trace")
 	}
 	sp := &SectionPlan{
-		Partition: parts,
-		Trace:     trace,
-		FP:        parts.Fingerprint(),
-		tables:    tables,
-		trialCfg:  &interp.SectionConfig{Tables: tables, Golden: trace},
-		model:     c.model(),
+		Trace:    trace,
+		trialCfg: &interp.SectionConfig{Tables: tables, Golden: trace},
+		model:    c.model(),
 	}
 	var dminGlobal int64 = -1
 	for sid, s := range parts.All {
@@ -155,8 +139,7 @@ func newSectionPlan(c *Campaign, parts *ir.Sections, tables *interp.SectionTable
 
 // plans returns the concatenated per-section plan lists. Each section's
 // subsequence is a pure function of (campaign seed, section
-// fingerprint), so it is bit-identical across runs and unaffected by
-// edits to other sections.
+// fingerprint), so it is bit-identical across runs.
 func (sp *SectionPlan) plans(n int) []interp.FaultPlan {
 	out := make([]interp.FaultPlan, 0, sp.Total)
 	for _, a := range sp.Alloc {
@@ -183,88 +166,25 @@ func (sp *SectionPlan) plans(n int) []interp.FaultPlan {
 	return out
 }
 
-// allocOf maps a concatenated trial index onto its section allocation.
-func (sp *SectionPlan) allocOf(t int) *SectionAlloc {
-	i := sort.Search(len(sp.Alloc), func(i int) bool { return sp.Alloc[i].Start+sp.Alloc[i].Trials > t })
-	if i == len(sp.Alloc) {
-		return nil
-	}
-	return &sp.Alloc[i]
-}
-
-// localizeSite rewrites a trial's global SiteID into the section-local
-// ordinal stored in per-section journals: global IDs shift when other
-// sections change, local ordinals are pinned by the section's own
-// fingerprint.
-func (sp *SectionPlan) localizeSite(sec int, tr Trial) Trial {
-	sites := sp.Partition.Sites(sec)
-	i := sort.SearchInts(sites, tr.Site)
-	if i < len(sites) && sites[i] == tr.Site {
-		tr.Site = i
-	} else {
-		tr.Site = -1
-	}
-	return tr
-}
-
-// globalizeSite is the inverse mapping applied on journal restore.
-func (sp *SectionPlan) globalizeSite(sec int, tr Trial) Trial {
-	sites := sp.Partition.Sites(sec)
-	if tr.Site >= 0 && tr.Site < len(sites) {
-		tr.Site = sites[tr.Site]
-	} else {
-		tr.Site = -1
-	}
-	return tr
-}
-
-// sectionMeta pins one section's journal. GoldenDyn is deliberately 0:
-// the whole-program dynamic count changes when *other* sections change,
-// and must not invalidate this section's trials — the section
-// fingerprint and population pin everything the trials depend on.
-func (sp *SectionPlan) sectionMeta(a *SectionAlloc) JournalMeta {
-	return JournalMeta{
-		Format:     JournalFormatSectioned,
-		Seed:       a.Seed,
-		Trials:     a.Trials,
-		Population: a.Pop,
-		Model:      ModelName(sp.model),
-		SectionFP:  a.FP,
-	}
-}
-
-// sectionJournalName names a section's journal by fingerprint prefix.
-func sectionJournalName(fp string) string {
-	if len(fp) > 16 {
-		fp = fp[:16]
-	}
-	return "sec-" + fp + ".jsonl"
-}
-
-// SectionStat is one section's disposition in a sectioned run.
+// SectionStat is one section's allocation in a sectioned run.
 type SectionStat struct {
-	Section  int    `json:"section"`
-	FP       string `json:"fp"`
-	Label    string `json:"label"`
-	Pop      int64  `json:"pop"`
-	Trials   int    `json:"trials"`
-	Restored int    `json:"restored"`
+	Section int    `json:"section"`
+	FP      string `json:"fp"`
+	Label   string `json:"label"`
+	Pop     int64  `json:"pop"`
+	Trials  int    `json:"trials"`
 }
 
 // SectionResult is a sectioned campaign's outcome: the concatenated
 // trials (global SiteIDs, ready for internal/features and
-// internal/compose) plus per-section accounting that incremental
-// re-analysis and its tests assert against.
+// internal/compose) plus the per-section allocation they were drawn
+// from.
 type SectionResult struct {
 	*CampaignResult
 	// Plan is the substrate the trials were drawn from.
 	Plan *SectionPlan
 	// Stats has one entry per section, in section-ID order.
 	Stats []SectionStat
-	// Restored counts trials reused from matching per-section journals;
-	// Executed counts trials actually run this invocation.
-	Restored int
-	Executed int
 }
 
 // SectionTrials returns section sec's slice of the concatenated trials.
@@ -273,105 +193,55 @@ func (r *SectionResult) SectionTrials(sec int) []Trial {
 	return r.Trials[a.Start : a.Start+a.Trials]
 }
 
-// RunSections executes the sectioned campaign with per-section journals
-// under dir (created if missing; "" disables journaling): sections
-// whose journal header still matches — same fingerprint, seed,
-// population, allocation — restore their trials without running
-// anything; stale journals (the section's code changed, so the
-// fingerprint-derived name or header differs) are discarded and
-// re-run. This is the edit-one-function re-protect path: after an
-// edit, only the changed sections' trial budgets are spent. The trials
-// left to run go to the same executor as Campaign.RunContext, so
-// workers, retries, Progress and the returned error behave alike.
-func (p *Prepared) RunSections(ctx context.Context, dir string) (*SectionResult, error) {
-	sp := p.secs
-	if sp == nil {
-		return nil, fmt.Errorf("fault: RunSections on a non-sectioned campaign (set Campaign.Sections)")
-	}
-	plans := sp.plans(sp.Total)
-	out := &SectionResult{CampaignResult: p.NewResult(plans), Plan: sp}
-	for _, a := range sp.Alloc {
+// SectionResult pairs a result of this sectioned substrate's whole
+// allocation — run here or on a coordinator — with its per-section
+// accounting.
+func (p *Prepared) SectionResult(res *CampaignResult) *SectionResult {
+	out := &SectionResult{CampaignResult: res, Plan: p.secs}
+	for _, a := range p.secs.Alloc {
 		out.Stats = append(out.Stats, SectionStat{
 			Section: a.Section, FP: a.FP, Label: a.Label,
 			Pop: a.Pop, Trials: a.Trials,
 		})
 	}
+	return out
+}
 
-	journals := make([]*Journal, len(sp.Alloc))
+// sectionsJournal names the one journal RunSections keeps under its
+// directory.
+const sectionsJournal = "campaign.jsonl"
+
+// RunSections executes the sectioned campaign's whole allocation on the
+// same path as Campaign.RunContext, journaling into one file under dir
+// (created if missing; "" disables journaling) instead of
+// Campaign.Journal. Re-running the same campaign against dir restores
+// its trials, and any other campaign — a different program, seed,
+// budget or model — is refused with ErrCampaignMismatch. So is a
+// directory of per-section journals left by an older build.
+func (p *Prepared) RunSections(ctx context.Context, dir string) (*SectionResult, error) {
+	if p.secs == nil {
+		return nil, fmt.Errorf("fault: RunSections on a non-sectioned campaign (set Campaign.Sections)")
+	}
+	var j *Journal
 	if dir != "" {
+		if old, _ := filepath.Glob(filepath.Join(dir, "sec-*.jsonl")); len(old) > 0 {
+			return nil, fmt.Errorf("fault: %s holds per-section journals of an older build, which this one cannot resume: %w; finish them with that build or use a fresh directory",
+				dir, ErrCampaignMismatch)
+		}
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("fault: creating section journal dir: %w", err)
 		}
-		defer func() {
-			for _, j := range journals {
-				if j != nil {
-					j.Close()
-				}
-			}
-		}()
-		for i := range sp.Alloc {
-			a := &sp.Alloc[i]
-			if a.Trials == 0 {
-				continue
-			}
-			j, restored, err := openSectionJournal(dir, sp, a)
-			if err != nil {
-				return nil, err
-			}
-			journals[i] = j
-			for t, tr := range restored {
-				if t < 0 || t >= a.Trials || tr.Status == TrialPending {
-					continue
-				}
-				out.Trials[a.Start+t] = sp.globalizeSite(a.Section, tr)
-				out.Stats[i].Restored++
-			}
-			out.Restored += out.Stats[i].Restored
+		var err error
+		if j, err = OpenJournal(filepath.Join(dir, sectionsJournal)); err != nil {
+			return nil, err
 		}
 	}
-
-	record := func(t int, tr Trial) error {
-		a := sp.allocOf(t)
-		if j := journals[a.Section]; j != nil {
-			return j.Record(t-a.Start, sp.localizeSite(a.Section, tr))
-		}
-		return nil
+	res, err := p.run(ctx, p.secs.Total, j)
+	if j != nil {
+		err = errors.Join(err, j.Close())
 	}
-	err := p.execute(ctx, plans, out.CampaignResult, record)
-	out.Executed = out.Completed + out.Failed - out.Restored
-	return out, err
-}
-
-// openSectionJournal opens (or rebuilds) one section's journal and
-// binds it to the allocation. A corrupt or mismatched journal under our
-// own checkpoint directory is a stale artifact of an earlier binary or
-// allocation — deleted and recreated, never fatal. A locked journal is
-// a genuinely concurrent campaign and stays fatal.
-func openSectionJournal(dir string, sp *SectionPlan, a *SectionAlloc) (*Journal, map[int]Trial, error) {
-	path := filepath.Join(dir, sectionJournalName(a.FP))
-	for attempt := 0; ; attempt++ {
-		j, err := OpenJournal(path)
-		if err != nil {
-			if errors.Is(err, ErrJournalLocked) || attempt > 0 {
-				return nil, nil, err
-			}
-			os.Remove(path)
-			continue
-		}
-		restored, err := j.Begin(sp.sectionMeta(a))
-		if err != nil {
-			j.Close()
-			// A header naming an unknown error model is a newer build's
-			// checkpoint, not a stale artifact: rebuilding it would
-			// silently re-run its trials under our default model.
-			if attempt > 0 || errors.Is(err, ErrModelUnknown) {
-				return nil, nil, err
-			}
-			// Stale header (e.g. a different Coverage or an older
-			// allocation of the same section content): rebuild.
-			os.Remove(path)
-			continue
-		}
-		return j, restored, nil
+	if res == nil {
+		return nil, err
 	}
+	return p.SectionResult(res), err
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"ipas/internal/interp"
@@ -40,55 +42,59 @@ func runSectioned(t *testing.T, coverage int, dir string) *SectionResult {
 	return res
 }
 
+// Re-running a sectioned campaign against its directory restores every
+// trial from the one journal there, executing nothing.
 func TestRunSectionsJournalReuse(t *testing.T) {
 	dir := t.TempDir()
 	first := runSectioned(t, 2, dir)
-	if first.Executed != first.Plan.Total || first.Restored != 0 {
-		t.Fatalf("cold run: executed=%d restored=%d, want %d/0",
-			first.Executed, first.Restored, first.Plan.Total)
+	if first.Completed != first.Plan.Total {
+		t.Fatalf("cold run completed %d of %d trials", first.Completed, first.Plan.Total)
 	}
-	second := runSectioned(t, 2, dir)
-	if second.Executed != 0 || second.Restored != first.Plan.Total {
-		t.Fatalf("warm run: executed=%d restored=%d, want 0/%d",
-			second.Executed, second.Restored, first.Plan.Total)
+	names, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(names) != 1 || filepath.Base(names[0]) != sectionsJournal {
+		t.Fatalf("journal dir holds %v (err=%v), want just %s", names, err, sectionsJournal)
 	}
-	for i, st := range second.Stats {
-		if st.Restored != st.Trials {
-			t.Errorf("section %d: restored %d of %d trials", i, st.Restored, st.Trials)
-		}
-	}
-}
 
-func TestRunSectionsStaleJournalRebuilt(t *testing.T) {
-	dir := t.TempDir()
-	runSectioned(t, 1, dir)
-	// A different coverage changes per-section trial counts, so every
-	// journal header mismatches and must be discarded and rebuilt —
-	// not trusted, not fatal.
-	res := runSectioned(t, 3, dir)
-	if res.Restored != 0 || res.Executed != res.Plan.Total {
-		t.Fatalf("after coverage change: executed=%d restored=%d, want %d/0",
-			res.Executed, res.Restored, res.Plan.Total)
-	}
-}
-
-func TestRunSectionsCorruptJournalRebuilt(t *testing.T) {
-	dir := t.TempDir()
-	first := runSectioned(t, 2, dir)
-	names, err := filepath.Glob(filepath.Join(dir, "sec-*.jsonl"))
-	if err != nil || len(names) == 0 {
-		t.Fatalf("no section journals written (err=%v)", err)
-	}
-	if err := os.WriteFile(names[0], []byte("{half a rec"), 0o644); err != nil {
+	c := sectionedCampaign(t, 2)
+	var executed atomic.Int32
+	c.beforeTrial = func(int, int) { executed.Add(1) }
+	prep, err := c.Prepare(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
-	res := runSectioned(t, 2, dir)
-	if res.Executed == 0 {
-		t.Error("corrupt journal re-used instead of rebuilt")
+	second, err := prep.RunSections(context.Background(), dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Executed+res.Restored != first.Plan.Total {
-		t.Errorf("executed %d + restored %d != total %d",
-			res.Executed, res.Restored, first.Plan.Total)
+	if executed.Load() != 0 {
+		t.Fatalf("warm run executed %d trials, want 0", executed.Load())
+	}
+	if !reflect.DeepEqual(second.Trials, first.Trials) {
+		t.Fatal("restored trials differ from the cold run's")
+	}
+}
+
+// A directory of per-section journals written by an older build is
+// refused with ErrCampaignMismatch and left as it was: this build
+// cannot read that layout, and running anyway would silently re-run
+// its trials.
+func TestRunSectionsRefusesPerSectionJournals(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "sec-0123456789abcdef.jsonl")
+	data := []byte(`{"meta":{"format":"ipas-trial-journal-sectioned-v1","seed":1,"trials":2,"golden_dyn":0,"population":9,"section_fp":"0123456789abcdef"}}` + "\n")
+	if err := os.WriteFile(old, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prep, err := sectionedCampaign(t, 1).Prepare(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prep.RunSections(context.Background(), dir); !errors.Is(err, ErrCampaignMismatch) {
+		t.Fatalf("RunSections over per-section journals: err=%v, want ErrCampaignMismatch", err)
+	}
+	names, _ := filepath.Glob(filepath.Join(dir, "*"))
+	if after, _ := os.ReadFile(old); len(names) != 1 || string(after) != string(data) {
+		t.Fatalf("refused directory was modified: %v", names)
 	}
 }
 
@@ -138,7 +144,7 @@ func TestJournalCrossFormatMismatch(t *testing.T) {
 	}
 	sectioned := JournalMeta{
 		Format: JournalFormatSectioned, Seed: 11, Trials: 8,
-		Population: 100, SectionFP: "deadbeefdeadbeefdeadbeefdeadbeef",
+		Population: 100, ProgramFP: "deadbeefdeadbeefdeadbeefdeadbeef",
 	}
 	if _, err := j.Begin(sectioned); err != nil {
 		t.Fatal(err)
@@ -148,8 +154,8 @@ func TestJournalCrossFormatMismatch(t *testing.T) {
 	}
 
 	// A plain campaign with otherwise identical parameters must be
-	// refused: the trial spaces are incompatible (section-local site
-	// ordinals vs global SiteIDs).
+	// refused: the trial spaces are incompatible (per-section plan
+	// streams vs the flat one).
 	j2, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +163,6 @@ func TestJournalCrossFormatMismatch(t *testing.T) {
 	defer j2.Close()
 	plain := sectioned
 	plain.Format = ""
-	plain.SectionFP = ""
 	if _, err := j2.Begin(plain); !errors.Is(err, ErrCampaignMismatch) {
 		t.Fatalf("plain Begin on sectioned journal: err=%v, want ErrCampaignMismatch", err)
 	}
@@ -169,7 +174,7 @@ func TestJournalCrossFormatMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j3.Begin(JournalMeta{Seed: 11, Trials: 8, Population: 100}); err != nil {
+	if _, err := j3.Begin(plain); err != nil {
 		t.Fatal(err)
 	}
 	if err := j3.Close(); err != nil {

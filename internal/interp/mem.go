@@ -190,6 +190,3 @@ func (m *Memory) Store(addr, width int64, v Val, isFloat bool) {
 		panic(trapPanic{TrapAbort, "bad store width"})
 	}
 }
-
-// HeapUsed reports the number of heap bytes allocated so far.
-func (m *Memory) HeapUsed() int64 { return m.heapPtr - nullGuard }

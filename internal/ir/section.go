@@ -99,7 +99,7 @@ func ComputeSections(fn *Func) []*Section {
 // fingerprint hashes the section's canonical printed content together
 // with its position. Position (function name, in-function index, header
 // label) disambiguates textually identical sections — two copies of the
-// same helper must not share per-section journals.
+// same helper must not share a plan stream.
 func (s *Section) fingerprint() string {
 	h := sha256.New()
 	h.Write([]byte(s.Fn.Name()))
@@ -171,17 +171,6 @@ func ModuleSections(m *Module) *Sections {
 // IDs are assigned in layout order, which is the iteration order
 // above). The slice is shared; callers must not mutate it.
 func (ms *Sections) Sites(sec int) []int { return ms.sites[sec] }
-
-// Fingerprint hashes the whole partition — the combined campaign-level
-// section fingerprint journal headers carry.
-func (ms *Sections) Fingerprint() string {
-	h := sha256.New()
-	for _, s := range ms.All {
-		h.Write([]byte(s.Fingerprint))
-		h.Write([]byte{'\n'})
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
 
 // Describe renders a one-line-per-section summary (debugging aid).
 func (ms *Sections) Describe() string {
