@@ -114,10 +114,18 @@ bench-compose:
 # refused with its bytes untouched (see internal/fault/*_test.go), and
 # a coordinator campaign killed twice with torn, corrupt and deleted
 # shard journals resumes to the bit-identical merged journal
-# (internal/fault/shard).
+# (internal/campaign/coordinator_test.go). The target first checks
+# with `go test -list` that every name in CHAOS_TESTS names a test in
+# CHAOS_PKGS: a moved or renamed test would otherwise run as "no tests
+# to run" and pass.
 CHAOS_TESTS = TestCampaignCancelThenResumeBitIdentical|TestJournalDiscardsTornTail|TestModelCancelThenResumeBitIdentical|TestGoldenCacheCancelResumeBitIdentical|TestOpenJournalRefusesCorruptUntouched|TestChaosCrashResumeBitIdentical
+CHAOS_PKGS = ./internal/fault/... ./internal/campaign
 chaos-smoke:
-	$(GO) test -race -shuffle=on -count=1 -run '^($(CHAOS_TESTS))$$' -timeout=10m ./internal/fault/...
+	@listed=$$($(GO) test -list '^($(CHAOS_TESTS))$$' $(CHAOS_PKGS)) || exit 1; \
+	for t in $(subst |, ,$(CHAOS_TESTS)); do \
+		echo "$$listed" | grep -qx "$$t" || { echo "chaos-smoke: $$t matches no test in $(CHAOS_PKGS)"; exit 1; }; \
+	done
+	$(GO) test -race -shuffle=on -count=1 -run '^($(CHAOS_TESTS))$$' -timeout=10m $(CHAOS_PKGS)
 
 # Chaos tests for the campaign coordinator under the race detector:
 # worker processes SIGKILLed mid-shard, dropped heartbeats, leases

@@ -44,10 +44,10 @@ import (
 	"sort"
 	"syscall"
 	"text/tabwriter"
-	"time"
 
 	"ipas/internal/campaign"
 	"ipas/internal/compose"
+	"ipas/internal/core"
 	"ipas/internal/dup"
 	"ipas/internal/fault"
 	"ipas/internal/interp"
@@ -106,8 +106,22 @@ func main() {
 		fatal(err)
 	}
 
+	c := &fault.Campaign{Prog: prog, Verify: spec.Verify, Config: spec.BaseConfig(1), Seed: *seed}
+	cc := &core.CampaignControls{
+		MaxRetries: fault.ExplicitRetries(*maxRetries),
+		Workers:    *workers,
+		Watchdog:   *watchdog,
+	}
+	if *progress {
+		cc.Progress = func(_ string, done, total, failed, deadlocked int) {
+			if done%50 == 0 || done == total {
+				fmt.Fprintf(os.Stderr, "flipit: %d/%d trials (%d failed, %d deadlocked)\n", done, total, failed, deadlocked)
+			}
+		}
+	}
+
 	if *modelReport {
-		if err := reportModels(ctx, m, spec, prog, *n, *seed, *workers, *maxRetries, *watchdog); err != nil {
+		if err := reportModels(ctx, cc, m, c, *n); err != nil {
 			fatal(err)
 		}
 		return
@@ -116,13 +130,16 @@ func main() {
 	if *remote != "" && *journalPath != "" {
 		fatal(errors.New("-remote and -journal are mutually exclusive: remote campaigns journal durably on the coordinator"))
 	}
-	if *shards > 1 && *remote == "" {
-		fatal(errors.New("-shards partitions a -remote campaign across the coordinator's workers; a local campaign runs on one pool of -workers"))
+	cc.Model, cc.Shards = model, *shards
+	cc.Sections, cc.SectionCoverage, cc.MaxPerSection = *sections, *coverage, *maxPerSection
+	if *remote != "" {
+		wl, in := *name, *input
+		cc.Remote = &campaign.Client{Base: *remote}
+		cc.RemoteSpec = func(string) *campaign.Spec { return &campaign.Spec{Workload: wl, Input: in} }
 	}
 
-	var journal *fault.Journal
 	if *journalPath != "" {
-		journal, err = fault.OpenJournal(*journalPath)
+		journal, err := fault.OpenJournal(*journalPath)
 		if err != nil {
 			fatal(err)
 		}
@@ -134,39 +151,12 @@ func main() {
 		if *resume && journal.Restored() > 0 {
 			fmt.Fprintf(os.Stderr, "flipit: resuming: %d trials restored from %s\n", journal.Restored(), *journalPath)
 		}
+		c.Journal = journal
 	} else if *resume {
 		fatal(fmt.Errorf("-resume requires -journal"))
 	}
 
-	cfg := spec.BaseConfig(1)
-	cfg.Watchdog = *watchdog
-	c := &fault.Campaign{
-		Prog:       prog,
-		Verify:     spec.Verify,
-		Config:     cfg,
-		Seed:       *seed,
-		Model:      model,
-		Workers:    *workers,
-		MaxRetries: fault.ExplicitRetries(*maxRetries),
-		Journal:    journal,
-	}
-	if *sections {
-		c.Sections, c.Coverage, c.MaxPerSection = true, *coverage, *maxPerSection
-	}
-	if *progress {
-		c.Progress = func(done, total, failed, deadlocked int) {
-			if done%50 == 0 || done == total {
-				fmt.Fprintf(os.Stderr, "flipit: %d/%d trials (%d failed, %d deadlocked)\n", done, total, failed, deadlocked)
-			}
-		}
-	}
-
-	var res *fault.CampaignResult
-	if *remote != "" {
-		res, err = runRemote(ctx, *remote, c, campaign.Spec{Workload: *name, Input: *input, Shards: *shards}, *n, *progress)
-	} else {
-		res, err = c.RunContext(ctx, *n)
-	}
+	res, err := cc.Run(ctx, c, *n, "flipit")
 	if res == nil {
 		fatal(err)
 	}
@@ -214,24 +204,18 @@ func main() {
 	}
 
 	if *funcs {
-		siteFn := map[int]string{}
-		for _, f := range m.Funcs() {
-			for _, b := range f.Blocks() {
-				for _, in := range b.Instrs() {
-					siteFn[in.SiteID] = f.Name()
-				}
-			}
-		}
+		bySite := m.InstrBySite()
 		type agg struct{ soc, total int }
 		byFn := map[string]*agg{}
 		for _, tr := range res.Trials {
 			if tr.Status != fault.TrialCompleted {
 				continue
 			}
-			a := byFn[siteFn[tr.Site]]
+			fn := bySite[tr.Site].Block().Func().Name()
+			a := byFn[fn]
 			if a == nil {
 				a = &agg{}
-				byFn[siteFn[tr.Site]] = a
+				byFn[fn] = a
 			}
 			a.total++
 			if tr.Outcome == fault.OutcomeSOC {
@@ -278,46 +262,6 @@ func printSectioned(secRes *fault.SectionResult) {
 	}
 }
 
-// runRemote dispatches the configured campaign to a campaignd
-// coordinator as spec, which names the program and shard count, and
-// polls it to completion. The coordinator's workers run the identical
-// plan sequence, so the returned result is bit-identical to a local
-// run with the same flags.
-func runRemote(ctx context.Context, url string, c *fault.Campaign, spec campaign.Spec, n int, progress bool) (*fault.CampaignResult, error) {
-	spec.Fill(c, n)
-	client := &campaign.Client{Base: url}
-	sub, status, err := client.Submit(ctx, spec)
-	if err != nil {
-		return nil, err
-	}
-	switch status {
-	case 200:
-		fmt.Fprintf(os.Stderr, "flipit: coordinator resumed campaign %s (%d trials restored)\n", sub.ID, sub.Restored)
-	case 202:
-		fmt.Fprintf(os.Stderr, "flipit: coordinator recovered campaign %s (corrupt shard journals %v re-run)\n", sub.ID, sub.RecoveredShards)
-	default:
-		fmt.Fprintf(os.Stderr, "flipit: campaign %s submitted to %s\n", sub.ID, url)
-	}
-	var onProgress func(campaign.Progress)
-	if progress {
-		last := -1
-		onProgress = func(p campaign.Progress) {
-			if p.Done != last {
-				last = p.Done
-				fmt.Fprintf(os.Stderr, "flipit: %d/%d trials (%d failed, %d deadlocked)\n", p.Done, p.Trials, p.Failed, p.Deadlocked)
-			}
-		}
-	}
-	res, err := client.WaitResult(ctx, sub.ID, time.Second, onProgress)
-	if err != nil {
-		return nil, err
-	}
-	if res.Failed > 0 {
-		err = errors.New(res.ErrorSummary())
-	}
-	return res, err
-}
-
 // reportModels runs the per-model resilience comparison: for every
 // built-in error model, one campaign against the unprotected workload
 // (how does the outcome distribution shift as faults get nastier?) and
@@ -326,7 +270,7 @@ func runRemote(ctx context.Context, url string, c *fault.Campaign, spec campaign
 // Recall = Detected / (Detected + SOC) on the protected build — the
 // figure that collapses when a model defeats the protection's
 // single-upset assumption.
-func reportModels(ctx context.Context, m *ir.Module, spec *workloads.Spec, prog *interp.Program, trials int, seed int64, workers, maxRetries int, watchdog time.Duration) error {
+func reportModels(ctx context.Context, cc *core.CampaignControls, m *ir.Module, c *fault.Campaign, trials int) error {
 	pm := ir.CloneModule(m)
 	st, err := dup.FullDuplication(pm)
 	if err != nil {
@@ -336,20 +280,11 @@ func reportModels(ctx context.Context, m *ir.Module, spec *workloads.Spec, prog 
 	if err != nil {
 		return err
 	}
-	cfg := spec.BaseConfig(1)
-	cfg.Watchdog = watchdog
 
 	run := func(p *interp.Program, model fault.ErrorModel) (*fault.CampaignResult, error) {
-		c := &fault.Campaign{
-			Prog:       p,
-			Verify:     spec.Verify,
-			Config:     cfg,
-			Seed:       seed,
-			Model:      model,
-			Workers:    workers,
-			MaxRetries: fault.ExplicitRetries(maxRetries),
-		}
-		res, err := c.RunContext(ctx, trials)
+		mc := *c
+		mc.Prog, mc.Model = p, model
+		res, err := cc.Run(ctx, &mc, trials, "model-report")
 		if res == nil {
 			return nil, err
 		}
@@ -360,11 +295,11 @@ func reportModels(ctx context.Context, m *ir.Module, spec *workloads.Spec, prog 
 	}
 
 	fmt.Printf("error-model report: %d trials per campaign, seed %d; DMR build duplicates %d of %d instructions\n",
-		trials, seed, st.Duplicated, st.Candidates)
+		trials, c.Seed, st.Duplicated, st.Candidates)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "model\tsymptom%\tdetected%\tmasked%\tSOC%\t|\tDMR SOC%\tDMR recall%")
 	for _, model := range fault.BuiltinModels() {
-		base, err := run(prog, model)
+		base, err := run(c.Prog, model)
 		if err != nil {
 			return err
 		}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"ipas/internal/fault"
-	"ipas/internal/fault/shard"
 )
 
 // Chaos tests exercise the coordinator against real worker processes:
@@ -164,7 +163,7 @@ func TestServerChaosQuarantineExhaustion(t *testing.T) {
 		t.Fatalf("campaign did not converge: %v", err)
 	}
 
-	lo, hi := shard.Range(spec.Trials, spec.Shards, sick)
+	lo, hi := shardRange(spec.Trials, spec.Shards, sick)
 	if res.Failed != hi-lo {
 		t.Fatalf("%d trials failed, want the sick shard's %d", res.Failed, hi-lo)
 	}

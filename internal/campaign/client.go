@@ -34,7 +34,7 @@ type Client struct {
 // so callers branch on them the same way local journal code does.
 func (c *Client) Submit(ctx context.Context, spec Spec) (SubmitResponse, int, error) {
 	var out SubmitResponse
-	status, body, err := c.do(ctx, http.MethodPost, "/api/v1/campaigns", spec, &out)
+	status, body, err := roundTrip(ctx, c.HTTP, http.MethodPost, c.Base+"/api/v1/campaigns", spec, &out)
 	if err != nil {
 		return out, status, err
 	}
@@ -42,22 +42,22 @@ func (c *Client) Submit(ctx context.Context, spec Spec) (SubmitResponse, int, er
 	case http.StatusCreated, http.StatusOK, http.StatusAccepted:
 		return out, status, nil
 	case http.StatusConflict:
-		return out, status, fmt.Errorf("campaign: %w: %s", fault.ErrCampaignMismatch, strings.TrimSpace(body))
+		return out, status, fmt.Errorf("campaign: %w: %s", fault.ErrCampaignMismatch, strings.TrimSpace(string(body)))
 	case http.StatusLocked:
-		return out, status, fmt.Errorf("campaign: %w: %s", fault.ErrJournalLocked, strings.TrimSpace(body))
+		return out, status, fmt.Errorf("campaign: %w: %s", fault.ErrJournalLocked, strings.TrimSpace(string(body)))
 	}
-	return out, status, fmt.Errorf("campaign: submit: HTTP %d: %s", status, strings.TrimSpace(body))
+	return out, status, fmt.Errorf("campaign: submit: HTTP %d: %s", status, strings.TrimSpace(string(body)))
 }
 
 // Progress fetches a campaign's live progress.
 func (c *Client) Progress(ctx context.Context, id string) (Progress, error) {
 	var out Progress
-	status, body, err := c.do(ctx, http.MethodGet, "/api/v1/campaigns/"+id, nil, &out)
+	status, body, err := roundTrip(ctx, c.HTTP, http.MethodGet, c.Base+"/api/v1/campaigns/"+id, nil, &out)
 	if err != nil {
 		return out, err
 	}
 	if status != http.StatusOK {
-		return out, fmt.Errorf("campaign: progress of %s: HTTP %d: %s", id, status, strings.TrimSpace(body))
+		return out, fmt.Errorf("campaign: progress of %s: HTTP %d: %s", id, status, strings.TrimSpace(string(body)))
 	}
 	return out, nil
 }
@@ -67,7 +67,7 @@ func (c *Client) Progress(ctx context.Context, id string) (Progress, error) {
 // while shards are outstanding.
 func (c *Client) Result(ctx context.Context, id string) (*fault.CampaignResult, error) {
 	var out ResultResponse
-	status, body, err := c.do(ctx, http.MethodGet, "/api/v1/campaigns/"+id+"/result", nil, &out)
+	status, body, err := roundTrip(ctx, c.HTTP, http.MethodGet, c.Base+"/api/v1/campaigns/"+id+"/result", nil, &out)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +76,7 @@ func (c *Client) Result(ctx context.Context, id string) (*fault.CampaignResult, 
 	case http.StatusTooEarly:
 		return nil, ErrNotComplete
 	default:
-		return nil, fmt.Errorf("campaign: result of %s: HTTP %d: %s", id, status, strings.TrimSpace(body))
+		return nil, fmt.Errorf("campaign: result of %s: HTTP %d: %s", id, status, strings.TrimSpace(string(body)))
 	}
 	res := &fault.CampaignResult{GoldenDyn: out.GoldenDyn, Trials: out.Trials}
 	res.Finalize()
@@ -86,7 +86,7 @@ func (c *Client) Result(ctx context.Context, id string) (*fault.CampaignResult, 
 // MergedJournal fetches the canonical merged journal's raw bytes.
 // Returns ErrNotComplete while the campaign is running.
 func (c *Client) MergedJournal(ctx context.Context, id string) ([]byte, error) {
-	status, body, err := c.doRaw(ctx, http.MethodGet, "/api/v1/campaigns/"+id+"/journal", nil)
+	status, body, err := roundTrip(ctx, c.HTTP, http.MethodGet, c.Base+"/api/v1/campaigns/"+id+"/journal", nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -127,49 +127,44 @@ func (c *Client) WaitResult(ctx context.Context, id string, poll time.Duration, 
 	}
 }
 
-// do performs a JSON round-trip, decoding a 2xx body into out.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) (int, string, error) {
+// roundTrip performs one HTTP exchange with a coordinator: in, when
+// non-nil, goes out as the JSON request body, and a non-empty 2xx
+// response body is decoded into out when out is non-nil (acquire's 204
+// carries none). It returns the status and the raw response body, which
+// carries the coordinator's message on an error status. Client and
+// Worker share it.
+func roundTrip(ctx context.Context, hc *http.Client, method, url string, in, out any) (int, []byte, error) {
 	var body io.Reader
 	if in != nil {
 		data, err := json.Marshal(in)
 		if err != nil {
-			return 0, "", err
+			return 0, nil, err
 		}
 		body = bytes.NewReader(data)
 	}
-	status, raw, err := c.doRaw(ctx, method, path, body)
-	if err != nil {
-		return status, "", err
+	if hc == nil {
+		hc = http.DefaultClient
 	}
-	if out != nil && status >= 200 && status < 300 {
-		if err := json.Unmarshal(raw, out); err != nil {
-			return status, string(raw), fmt.Errorf("campaign: decoding %s response: %w", path, err)
-		}
-	}
-	return status, string(raw), nil
-}
-
-// doRaw performs one HTTP round-trip and slurps the response body.
-func (c *Client) doRaw(ctx context.Context, method, path string, body io.Reader) (int, []byte, error) {
-	client := c.HTTP
-	if client == nil {
-		client = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
 		return 0, nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := client.Do(req)
+	resp, err := hc.Do(req)
 	if err != nil {
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return resp.StatusCode, nil, err
 	}
-	return resp.StatusCode, data, nil
+	if out != nil && resp.StatusCode/100 == 2 && len(raw) > 0 {
+		if err := json.Unmarshal(raw, out); err != nil {
+			return resp.StatusCode, raw, fmt.Errorf("campaign: decoding %s %s response: %w", method, url, err)
+		}
+	}
+	return resp.StatusCode, raw, nil
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"ipas/internal/fault"
-	"ipas/internal/fault/shard"
 	"ipas/internal/interp"
 )
 
@@ -65,7 +64,7 @@ type state struct {
 	meta  fault.JournalMeta // campaign-wide (merged-journal) header
 	plans []interp.FaultPlan
 	res   *fault.CampaignResult
-	sm    *shard.StateMachine
+	sm    *shardMachine
 
 	journals     []*fault.Journal
 	jmu          []sync.Mutex // per-shard journal I/O; see Server's locking notes
@@ -165,7 +164,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // Close stops the lease sweeper and closes every open journal. In-
 // flight campaigns stay durable on disk: a new coordinator on the same
-// directory (or a local sharded run on Dir/<id>) resumes them.
+// directory resumes them when their specs are resubmitted.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -319,7 +318,7 @@ func (s *Server) admitLocked(id string, spec Spec, prep *fault.Prepared, meta fa
 		meta:         meta,
 		plans:        plans,
 		res:          prep.NewResult(plans),
-		sm:           shard.NewStateMachine(spec.Shards),
+		sm:           newShardMachine(spec.Shards),
 		journals:     make([]*fault.Journal, spec.Shards),
 		jmu:          make([]sync.Mutex, spec.Shards),
 		failedShard:  make([]bool, spec.Shards),
@@ -346,7 +345,7 @@ func (s *Server) admitLocked(id string, spec Spec, prep *fault.Prepared, meta fa
 	// Shards whose whole range is already durable owe no execution.
 	for sh := 0; sh < st.k; sh++ {
 		if st.settledIn(sh) == rangeLen(st.n, st.k, sh) {
-			st.sm.Settle(sh)
+			st.sm.settle(sh)
 		}
 	}
 	s.campaigns[id] = st
@@ -360,7 +359,7 @@ func (s *Server) admitLocked(id string, spec Spec, prep *fault.Prepared, meta fa
 // with the same recovery split as shard journals: corrupt → delete and
 // rebuild from shard journals, foreign → hard mismatch error.
 func (s *Server) restoreMergedLocked(st *state) error {
-	path := shard.MergedJournalPath(st.dir)
+	path := mergedJournalPath(st.dir)
 	if _, err := os.Stat(path); err != nil {
 		return nil
 	}
@@ -396,8 +395,8 @@ func (s *Server) restoreMergedLocked(st *state) error {
 // shard as recovered (it re-runs from scratch); a valid journal of a
 // different campaign → mismatch error; held lock → locked error.
 func (s *Server) openShardJournalLocked(st *state, sh int) error {
-	path := filepath.Join(st.dir, shard.JournalName(sh))
-	lo, hi := shard.Range(st.n, st.k, sh)
+	path := filepath.Join(st.dir, shardJournalName(sh))
+	lo, hi := shardRange(st.n, st.k, sh)
 	meta := st.meta
 	meta.Shards, meta.Shard, meta.ShardStart, meta.ShardEnd = st.k, sh, lo, hi
 	for recreated := false; ; recreated = true {
@@ -486,10 +485,10 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 		}
 		s.requeueElapsedLocked(st, now)
 		for sh := 0; sh < st.k; sh++ {
-			if st.sm.State(sh) != shard.StateQueued {
+			if st.sm.state(sh) != shardQueued {
 				continue
 			}
-			attempt := st.sm.Acquire(sh)
+			attempt := st.sm.acquire(sh)
 			s.leaseSeq++
 			l := &lease{
 				id:      fmt.Sprintf("L%06d", s.leaseSeq),
@@ -500,7 +499,7 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 			}
 			s.leases[l.id] = l
 			st.leaseOf[sh] = l
-			lo, hi := shard.Range(st.n, st.k, sh)
+			lo, hi := shardRange(st.n, st.k, sh)
 			grant := LeaseGrant{
 				Lease:    l.id,
 				Campaign: st.id,
@@ -569,7 +568,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st, sh := l.st, l.shard
-	lo, hi := shard.Range(st.n, st.k, sh)
+	lo, hi := shardRange(st.n, st.k, sh)
 	for _, rec := range seg.Records {
 		if rec.T < lo || rec.T >= hi {
 			s.mu.Unlock()
@@ -656,7 +655,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		}
 		delete(s.leases, l.id)
 		st.leaseOf[l.shard] = nil
-		st.sm.Complete(l.shard)
+		st.sm.complete(l.shard)
 		s.logf("lease %s: shard %d/%d of %s complete", l.id, l.shard, st.k, st.id)
 		s.maybeCompleteLocked(st)
 	}
@@ -678,8 +677,8 @@ func (s *Server) expireLeasesLocked(now time.Time) {
 // passed runnable again.
 func (s *Server) requeueElapsedLocked(st *state, now time.Time) {
 	for sh := 0; sh < st.k; sh++ {
-		if st.sm.State(sh) == shard.StateBackoff && !st.backoffUntil[sh].After(now) {
-			st.sm.Requeue(sh)
+		if st.sm.state(sh) == shardBackoff && !st.backoffUntil[sh].After(now) {
+			st.sm.requeue(sh)
 		}
 	}
 }
@@ -697,15 +696,15 @@ func (s *Server) releaseLocked(l *lease, cause string, now time.Time) {
 		return // an older revoked lease racing its replacement
 	}
 	st.leaseOf[l.shard] = nil
-	attempt := st.sm.Attempts(l.shard)
+	attempt := st.sm.attemptsOf(l.shard)
 	if attempt > s.retries {
 		s.failShardLocked(st, l.shard, attempt, cause)
-		st.sm.Fail(l.shard)
+		st.sm.fail(l.shard)
 		s.logf("lease %s: shard %d/%d of %s failed after %d attempts: %s", l.id, l.shard, st.k, st.id, attempt, cause)
 		s.maybeCompleteLocked(st)
 		return
 	}
-	st.sm.Quarantine(l.shard)
+	st.sm.quarantine(l.shard)
 	st.backoffUntil[l.shard] = now.Add(backoffDelay(s.backoff, attempt))
 	s.logf("lease %s: shard %d/%d of %s quarantined (attempt %d): %s", l.id, l.shard, st.k, st.id, attempt, cause)
 }
@@ -732,7 +731,7 @@ func backoffDelay(base time.Duration, attempt int) time.Duration {
 // quarantined after N attempts: cause"). Trials settled by earlier
 // attempts keep their real results.
 func (s *Server) failShardLocked(st *state, sh, attempts int, cause string) {
-	lo, hi := shard.Range(st.n, st.k, sh)
+	lo, hi := shardRange(st.n, st.k, sh)
 	msg := fmt.Sprintf("shard %d/%d quarantined after %d attempts: %s", sh, st.k, attempts, cause)
 	// Taking the shard journal lock (mu → jmu, the cold direction)
 	// retires the journal: a zombie lease's segment that was mid-fsync
@@ -770,11 +769,11 @@ func (s *Server) failShardLocked(st *state, sh, attempts int, cause string) {
 // Workers=1 run over the same surviving trial set — is written
 // atomically and the shard journals are closed.
 func (s *Server) maybeCompleteLocked(st *state) {
-	if st.complete || !st.sm.AllTerminal() {
+	if st.complete || !st.sm.allTerminal() {
 		return
 	}
 	st.res.Finalize()
-	if err := fault.WriteCanonical(shard.MergedJournalPath(st.dir), st.meta, st.res.Trials); err != nil {
+	if err := fault.WriteCanonical(mergedJournalPath(st.dir), st.meta, st.res.Trials); err != nil {
 		st.finalErr = err
 		s.logf("campaign %s: writing merged journal: %v", st.id, err)
 	}
@@ -839,10 +838,10 @@ func (s *Server) progressLocked(st *state) Progress {
 		p.Errors = strings.TrimSpace(p.Errors + " merged journal: " + st.finalErr.Error())
 	}
 	for sh := 0; sh < st.k; sh++ {
-		lo, hi := shard.Range(st.n, st.k, sh)
+		lo, hi := shardRange(st.n, st.k, sh)
 		ss := ShardStatus{
-			State:    st.sm.State(sh).String(),
-			Attempts: st.sm.Attempts(sh),
+			State:    st.sm.state(sh).String(),
+			Attempts: st.sm.attemptsOf(sh),
 			Lo:       lo,
 			Hi:       hi,
 			Settled:  st.settledIn(sh),
@@ -887,7 +886,7 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusTooEarly, "campaign %s is still running", st.id)
 		return
 	}
-	path := shard.MergedJournalPath(st.dir)
+	path := mergedJournalPath(st.dir)
 	s.mu.Unlock()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -909,7 +908,7 @@ func statusOf(st *state) string {
 
 // settledIn counts shard sh's settled trials.
 func (st *state) settledIn(sh int) int {
-	lo, hi := shard.Range(st.n, st.k, sh)
+	lo, hi := shardRange(st.n, st.k, sh)
 	n := 0
 	for t := lo; t < hi; t++ {
 		if st.res.Trials[t].Status != fault.TrialPending {
@@ -921,7 +920,7 @@ func (st *state) settledIn(sh int) int {
 
 // settledIndices lists shard sh's settled trial indices in order.
 func (st *state) settledIndices(sh int) []int {
-	lo, hi := shard.Range(st.n, st.k, sh)
+	lo, hi := shardRange(st.n, st.k, sh)
 	var out []int
 	for t := lo; t < hi; t++ {
 		if st.res.Trials[t].Status != fault.TrialPending {
@@ -932,7 +931,7 @@ func (st *state) settledIndices(sh int) []int {
 }
 
 func rangeLen(n, k, sh int) int {
-	lo, hi := shard.Range(n, k, sh)
+	lo, hi := shardRange(n, k, sh)
 	return hi - lo
 }
 

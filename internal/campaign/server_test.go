@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"ipas/internal/fault"
-	"ipas/internal/fault/shard"
 )
 
 // testSource mirrors the fault package's shared test program: 32
@@ -265,8 +264,8 @@ func TestServerJournalPathologies(t *testing.T) {
 	startWorker(t, client, nil)
 	waitComplete(t, client, sub.ID)
 
-	shard0 := func(root string) string { return filepath.Join(root, sub.ID, shard.JournalName(0)) }
-	merged := func(root string) string { return shard.MergedJournalPath(filepath.Join(root, sub.ID)) }
+	shard0 := func(root string) string { return filepath.Join(root, sub.ID, shardJournalName(0)) }
+	merged := func(root string) string { return mergedJournalPath(filepath.Join(root, sub.ID)) }
 
 	for _, tc := range []struct {
 		name       string
@@ -504,7 +503,7 @@ func TestServerQuarantineExhaustionFailsShardAlone(t *testing.T) {
 	})
 
 	res := waitComplete(t, client, sub.ID)
-	lo, hi := shard.Range(spec.Trials, spec.Shards, sick)
+	lo, hi := shardRange(spec.Trials, spec.Shards, sick)
 	if res.Failed != hi-lo {
 		t.Fatalf("%d trials failed, want the sick shard's %d", res.Failed, hi-lo)
 	}

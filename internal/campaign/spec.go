@@ -1,19 +1,23 @@
 // Package campaign spreads one fault-injection campaign over worker
 // processes: a coordinator (cmd/campaignd) accepts campaign specs over
-// HTTP/JSON, partitions the trial space with the deterministic
-// shard.Range, and hands shards to remote workers (cmd/ipas-worker)
+// HTTP/JSON, partitions the trial space into contiguous shards
+// (shardRange), and hands shards to remote workers (cmd/ipas-worker)
 // under time-bounded leases. Workers stream finished trials back as
 // journal segments; the coordinator acknowledges a segment only after
 // it is durable on disk, so a SIGKILLed or partitioned worker is
 // replaced without losing an acked trial, and the completed campaign's
 // merged journal is byte-identical to a local Workers=1 run.
 //
-// Shard lifecycle (queued → running → backoff → queued ... →
-// done/failed) is the shard.StateMachine; this package adds leases,
-// heartbeats, durable acks and shard quarantine on top — a shard is
-// the failure domain of one worker process. All requeue, backoff, and
-// quarantine decisions are deterministic given the order of events —
-// no report content ever depends on the wall clock.
+// Each shard journals into shard-NNNN.jsonl under the campaign's
+// directory and the completed campaign into merged.jsonl. Shard
+// lifecycle (queued → running → backoff → queued ... → done/failed) is
+// shardMachine; the coordinator adds leases, heartbeats, durable acks
+// and shard quarantine on top — a shard is the failure domain of one
+// worker process. All requeue, backoff, and quarantine decisions are
+// deterministic given the order of events — no report content ever
+// depends on the wall clock. Client is the submitting side: Submit,
+// then WaitResult; core.CampaignControls.Run is its one caller that
+// turns a configured fault.Campaign into a spec.
 package campaign
 
 import (

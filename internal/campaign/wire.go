@@ -29,7 +29,7 @@ type SubmitResponse struct {
 
 // ShardStatus is one shard's dispatch state in a progress report.
 type ShardStatus struct {
-	State    string `json:"state"` // shard.State string
+	State    string `json:"state"` // queued, running, backoff, done or failed
 	Attempts int    `json:"attempts"`
 	Lo       int    `json:"lo"`
 	Hi       int    `json:"hi"`

@@ -1,12 +1,9 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -301,32 +298,10 @@ func (w *Worker) heartbeat(ctx context.Context, grant LeaseGrant, cancel context
 	}
 }
 
-// post sends a JSON request and decodes the JSON response (when out is
-// non-nil and the response carries one), returning the HTTP status.
+// post sends a JSON request to the coordinator and decodes its JSON
+// response into out (when non-nil and the response carries one),
+// returning the HTTP status.
 func (w *Worker) post(ctx context.Context, path string, in, out any) (int, error) {
-	client := w.HTTP
-	if client == nil {
-		client = http.DefaultClient
-	}
-	body, err := json.Marshal(in)
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Server+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if out != nil && resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, err
-		}
-	}
-	io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, nil
+	status, _, err := roundTrip(ctx, w.HTTP, http.MethodPost, w.Server+path, in, out)
+	return status, err
 }

@@ -102,32 +102,6 @@ func FromSectionResult(r *fault.SectionResult) []SectionOutcome {
 	return out
 }
 
-// FromCampaignResult renders a monolithic campaign's completed-trial
-// proportions as a Distribution (the differential reference).
-func FromCampaignResult(r *fault.CampaignResult) Distribution {
-	var d Distribution
-	for o := range d {
-		d[o] = r.Proportion(fault.Outcome(o))
-	}
-	return d
-}
-
-// MaxDiff returns the L∞ distance between two distributions — the
-// agreement metric the differential harness bounds.
-func MaxDiff(a, b Distribution) float64 {
-	var m float64
-	for o := range a {
-		diff := a[o] - b[o]
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > m {
-			m = diff
-		}
-	}
-	return m
-}
-
 // Sum returns the distribution's total probability mass (1 within
 // floating-point error for any successful composition).
 func (d Distribution) Sum() float64 {

@@ -74,8 +74,8 @@ func runDifferential(t *testing.T, name string) {
 	if s := composed.Sum(); s < 0.999 || s > 1.001 {
 		t.Errorf("composed mass = %v, want 1", s)
 	}
-	monoD := compose.FromCampaignResult(monoRes)
-	diff := compose.MaxDiff(composed, monoD)
+	monoD := fromCampaignResult(monoRes)
+	diff := maxDiff(composed, monoD)
 	t.Logf("%s: composed=%v monolithic=%v L∞=%.3f sectioned-trials=%d mono-equivalent=%d",
 		name, composed, monoD, diff, secRes.Plan.Total, secRes.Plan.MonoTrials)
 	if diff > agreementBound {
@@ -88,6 +88,32 @@ func runDifferential(t *testing.T, name string) {
 		t.Errorf("sectioning does not reduce trials: %d sectioned vs %d monolithic",
 			secRes.Plan.Total, secRes.Plan.MonoTrials)
 	}
+}
+
+// fromCampaignResult renders a monolithic campaign's completed-trial
+// proportions as a Distribution (the differential reference).
+func fromCampaignResult(r *fault.CampaignResult) compose.Distribution {
+	var d compose.Distribution
+	for o := range d {
+		d[o] = r.Proportion(fault.Outcome(o))
+	}
+	return d
+}
+
+// maxDiff returns the L∞ distance between two distributions — the
+// agreement metric the differential harness bounds.
+func maxDiff(a, b compose.Distribution) float64 {
+	var m float64
+	for o := range a {
+		diff := a[o] - b[o]
+		if diff < 0 {
+			diff = -diff
+		}
+		if diff > m {
+			m = diff
+		}
+	}
+	return m
 }
 
 func TestDifferentialComposedVsMonolithic(t *testing.T) {

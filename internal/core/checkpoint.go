@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ipas/internal/campaign"
+	"ipas/internal/compose"
 	"ipas/internal/fault"
 	"ipas/internal/svm"
 )
@@ -79,10 +80,22 @@ type CampaignControls struct {
 	MaxPerSection int
 }
 
-// configure applies the controls' per-campaign knobs to c — retry
-// policy, worker bound, error model, watchdog and stage-tagged
-// progress — the same way for every route a campaign takes.
-func (cc *CampaignControls) configure(c *fault.Campaign, stage string) {
+// Run executes the golden run plus n injection trials of campaign c
+// under the controls — sectioned when Sections applies, where the
+// per-section allocation replaces n — on the coordinator when
+// RemoteSpec renders the stage, else in-process with the stage's
+// journal. Every route gets the same knobs (retry policy, worker bound,
+// error model, watchdog, stage-tagged progress), and results match the
+// local run trial for trial. A sectioned result's Proportion is the
+// population-weighted composition of its strata (internal/compose),
+// never the raw trial shares.
+func (cc *CampaignControls) Run(ctx context.Context, c *fault.Campaign, n int, stage string) (*fault.CampaignResult, error) {
+	if cc == nil {
+		return c.RunContext(ctx, n)
+	}
+	if cc.Shards > 1 && cc.Remote == nil {
+		return nil, fmt.Errorf("core: Shards=%d partitions campaigns dispatched to a coordinator; set Remote or leave Shards at 0", cc.Shards)
+	}
 	c.MaxRetries = cc.MaxRetries
 	c.RetryBackoff = cc.RetryBackoff
 	c.Workers = cc.Workers
@@ -96,44 +109,25 @@ func (cc *CampaignControls) configure(c *fault.Campaign, stage string) {
 		report := cc.Progress
 		c.Progress = func(done, total, failed, deadlocked int) { report(stage, done, total, failed, deadlocked) }
 	}
-}
-
-// Apply configures one campaign with the controls, opening its journal
-// when checkpointing is enabled.
-func (cc *CampaignControls) Apply(c *fault.Campaign, stage string) error {
-	if cc == nil {
-		return nil
-	}
-	cc.configure(c, stage)
-	if cc.Checkpoint != nil {
-		j, err := cc.Checkpoint.Journal(stage)
-		if err != nil {
-			return err
-		}
-		c.Journal = j
-	}
-	return nil
-}
-
-// Run executes the golden run plus n injection trials of campaign c
-// under the controls — sectioned when Sections applies, where the
-// per-section allocation replaces n — on the coordinator when
-// RemoteSpec renders the stage, else in-process with the stage's
-// journal. Every route gets the same knobs, and results match the
-// local run trial for trial.
-func (cc *CampaignControls) Run(ctx context.Context, c *fault.Campaign, n int, stage string) (*fault.CampaignResult, error) {
-	if cc == nil {
-		return c.RunContext(ctx, n)
-	}
-	if cc.Shards > 1 && cc.Remote == nil {
-		return nil, fmt.Errorf("core: Shards=%d partitions campaigns dispatched to a coordinator; set Remote or leave Shards at 0", cc.Shards)
-	}
-	cc.configure(c, stage)
 	if cc.Sections && c.Config.Ranks <= 1 {
 		c.Sections = true
 		c.Coverage = max(cc.SectionCoverage, 1)
 		c.MaxPerSection = cc.MaxPerSection
 	}
+	res, err := cc.dispatch(ctx, c, n, stage)
+	if res == nil || !c.Sections || ctx.Err() != nil {
+		return res, err
+	}
+	if cerr := composeSections(ctx, c, res); cerr != nil {
+		return nil, fmt.Errorf("core: composing %s: %w", stage, cerr)
+	}
+	return res, err
+}
+
+// dispatch runs the configured campaign on the coordinator when
+// RemoteSpec renders the stage, else in-process with the stage's
+// journal.
+func (cc *CampaignControls) dispatch(ctx context.Context, c *fault.Campaign, n int, stage string) (*fault.CampaignResult, error) {
 	if cc.Remote != nil && cc.RemoteSpec != nil {
 		if spec := cc.RemoteSpec(stage); spec != nil {
 			return cc.runRemote(ctx, c, *spec, n, stage)
@@ -147,6 +141,25 @@ func (cc *CampaignControls) Run(ctx context.Context, c *fault.Campaign, n int, s
 		c.Journal = j
 	}
 	return c.RunContext(ctx, n)
+}
+
+// composeSections sets res.Composed from the strata of sectioned
+// campaign c. A stratum with no completed trials is compose.Whole's
+// error; there is no fallback to raw shares. The section plan is
+// re-derived from c, a golden-cache hit after a local run, so local
+// and remote results compose alike.
+func composeSections(ctx context.Context, c *fault.Campaign, res *fault.CampaignResult) error {
+	prep, err := c.Prepare(ctx)
+	if err != nil {
+		return err
+	}
+	d, err := compose.Whole(compose.FromSectionResult(prep.SectionResult(res)))
+	if err != nil {
+		return err
+	}
+	composed := [fault.NumOutcomes]float64(d)
+	res.Composed = &composed
+	return nil
 }
 
 // runRemote dispatches one configured campaign to the coordinator and

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ipas/internal/campaign"
+	"ipas/internal/compose"
 	"ipas/internal/fault"
 	"ipas/internal/interp"
 	"ipas/internal/lang"
@@ -60,6 +61,25 @@ func main() {
 }
 `
 
+// remoteCampaign returns a fresh campaign over remoteSource, checked
+// like the coordinator checks inline programs: with its "exact"
+// verifier, every output equal to the golden run's.
+func remoteCampaign(t *testing.T) *fault.Campaign {
+	t.Helper()
+	m, err := lang.Compile(remoteSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := fault.Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := func(golden, faulty *interp.Result) bool {
+		return slices.Equal(faulty.OutputF, golden.OutputF) && slices.Equal(faulty.OutputI, golden.OutputI)
+	}
+	return &fault.Campaign{Prog: prog, Verify: exact, Config: interp.Config{Ranks: 1}, Seed: 21}
+}
+
 // CampaignControls.Run with Remote and RemoteSpec dispatches the stage
 // to the coordinator, split over two shards, and gets back exactly the
 // trials a local run of the same campaign produces — plain or
@@ -67,22 +87,7 @@ func main() {
 func TestRunRemoteMatchesLocal(t *testing.T) {
 	ctx := context.Background()
 	client := startCoordinator(t)
-	m, err := lang.Compile(remoteSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The coordinator checks inline programs with its "exact"
-	// verifier: every output equal to the golden run's.
-	exact := func(golden, faulty *interp.Result) bool {
-		return slices.Equal(faulty.OutputF, golden.OutputF) && slices.Equal(faulty.OutputI, golden.OutputI)
-	}
-	newCampaign := func() *fault.Campaign {
-		prog, err := fault.Compile(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &fault.Campaign{Prog: prog, Verify: exact, Config: interp.Config{Ranks: 1}, Seed: 21}
-	}
+	newCampaign := func() *fault.Campaign { return remoteCampaign(t) }
 	for _, sections := range []bool{false, true} {
 		t.Run(fmt.Sprintf("sections=%t", sections), func(t *testing.T) {
 			const n = 12
@@ -127,5 +132,49 @@ func TestRunShardsWithoutRemoteRefused(t *testing.T) {
 	cc := &CampaignControls{Shards: 4}
 	if _, err := cc.Run(context.Background(), &fault.Campaign{}, 10, "collect"); err == nil || !strings.Contains(err.Error(), "Remote") {
 		t.Fatalf("local run with Shards=4: err = %v, want a usage error naming Remote", err)
+	}
+}
+
+// A sectioned stage's Proportion, local or remote, is the
+// population-weighted composition of its own trials, not their raw
+// shares: raw shares overweight the sections whose budgets are large
+// relative to their populations.
+func TestSectionedProportionIsComposed(t *testing.T) {
+	ctx := context.Background()
+	client := startCoordinator(t)
+	for _, remote := range []bool{false, true} {
+		t.Run(fmt.Sprintf("remote=%t", remote), func(t *testing.T) {
+			cc := &CampaignControls{Sections: true, MaxPerSection: 4}
+			if remote {
+				cc.Remote = client
+				cc.RemoteSpec = func(string) *campaign.Spec {
+					return &campaign.Spec{Source: remoteSource, Verifier: "exact"}
+				}
+			}
+			c := remoteCampaign(t)
+			res, err := cc.Run(ctx, c, 0, "collect")
+			if err != nil {
+				t.Fatal(err)
+			}
+			prep, err := c.Prepare(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := compose.Whole(compose.FromSectionResult(prep.SectionResult(res)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rawDiffers := false
+			for o := range want {
+				if got := res.Proportion(fault.Outcome(o)); got != want[o] {
+					t.Fatalf("%v: Proportion %.4f, composed %.4f (raw share %d/%d)",
+						fault.Outcome(o), got, want[o], res.Counts[o], res.Completed)
+				}
+				rawDiffers = rawDiffers || float64(res.Counts[o])/float64(res.Completed) != want[o]
+			}
+			if !rawDiffers {
+				t.Fatal("the campaign's raw shares equal its composition, so the test cannot tell them apart")
+			}
+		})
 	}
 }

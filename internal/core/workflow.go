@@ -145,14 +145,8 @@ func RunContext(ctx context.Context, app *App, opts Options) (*Result, error) {
 	return RunWithDataContext(ctx, app, data, opts)
 }
 
-// RunWithData is Run with a pre-collected training set (so callers can
-// reuse one injection campaign across experiments).
-func RunWithData(app *App, data *TrainingData, opts Options) (*Result, error) {
-	return RunWithDataContext(context.Background(), app, data, opts)
-}
-
-// RunWithDataContext is RunWithData with cancellation and resilience
-// controls.
+// RunWithDataContext is RunContext with a pre-collected training set
+// (so callers can reuse one injection campaign across experiments).
 func RunWithDataContext(ctx context.Context, app *App, data *TrainingData, opts Options) (*Result, error) {
 	res := &Result{Data: data}
 

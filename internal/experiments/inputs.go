@@ -12,10 +12,7 @@ import (
 // runInputCampaign runs one Figure 9 campaign under the suite's
 // context and controls, tolerating infrastructure-degraded results.
 func (s *Suite) runInputCampaign(ctx context.Context, cc *core.CampaignControls, stage string, c *fault.Campaign) (*fault.CampaignResult, error) {
-	if err := cc.Apply(c, stage); err != nil {
-		return nil, err
-	}
-	res, err := c.RunContext(ctx, s.Params.InputTrials)
+	res, err := cc.Run(ctx, c, s.Params.InputTrials, stage)
 	if res == nil {
 		return nil, err
 	}

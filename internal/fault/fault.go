@@ -192,7 +192,15 @@ type Trial struct {
 // only.
 type CampaignResult struct {
 	Trials []Trial
+	// Counts tallies completed trials per outcome.
 	Counts [NumOutcomes]int
+	// Composed, when non-nil, is a sectioned campaign's
+	// population-weighted whole-program outcome distribution
+	// (internal/compose; core.CampaignControls.Run sets it). Proportion
+	// reports it instead of Counts' raw shares, which overweight the
+	// sections whose trial budgets are large relative to their
+	// populations.
+	Composed *[NumOutcomes]float64
 	// GoldenDyn is the fault-free total dynamic instruction count.
 	GoldenDyn int64
 	// Completed, Failed and Pending partition Trials by status.
@@ -205,8 +213,13 @@ type CampaignResult struct {
 	Deadlocks int
 }
 
-// Proportion returns the fraction of completed trials with outcome o.
+// Proportion returns the estimated probability of outcome o: the
+// fraction of completed trials with outcome o, or the composed
+// estimate of a sectioned campaign when Composed is set.
 func (c *CampaignResult) Proportion(o Outcome) float64 {
+	if c.Composed != nil {
+		return c.Composed[o]
+	}
 	if c.Completed == 0 {
 		return 0
 	}
@@ -605,14 +618,6 @@ func (p *Prepared) NewResult(plans []interp.FaultPlan) *CampaignResult {
 	return out
 }
 
-// RunTrial executes trial t under its plan with panic isolation and
-// bounded retry-with-backoff; a still-pending result means ctx was
-// cancelled. Safe for concurrent use: trials share only the immutable
-// golden result and program.
-func (p *Prepared) RunTrial(ctx context.Context, t int, plan interp.FaultPlan) Trial {
-	return p.runTrial(ctx, t, plan)
-}
-
 // Finalize recomputes the status partition and outcome statistics from
 // Trials and returns the joined per-trial infrastructure errors (nil
 // when every trial completed). Engines call it once after execution
@@ -778,9 +783,11 @@ feed:
 	return errors.Join(errs...)
 }
 
-// runTrial executes one trial with panic isolation and bounded
-// retry-with-backoff; a still-pending result means cancellation.
-func (p *Prepared) runTrial(ctx context.Context, t int, plan interp.FaultPlan) Trial {
+// RunTrial executes trial t under its plan with panic isolation and
+// bounded retry-with-backoff; a still-pending result means ctx was
+// cancelled. Safe for concurrent use: trials share only the immutable
+// golden result and program.
+func (p *Prepared) RunTrial(ctx context.Context, t int, plan interp.FaultPlan) Trial {
 	pending := Trial{Site: -1, Bit: plan.Bit, Index: plan.Index, Status: TrialPending}
 	var lastErr error
 	attempts := 0

@@ -44,26 +44,8 @@ func Bool(b bool) Val {
 	return Val{}
 }
 
-// FlipBit returns v with bit flipped, interpreting v according to t.
-// For floats the flip happens in the IEEE-754 bit pattern; for integers
-// in the two's-complement pattern truncated to the type's width.
-// The injection hook applies it to an instruction's produced value
-// before the frame-slot write, exactly once per armed run.
-func FlipBit(v Val, t *ir.Type, bit int) Val {
-	if t.IsFloat() {
-		bits := math.Float64bits(v.F)
-		bits ^= 1 << uint(bit%64)
-		return Val{F: math.Float64frombits(bits)}
-	}
-	w := t.Bits()
-	if w == 0 {
-		return v
-	}
-	flipped := v.I ^ (1 << uint(bit%w))
-	return Val{I: truncToType(t, flipped)}
-}
-
-// CorruptValue generalizes FlipBit to the pluggable error models: it
+// CorruptValue corrupts a produced value under the pluggable error
+// models, before the injection hook writes it to its frame slot: it
 // returns v corrupted per (bit, mask, correlated) and the *effective*
 // mask actually XORed into the value's bit pattern, expressed in the
 // result type's own width. The effective mask is what journals record —
@@ -78,7 +60,9 @@ func FlipBit(v Val, t *ir.Type, bit int) Val {
 //     folded positions XOR together. Folded positions can cancel — the
 //     effective mask may be zero, leaving the value unchanged (the run
 //     still counts as injected; callers see InjectedMask == 0).
-//   - otherwise: the classic single flip at bit%w (== FlipBit).
+//   - otherwise: the classic single flip at bit%w — for floats in the
+//     IEEE-754 bit pattern, for integers in the two's-complement
+//     pattern truncated to the type's width.
 //
 // Stickiness is not a per-application property: the execution loop
 // re-invokes CorruptValue with the same parameters on every subsequent

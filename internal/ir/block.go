@@ -114,13 +114,3 @@ func (b *Block) Phis() []*Instr {
 	}
 	return phis
 }
-
-// FirstNonPhi returns the first non-PHI instruction of the block.
-func (b *Block) FirstNonPhi() *Instr {
-	for _, in := range b.instrs {
-		if in.op != OpPhi {
-			return in
-		}
-	}
-	return nil
-}

@@ -300,9 +300,5 @@ func (in *Instr) clearOperands() {
 // HasResult reports whether the instruction produces a value.
 func (in *Instr) HasResult() bool { return in.typ != Void }
 
-// IsProtection reports whether the instruction was inserted by a
-// protection pass (shadow duplicate or check).
-func (in *Instr) IsProtection() bool { return in.Prot != ProtNone }
-
 // String renders the instruction in the textual IR syntax.
 func (in *Instr) String() string { return printInstr(in) }

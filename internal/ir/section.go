@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"strconv"
-	"strings"
 )
 
 // Section is one unit of the per-function partition used by sectioned
@@ -171,17 +170,3 @@ func ModuleSections(m *Module) *Sections {
 // IDs are assigned in layout order, which is the iteration order
 // above). The slice is shared; callers must not mutate it.
 func (ms *Sections) Sites(sec int) []int { return ms.sites[sec] }
-
-// Describe renders a one-line-per-section summary (debugging aid).
-func (ms *Sections) Describe() string {
-	var sb strings.Builder
-	for _, s := range ms.All {
-		sb.WriteString(s.String())
-		sb.WriteString(" blocks=")
-		sb.WriteString(strconv.Itoa(len(s.Blocks)))
-		sb.WriteString(" sites=")
-		sb.WriteString(strconv.Itoa(len(ms.sites[s.ID])))
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}

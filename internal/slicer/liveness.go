@@ -150,13 +150,6 @@ func (l *Liveness) LiveAtInstr(instr *ir.Instr) []ir.Value {
 	return nil
 }
 
-// LiveAt is the one-shot convenience API: the values live immediately
-// before instr in fn. Callers querying many points should build a
-// Liveness once and use LiveAtInstr.
-func LiveAt(fn *ir.Func, instr *ir.Instr) []ir.Value {
-	return NewLiveness(fn).LiveAtInstr(instr)
-}
-
 // sortedValues renders a live set deterministically: parameters and
 // instruction results sorted by their SSA names.
 func sortedValues(set map[ir.Value]bool) []ir.Value {

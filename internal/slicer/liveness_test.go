@@ -83,14 +83,14 @@ func TestLiveAtInstr(t *testing.T) {
 	fn := ir.MustParse(liveSrc).FuncByName("main")
 
 	// Immediately before %acc1 = add %acc, %sq: both operands live.
-	at := names(LiveAt(fn, findInstr(fn, "acc1")))
+	at := names(NewLiveness(fn).LiveAtInstr(findInstr(fn, "acc1")))
 	for _, want := range []string{"acc", "sq", "i", "n"} {
 		if !at[want] {
 			t.Errorf("%s must be live before acc1, got %v", want, at)
 		}
 	}
 	// %sq dies at its single use: not live before %i1.
-	at = names(LiveAt(fn, findInstr(fn, "i1")))
+	at = names(NewLiveness(fn).LiveAtInstr(findInstr(fn, "i1")))
 	if at["sq"] {
 		t.Errorf("sq must be dead before i1, got %v", at)
 	}
