@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short vet lint race ci bench bench-svm bench-all bench-smoke bench-check bench-compose compose-smoke chaos-smoke server-chaos-smoke errmodel-smoke fuzz-smoke fuzz-nightly ipasbench-test experiments experiments-paper examples clean
+.PHONY: build test test-short vet lint race ci bench bench-svm bench-all bench-smoke bench-check compose-smoke chaos-smoke server-chaos-smoke errmodel-smoke fuzz-smoke fuzz-nightly ipasbench-test experiments experiments-paper examples clean
 
 build:
 	$(GO) build ./...
@@ -61,13 +61,17 @@ bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_INTERP)' -benchtime=2s . \
 		| $(GO) run ./cmd/bench2json -o BENCH_interp.json
 
-# SVM training-pipeline benchmarks (serial baseline vs pooled search
-# with the kernel cache, plus the cache's miss/hit unit costs),
-# recorded in BENCH_svm.json. The grid search runs a fixed iteration
-# count because one search takes seconds; the cache benches need many
-# iterations to resolve the ns-scale hit path.
+# SVM training-pipeline benchmarks on the training set workflow-is
+# trains on (internal/svm/testdata/train-IS.json): the quick-grid
+# search (serial baseline vs pooled search with the kernel cache), one
+# capped solve (flat row-at-a-time oracle vs the duplicate-row
+# solver), and the cache's miss/hit unit costs, recorded in
+# BENCH_svm.json. The grid search runs a fixed iteration count because
+# one search takes a second; the cache benches need many iterations to
+# resolve the ns-scale hit path.
 bench-svm:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkGridSearch' -benchtime=2x ./internal/svm && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkSolve' -benchtime=50x ./internal/svm && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkKernelCache' -benchtime=1000x ./internal/svm; } \
 		| $(GO) run ./cmd/bench2json -o BENCH_svm.json
 
@@ -77,6 +81,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH_INTERP)' -benchtime=1x . \
 		| $(GO) run ./cmd/bench2json -o bench_smoke_interp.json
 	{ $(GO) test -run '^$$' -bench 'BenchmarkGridSearch' -benchtime=1x ./internal/svm && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkSolve' -benchtime=5x ./internal/svm && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkKernelCache' -benchtime=100x ./internal/svm; } \
 		| $(GO) run ./cmd/bench2json -o bench_smoke_svm.json
 
@@ -92,20 +97,14 @@ bench-check: bench-smoke
 # whole-program distribution must agree with a monolithic campaign on
 # the two fastest workloads, an edited program must refuse the old
 # program's journal, sectioned or plain, and match a fresh run
-# (internal/compose/differential_test.go), and the analytic
-# trial-count advantage is regenerated and diffed against the
-# checked-in BENCH_compose.json — the counts are exact and
-# machine-independent, so the benchdiff gate catches any allocation
-# that balloons. Regenerate the reference with `make bench-compose`.
+# (internal/compose/differential_test.go), and every workload's
+# analytic sectioned and monolithic-equivalent trial counts must equal
+# the recorded ones exactly, with a ≥5× aggregate reduction
+# (internal/compose/trialcount_test.go) — the counts are
+# machine-independent, so any allocation change fails here.
 compose-smoke:
 	$(GO) test -race -shuffle=on -count=1 -timeout=10m \
-		-run 'TestDifferentialComposedVsMonolithic/(FFT|IS)|TestEditedProgramRefusesOldJournal' ./internal/compose
-	$(GO) run ./cmd/composebench -o bench_smoke_compose.json
-	$(GO) run ./cmd/benchdiff -base BENCH_compose.json -min-ns 1 bench_smoke_compose.json
-
-# Regenerate the checked-in sectioned-vs-monolithic trial-count report.
-bench-compose:
-	$(GO) run ./cmd/composebench -o BENCH_compose.json
+		-run 'TestDifferentialComposedVsMonolithic/(FFT|IS)|TestEditedProgramRefusesOldJournal|TestSectionedTrialCounts' ./internal/compose
 
 # Crash/resume tests under the race detector: campaigns cancelled
 # mid-run (plain and sectioned, per error model, and on a golden-cache
@@ -157,21 +156,27 @@ errmodel-smoke:
 # plans (see FuzzDifferential); the simulated MPI runtime, under the race
 # detector, must keep outcome classes schedule-independent and
 # clean/deadlock results bit-identical on random rank programs with
-# random comm patterns (see FuzzMPISchedule). CI runs this as a
-# smoke; run either open-ended with a larger -fuzztime to go hunting.
+# random comm patterns (see FuzzMPISchedule); and the duplicate-row
+# SMO solver must return models bit-identical to the row-at-a-time
+# oracle on small problems with forced duplicates (see FuzzSolve). CI
+# runs this as a smoke; run any of them open-ended with a larger
+# -fuzztime to go hunting.
 fuzz-smoke:
 	$(GO) test -run '^FuzzDifferential$$' -fuzz '^FuzzDifferential$$' -fuzztime 10s ./internal/interp
 	$(GO) test -run '^FuzzMPISchedule$$' -fuzz '^FuzzMPISchedule$$' -fuzztime 10s -race ./internal/interp
+	$(GO) test -run '^FuzzSolve$$' -fuzz '^FuzzSolve$$' -fuzztime 10s ./internal/svm
 
 # Long-running fuzz of the differential oracle (fast loop vs
 # instrumented loop vs snapshot-resumed run vs IR reference walker,
-# with its sectioned snapshot leg) and the MPI schedule invariants. The nightly CI job runs each for 10
-# minutes and uploads any crashers from testdata/fuzz as artifacts;
-# FUZZTIME overrides the budget locally.
+# with its sectioned snapshot leg), the MPI schedule invariants and
+# the duplicate-row SMO solver against its flat oracle. The nightly CI
+# job runs each for 10 minutes and uploads any crashers from
+# testdata/fuzz as artifacts; FUZZTIME overrides the budget locally.
 FUZZTIME ?= 10m
 fuzz-nightly:
 	$(GO) test -run '^FuzzDifferential$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME) ./internal/interp
 	$(GO) test -run '^FuzzMPISchedule$$' -fuzz '^FuzzMPISchedule$$' -fuzztime $(FUZZTIME) -race ./internal/interp
+	$(GO) test -run '^FuzzSolve$$' -fuzz '^FuzzSolve$$' -fuzztime $(FUZZTIME) ./internal/svm
 
 # Vet and test the repository benchmark (cmd/ipasbench). It is its own
 # Go module, so the root `go test ./...` skips it; this builds it
@@ -199,4 +204,4 @@ examples:
 	$(GO) run ./examples/mpiscaling
 
 clean:
-	rm -f bench_output.txt test_output.txt bench_smoke_interp.json bench_smoke_svm.json bench_smoke_compose.json
+	rm -f bench_output.txt test_output.txt bench_smoke_interp.json bench_smoke_svm.json

@@ -225,6 +225,30 @@ func main() {
 	}
 	w.Flush()
 
+	// The trained variants' grid points and whether their solves
+	// converged: a solve stopped at the SMO iteration cap is scored
+	// and deployed as if it were trained.
+	folds := opts.Grid.Folds
+	if folds <= 0 {
+		folds = 5
+	}
+	fmt.Println()
+	w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w, "classifier\tC\tgamma\tCV F-score\tcapped folds\tfinal fit")
+	for _, v := range res.AllVariants() {
+		if v.Classifier == nil {
+			continue
+		}
+		cfg := v.Classifier.Config
+		fit := "converged"
+		if v.Classifier.Model.Capped {
+			fit = "capped"
+		}
+		fmt.Fprintf(w, "%s\t%.4g\t%.4g\t%.3f\t%d/%d\t%s\n",
+			v.Label(), cfg.Params.C, cfg.Params.Gamma, cfg.CV.FScore, cfg.CV.CappedFolds, folds, fit)
+	}
+	w.Flush()
+
 	for _, v := range res.AllVariants() {
 		if v.Coverage.Failed > 0 {
 			fmt.Fprintf(os.Stderr, "ipas: degraded %s evaluation: %s\n", v.Label(), v.Coverage.ErrorSummary())

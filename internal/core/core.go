@@ -154,7 +154,10 @@ func pm1(b bool) int {
 	return -1
 }
 
-// Classifier is a trained, scaled site classifier.
+// Classifier is a trained, scaled site classifier. Config is its grid
+// point with the cross-validation result (CV.CappedFolds counts folds
+// whose solve stopped at the SMO iteration cap), and Model.Capped says
+// whether the final fit on the whole training set stopped there too.
 type Classifier struct {
 	Model  *svm.Model
 	Scaler *svm.Scaler

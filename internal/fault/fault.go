@@ -312,7 +312,7 @@ type Campaign struct {
 	// MaxPerSection caps one section's trial allocation (test and
 	// smoke-run budgets); 0 = uncapped. Capping trades per-site
 	// coverage in hot sections for bounded wall clock; the analytic
-	// trial-count comparison (cmd/composebench) always reports the
+	// trial-count comparison (SectionPlan.MonoTrials) always uses the
 	// uncapped numbers.
 	MaxPerSection int
 	// Workers bounds concurrent trial execution (default: GOMAXPROCS).

@@ -37,6 +37,9 @@ type CVResult struct {
 	// PredictedPos is the fraction of all held-out samples predicted
 	// positive, an overhead proxy used in reporting.
 	PredictedPos float64
+	// CappedFolds counts the folds whose training solve stopped at
+	// Params.MaxIter (Model.Capped). The ranking ignores it.
+	CappedFolds int
 }
 
 // foldSplit is one precomputed train/test partition: grid search
@@ -98,6 +101,7 @@ func CrossValidate(p *Problem, params Params, dist [][]float64, k int) (CVResult
 		if err != nil {
 			return CVResult{}, err
 		}
+		agg.fold(model)
 		for _, i := range sp.test {
 			agg.add(p.Y[i], model.Predict(p.X[i]))
 		}
@@ -130,6 +134,7 @@ func crossValidateKernel(ctx context.Context, p *Problem, params Params, kernel 
 		if err != nil {
 			return CVResult{}, err
 		}
+		agg.fold(model)
 		for _, i := range sp.test {
 			// Decision by kernel lookup: kernel[sv][i] carries the
 			// identical bits rbf(SV, x) would produce, in the same
@@ -148,9 +153,16 @@ func crossValidateKernel(ctx context.Context, p *Problem, params Params, kernel 
 	return agg.result(), nil
 }
 
-// cvAccum tallies per-class hit counts across folds.
+// cvAccum tallies per-class hit counts and capped solves across folds.
 type cvAccum struct {
 	ok1, n1, ok2, n2, predPos, total int
+	capped                           int
+}
+
+func (a *cvAccum) fold(m *Model) {
+	if m.Capped {
+		a.capped++
+	}
 }
 
 func (a *cvAccum) add(label, pred int) {
@@ -172,7 +184,7 @@ func (a *cvAccum) add(label, pred int) {
 }
 
 func (a *cvAccum) result() CVResult {
-	res := CVResult{}
+	res := CVResult{CappedFolds: a.capped}
 	if a.n1 > 0 {
 		res.Acc1 = float64(a.ok1) / float64(a.n1)
 	}

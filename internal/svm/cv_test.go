@@ -67,3 +67,37 @@ func TestCrossValidateSingleClassFold(t *testing.T) {
 		t.Fatalf("%d degenerate folds, want 1", degenerate)
 	}
 }
+
+// TestCrossValidateCountsCappedFolds pins CappedFolds on the IS
+// training set under IPAS labels: at C ≈ 3728, γ = 0.01 every fold's
+// solve stops at the default cap (26 of the 48 quick-grid points cap
+// on all five folds), while C = 1, γ = 1 converges on every fold.
+func TestCrossValidateCountsCappedFolds(t *testing.T) {
+	p := loadProblem(t, "IS", false)
+	wPos, wNeg := classWeights(p)
+	spec := QuickGrid()
+	dist := SqDistMatrix(p.X)
+	for _, tc := range []struct {
+		c, gamma float64
+		capped   int
+	}{
+		{spec.Cs[5], spec.Gammas[3], 5},
+		{spec.Cs[0], spec.Gammas[5], 0},
+	} {
+		params := Params{C: tc.c, Gamma: tc.gamma, WeightPos: wPos, WeightNeg: wNeg}
+		res, err := CrossValidateContext(context.Background(), p, params, kernelMatrix(dist, tc.gamma), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CappedFolds != tc.capped {
+			t.Fatalf("C=%g γ=%g: %d capped folds, want %d", tc.c, tc.gamma, res.CappedFolds, tc.capped)
+		}
+		ref, err := CrossValidate(p, params, dist, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.CappedFolds != tc.capped {
+			t.Fatalf("C=%g γ=%g: reference path counts %d capped folds, want %d", tc.c, tc.gamma, ref.CappedFolds, tc.capped)
+		}
+	}
+}

@@ -139,6 +139,7 @@ func flattenConfigs(cfgs []Config) [][]uint64 {
 			math.Float64bits(c.CV.Acc2),
 			math.Float64bits(c.CV.FScore),
 			math.Float64bits(c.CV.PredictedPos),
+			uint64(c.CV.CappedFolds),
 		}
 	}
 	return out

@@ -100,11 +100,12 @@ func TestCrossValidateKernelMatchesReference(t *testing.T) {
 	}
 }
 
-func cvBits(r CVResult) [4]uint64 {
-	return [4]uint64{
+func cvBits(r CVResult) [5]uint64 {
+	return [5]uint64{
 		math.Float64bits(r.Acc1),
 		math.Float64bits(r.Acc2),
 		math.Float64bits(r.FScore),
 		math.Float64bits(r.PredictedPos),
+		uint64(r.CappedFolds),
 	}
 }

@@ -2,6 +2,7 @@ package svm
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -35,7 +36,9 @@ func TrainWithDist(p *Problem, params Params, dist [][]float64, idx []int) (*Mod
 // params.Gamma over a superset of samples (see KernelCache). idx maps
 // problem rows to kernel-matrix rows (nil means identity). Because the
 // cached kernel entries are the same exp(-γ·d) values TrainWithDist
-// computes, the resulting model is bit-identical.
+// computes, the resulting model is bit-identical. The matrix must be
+// a function of the feature vectors, as KernelCache's is: rows with
+// identical features are trained from one representative's entries.
 func TrainWithKernel(ctx context.Context, p *Problem, params Params, kernel [][]float64, idx []int) (*Model, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -52,22 +55,21 @@ func trainDist(ctx context.Context, p *Problem, params Params, dist [][]float64,
 	if idx == nil {
 		idx = identity(n)
 	}
-	// Kernel matrix for this gamma.
-	K := newSquare(n)
-	for i := 0; i < n; i++ {
-		di := dist[idx[i]]
-		for j := 0; j < n; j++ {
-			K[i][j] = math.Exp(-params.Gamma * di[idx[j]])
+	m, _, err := solve(ctx, p, params, func(reps []int, K []float64) {
+		for a, ra := range reps {
+			row, Ka := dist[idx[ra]], K[a*len(reps):]
+			for b, rb := range reps {
+				Ka[b] = math.Exp(-params.Gamma * row[idx[rb]])
+			}
 		}
-	}
-	m, _, err := solve(ctx, p, params, K)
+	})
 	return m, err
 }
 
-// trainKernel fits a model on the sub-kernel selected by idx from a
-// full kernel matrix. It additionally returns, for each support vector,
-// its row index in the full matrix, so cross validation can score
-// held-out samples by kernel lookup instead of recomputing exp(-γ·d).
+// trainKernel fits a model on the rows idx of a full kernel matrix. It
+// additionally returns, for each support vector, its row index in the
+// full matrix, so cross validation can score held-out samples by
+// kernel lookup instead of recomputing exp(-γ·d).
 func trainKernel(ctx context.Context, p *Problem, params Params, kernel [][]float64, idx []int) (*Model, []int, error) {
 	n := len(p.X)
 	if n == 0 {
@@ -76,15 +78,14 @@ func trainKernel(ctx context.Context, p *Problem, params Params, kernel [][]floa
 	if idx == nil {
 		idx = identity(n)
 	}
-	K := newSquare(n)
-	for i := 0; i < n; i++ {
-		ki := kernel[idx[i]]
-		row := K[i]
-		for j := 0; j < n; j++ {
-			row[j] = ki[idx[j]]
+	m, sv, err := solve(ctx, p, params, func(reps []int, K []float64) {
+		for a, ra := range reps {
+			row, Ka := kernel[idx[ra]], K[a*len(reps):]
+			for b, rb := range reps {
+				Ka[b] = row[idx[rb]]
+			}
 		}
-	}
-	m, sv, err := solve(ctx, p, params, K)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -118,31 +119,85 @@ func newSquare(n int) [][]float64 {
 // honours a cancel within microseconds.
 const ctxCheckInterval = 1024
 
-// solve runs SMO with maximal-violating-pair selection on the dense
-// kernel matrix K and assembles the model. It returns the problem-row
-// indices of the support vectors alongside.
+// solve runs SMO with maximal-violating-pair selection and assembles
+// the model. kernel fills K, row-major, with the kernel entries of the
+// problem rows reps: K[a·len(reps)+b] for reps[a] and reps[b]. It
+// returns the problem-row indices of the support vectors alongside.
 //
 // We solve: min 1/2 αᵀQα - eᵀα, 0 ≤ α_i ≤ C_i, yᵀα = 0,
 // where Q_ij = y_i y_j K_ij. G is the gradient Qα - e.
-func solve(ctx context.Context, p *Problem, params Params, K [][]float64) (*Model, []int, error) {
+//
+// Rows with bitwise-identical (x, y) have identical kernel rows, so
+// they keep bitwise-identical gradients for the whole solve: G, the
+// labels, the penalties and the kernel are held once per such group
+// (dupGroups), while α stays per row. Each scan visits a group through
+// its first member that may move, and exact ties between groups go to
+// the lowest row, so every iteration picks the pair the row-at-a-time
+// loop would and the model is bit-identical to it (DESIGN.md §8,
+// "Duplicate rows").
+func solve(ctx context.Context, p *Problem, params Params, kernel func(reps []int, K []float64)) (*Model, []int, error) {
 	n := len(p.X)
 	params = params.withDefaults(n)
 
-	y := make([]float64, n)
-	cN := make([]float64, n) // per-sample penalty
-	for i, yi := range p.Y {
-		y[i] = float64(yi)
-		if yi == 1 {
-			cN[i] = params.C * params.WeightPos
+	of, members := dupGroups(p)
+	ng := len(members)
+	gy := make([]float64, ng) // label
+	gc := make([]float64, ng) // penalty
+	G := make([]float64, ng)
+	up := make([]int, ng)  // first member in I_up, or -1
+	low := make([]int, ng) // first member in I_low, or -1
+	states := make([]boundRuns, ng)
+	reps := make([]int, ng)
+	for g, rows := range members {
+		G[g] = -1
+		if p.Y[rows[0]] == 1 {
+			gy[g], gc[g] = 1, params.C*params.WeightPos
 		} else {
-			cN[i] = params.C * params.WeightNeg
+			gy[g], gc[g] = -1, params.C*params.WeightNeg
+		}
+		reps[g] = rows[0]
+	}
+	K := make([]float64, ng*ng) // K[a*ng+b]: kernel of groups a and b
+	kernel(reps, K)
+	// refresh re-derives a group's scan representatives from its α
+	// states: the first member below C and the first above 0, which
+	// are I_up and I_low for y = +1 and the other way round for -1.
+	refresh := func(g int) {
+		below, above := states[g].first(atUpper), states[g].first(atLower)
+		if gy[g] < 0 {
+			below, above = above, below
+		}
+		up[g], low[g] = -1, -1
+		if below >= 0 {
+			up[g] = members[g][below]
+		}
+		if above >= 0 {
+			low[g] = members[g][above]
+		}
+	}
+	runs := make([]boundRun, n) // a group never has more runs than members
+	for g, rows := range members {
+		if 0 < gc[g] {
+			states[g] = append(runs[:0:len(rows)], boundRun{atLower, int32(len(rows))})
+			runs = runs[len(rows):]
+			refresh(g)
+		} else {
+			// No α of the group can leave 0 (a non-positive or NaN
+			// penalty), so none is ever selected.
+			up[g], low[g] = -1, -1
 		}
 	}
 
 	alpha := make([]float64, n)
-	G := make([]float64, n)
-	for i := range G {
-		G[i] = -1
+	// Select i, the maximal violator: the largest -y·G over I_up.
+	i, gi := -1, -1
+	gmax := math.Inf(-1)
+	for g := 0; g < ng; g++ {
+		if r := up[g]; r >= 0 {
+			if v := -gy[g] * G[g]; v > gmax || (v == gmax && r < i) {
+				gmax, i, gi = v, r, g
+			}
+		}
 	}
 
 	iter := 0
@@ -152,39 +207,32 @@ func solve(ctx context.Context, p *Problem, params Params, K [][]float64) (*Mode
 				return nil, nil, err
 			}
 		}
-		// Select the maximal violating pair (i, j).
-		i, j := -1, -1
-		gmax, gmin := math.Inf(-1), math.Inf(1)
-		for t := 0; t < n; t++ {
-			if (y[t] > 0 && alpha[t] < cN[t]) || (y[t] < 0 && alpha[t] > 0) {
-				if v := -y[t] * G[t]; v > gmax {
-					gmax = v
-					i = t
-				}
-			}
-		}
 		if i < 0 {
 			break
 		}
 		// Second-order selection (LIBSVM WSS2): among violating j,
 		// pick the one with the largest decrease of the objective.
-		objMin := math.Inf(1)
-		for t := 0; t < n; t++ {
-			if (y[t] > 0 && alpha[t] > 0) || (y[t] < 0 && alpha[t] < cN[t]) {
-				gt := -y[t] * G[t]
-				if gt < gmin {
-					gmin = gt
+		j, gj := -1, -1
+		gmin, objMin := math.Inf(1), math.Inf(1)
+		ki := K[gi*ng : gi*ng+ng]
+		yi := gy[gi]
+		for g := 0; g < ng; g++ {
+			r := low[g]
+			if r < 0 {
+				continue
+			}
+			gt := -gy[g] * G[g]
+			if gt < gmin {
+				gmin = gt
+			}
+			diff := gmax - gt
+			if diff > 0 {
+				quad := ki[gi] + K[g*ng+g] - 2*yi*gy[g]*ki[g]
+				if quad <= 0 {
+					quad = 1e-12
 				}
-				diff := gmax - gt
-				if diff > 0 {
-					quad := K[i][i] + K[t][t] - 2*y[i]*y[t]*K[i][t]
-					if quad <= 0 {
-						quad = 1e-12
-					}
-					if obj := -diff * diff / quad; obj < objMin {
-						objMin = obj
-						j = t
-					}
+				if obj := -diff * diff / quad; obj < objMin || (obj == objMin && r < j) {
+					objMin, j, gj = obj, r, g
 				}
 			}
 		}
@@ -193,42 +241,58 @@ func solve(ctx context.Context, p *Problem, params Params, K [][]float64) (*Mode
 		}
 
 		// Analytic update of the pair.
-		quad := K[i][i] + K[j][j] - 2*y[i]*y[j]*K[i][j]
+		yj := gy[gj]
+		quad := ki[gi] + K[gj*ng+gj] - 2*yi*yj*ki[gj]
 		if quad <= 0 {
 			quad = 1e-12
 		}
-		delta := (-y[i]*G[i] + y[j]*G[j]) / quad
+		delta := (-yi*G[gi] + yj*G[gj]) / quad
 		oldAi, oldAj := alpha[i], alpha[j]
-		alpha[i] += y[i] * delta
-		alpha[j] -= y[j] * delta
 
 		// Clip to the feasible box keeping yᵀα constant.
-		sum := y[i]*oldAi + y[j]*oldAj
-		alpha[i] = clamp(alpha[i], 0, cN[i])
-		alpha[j] = y[j] * (sum - y[i]*alpha[i])
-		alpha[j] = clamp(alpha[j], 0, cN[j])
-		alpha[i] = y[i] * (sum - y[j]*alpha[j])
-		alpha[i] = clamp(alpha[i], 0, cN[i])
+		sum := yi*oldAi + yj*oldAj
+		ai := clamp(oldAi+yi*delta, 0, gc[gi])
+		aj := clamp(yj*(sum-yi*ai), 0, gc[gj])
+		ai = clamp(yi*(sum-yj*aj), 0, gc[gi])
+		alpha[i], alpha[j] = ai, aj
 
-		dAi, dAj := alpha[i]-oldAi, alpha[j]-oldAj
+		dAi, dAj := ai-oldAi, aj-oldAj
 		if dAi == 0 && dAj == 0 {
 			break
 		}
-		for t := 0; t < n; t++ {
-			G[t] += y[t] * (y[i]*K[i][t]*dAi + y[j]*K[j][t]*dAj)
+		// i and j were their groups' representatives, so they sit at
+		// the positions refresh found them at.
+		states[gi].set(members[gi], i, boundOf(ai, gc[gi]))
+		states[gj].set(members[gj], j, boundOf(aj, gc[gj]))
+		refresh(gi)
+		refresh(gj)
+
+		// Gradient update, fused with the next iteration's i-scan.
+		kj := K[gj*ng : gj*ng+ng]
+		i, gi, gmax = -1, -1, math.Inf(-1)
+		for g := 0; g < ng; g++ {
+			G[g] += gy[g] * (yi*ki[g]*dAi + yj*kj[g]*dAj)
+			if r := up[g]; r >= 0 {
+				if v := -gy[g] * G[g]; v > gmax || (v == gmax && r < i) {
+					gmax, i, gi = v, r, g
+				}
+			}
 		}
 	}
 
 	// Bias: average -y_t G_t over free vectors, or the KKT midpoint.
+	// Summed per row, in row order, as the bits depend on the order.
 	var bSum float64
 	nFree := 0
 	lb, ub := math.Inf(-1), math.Inf(1)
 	for t := 0; t < n; t++ {
-		v := -y[t] * G[t]
-		if alpha[t] > 0 && alpha[t] < cN[t] {
+		g := of[t]
+		yt, ct := gy[g], gc[g]
+		v := -yt * G[g]
+		if alpha[t] > 0 && alpha[t] < ct {
 			bSum += v
 			nFree++
-		} else if (y[t] > 0 && alpha[t] == 0) || (y[t] < 0 && alpha[t] == cN[t]) {
+		} else if (yt > 0 && alpha[t] == 0) || (yt < 0 && alpha[t] == ct) {
 			if v > lb {
 				lb = v
 			}
@@ -245,16 +309,132 @@ func solve(ctx context.Context, p *Problem, params Params, K [][]float64) (*Mode
 		b = (lb + ub) / 2
 	}
 
-	m := &Model{Gamma: params.Gamma, B: b, Iters: iter}
+	m := &Model{Gamma: params.Gamma, B: b, Iters: iter, Capped: iter == params.MaxIter}
 	var sv []int
 	for t := 0; t < n; t++ {
 		if alpha[t] > 0 {
 			m.SV = append(m.SV, p.X[t])
-			m.Coef = append(m.Coef, alpha[t]*y[t])
+			m.Coef = append(m.Coef, alpha[t]*gy[of[t]])
 			sv = append(sv, t)
 		}
 	}
 	return m, sv, nil
+}
+
+// dupGroups partitions the rows of p into groups of bitwise-identical
+// (x, y), numbered in order of first appearance. It returns each row's
+// group and each group's rows in ascending order. A row holding a
+// non-finite feature stays alone: its distance to an equal row is NaN,
+// not the 0 of its distance to itself.
+func dupGroups(p *Problem) (of []int, members [][]int) {
+	of = make([]int, len(p.X))
+	index := make(map[string]int)
+	var key []byte
+	for t, x := range p.X {
+		key = append(key[:0], byte(p.Y[t]))
+		finite := true
+		for _, v := range x {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				finite = false
+				break
+			}
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
+		}
+		g, ok := index[string(key)]
+		if !finite || !ok {
+			g = len(members)
+			members = append(members, nil)
+			if finite {
+				index[string(key)] = g
+			}
+		}
+		of[t] = g
+		members[g] = append(members[g], t)
+	}
+	return of, members
+}
+
+// The bound state of one α, as the working-set tests see it.
+const (
+	atLower uint8 = iota // α ≤ 0
+	atUpper              // α ≥ C
+	free                 // 0 < α < C
+)
+
+func boundOf(a, c float64) uint8 {
+	switch above, below := a > 0, a < c; {
+	case above && !below:
+		return atUpper
+	case below && !above:
+		return atLower
+	}
+	// Free, or a NaN α: then every gradient is NaN as well, and the
+	// next i-scan ends the solve whatever the states say.
+	return free
+}
+
+// boundRuns holds the α states of one group's members in row order as
+// maximal runs of members at the same bound (a free member is a run of
+// its own), stored back to front: the last run starts at the group's
+// first member. A scan only ever picks a group's first member below C
+// or its first member above 0, and one of the two is the first member,
+// so every α change lands at the start of the first or the second run
+// and costs O(1): at most one run is split and two are merged.
+type boundRuns []boundRun
+
+type boundRun struct {
+	state uint8
+	n     int32
+}
+
+// first returns the position of the first member whose state is not
+// s, or -1 if every member's is.
+func (r boundRuns) first(s uint8) int {
+	top := r[len(r)-1]
+	switch {
+	case top.state != s:
+		return 0
+	case len(r) == 1:
+		return -1
+	}
+	return int(top.n)
+}
+
+// set moves member row, at position 0 or at the start of the second
+// run, to state s.
+func (r *boundRuns) set(members []int, row int, s uint8) {
+	if members[0] == row {
+		r.setHead(s)
+		return
+	}
+	rs := *r
+	top := rs[len(rs)-1]
+	*r = rs[:len(rs)-1]
+	r.setHead(s)
+	r.push(top)
+}
+
+func (r *boundRuns) setHead(s uint8) {
+	rs := *r
+	last := len(rs) - 1
+	if rs[last].state == s && s != free {
+		return
+	}
+	if rs[last].n == 1 {
+		*r = rs[:last]
+	} else {
+		rs[last].n--
+	}
+	r.push(boundRun{s, 1})
+}
+
+func (r *boundRuns) push(b boundRun) {
+	rs := *r
+	if k := len(rs); k > 0 && b.state != free && rs[k-1].state == b.state {
+		rs[k-1].n += b.n
+		return
+	}
+	*r = append(rs, b)
 }
 
 func clamp(v, lo, hi float64) float64 {

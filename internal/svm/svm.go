@@ -99,6 +99,10 @@ type Model struct {
 	B    float64
 	// Iters reports SMO iterations used in training.
 	Iters int
+	// Capped reports that SMO stopped at Params.MaxIter instead of
+	// meeting the KKT tolerance: the model is an unconverged solve.
+	// Like Iters, it is not serialized.
+	Capped bool
 }
 
 // Decision returns the decision value f(x); the predicted class is its
