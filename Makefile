@@ -35,10 +35,10 @@ test-short:
 	$(GO) test -short ./...
 
 # Race-detector run with shuffled test order; the campaign engine and
-# the SVM training pipeline are concurrent (worker pools, kernel cache,
-# journal writes, progress callbacks, cancellation), so this is the
-# test mode that matters for them, and shuffling catches accidental
-# inter-test ordering dependencies.
+# the SVM training pipeline are concurrent (worker pools, journal
+# writes, progress callbacks, cancellation), so this is the test mode
+# that matters for them, and shuffling catches accidental inter-test
+# ordering dependencies.
 race:
 	$(GO) test -race -shuffle=on -timeout=30m ./...
 
@@ -63,16 +63,14 @@ bench:
 
 # SVM training-pipeline benchmarks on the training set workflow-is
 # trains on (internal/svm/testdata/train-IS.json): the quick-grid
-# search (serial baseline vs pooled search with the kernel cache), one
-# capped solve (flat row-at-a-time oracle vs the duplicate-row
-# solver), and the cache's miss/hit unit costs, recorded in
-# BENCH_svm.json. The grid search runs a fixed iteration count because
-# one search takes a second; the cache benches need many iterations to
-# resolve the ns-scale hit path.
+# search (serial test oracle vs the pooled search, which exponentiates
+# one kernel table over the distinct feature vectors per grid point)
+# and one capped solve (flat row-at-a-time oracle vs the duplicate-row
+# solver), recorded in BENCH_svm.json. The grid search runs a fixed
+# iteration count because one search takes a second.
 bench-svm:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkGridSearch' -benchtime=2x ./internal/svm && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSolve' -benchtime=50x ./internal/svm && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkKernelCache' -benchtime=1000x ./internal/svm; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkSolve' -benchtime=50x ./internal/svm; } \
 		| $(GO) run ./cmd/bench2json -o BENCH_svm.json
 
 # Single-iteration smoke of the recorded benchmarks (what CI runs):
@@ -81,8 +79,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH_INTERP)' -benchtime=1x . \
 		| $(GO) run ./cmd/bench2json -o bench_smoke_interp.json
 	{ $(GO) test -run '^$$' -bench 'BenchmarkGridSearch' -benchtime=1x ./internal/svm && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSolve' -benchtime=5x ./internal/svm && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkKernelCache' -benchtime=100x ./internal/svm; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkSolve' -benchtime=5x ./internal/svm; } \
 		| $(GO) run ./cmd/bench2json -o bench_smoke_svm.json
 
 # Bench-regression gate: smoke-run the benchmarks and compare against
@@ -156,27 +153,32 @@ errmodel-smoke:
 # plans (see FuzzDifferential); the simulated MPI runtime, under the race
 # detector, must keep outcome classes schedule-independent and
 # clean/deadlock results bit-identical on random rank programs with
-# random comm patterns (see FuzzMPISchedule); and the duplicate-row
-# SMO solver must return models bit-identical to the row-at-a-time
-# oracle on small problems with forced duplicates (see FuzzSolve). CI
-# runs this as a smoke; run any of them open-ended with a larger
-# -fuzztime to go hunting.
+# random comm patterns (see FuzzMPISchedule); the duplicate-row SMO
+# solver must return models bit-identical to the row-at-a-time oracle
+# on small problems with forced duplicates (see FuzzSolve); and the IR
+# parser irun reads .ir files with must return line-numbered errors,
+# never panic, and round-trip what it accepts (see FuzzParse). CI runs
+# this as a smoke; run any of them open-ended with a larger -fuzztime
+# to go hunting.
 fuzz-smoke:
 	$(GO) test -run '^FuzzDifferential$$' -fuzz '^FuzzDifferential$$' -fuzztime 10s ./internal/interp
 	$(GO) test -run '^FuzzMPISchedule$$' -fuzz '^FuzzMPISchedule$$' -fuzztime 10s -race ./internal/interp
 	$(GO) test -run '^FuzzSolve$$' -fuzz '^FuzzSolve$$' -fuzztime 10s ./internal/svm
+	$(GO) test -run '^FuzzParse$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/ir
 
 # Long-running fuzz of the differential oracle (fast loop vs
 # instrumented loop vs snapshot-resumed run vs IR reference walker,
-# with its sectioned snapshot leg), the MPI schedule invariants and
-# the duplicate-row SMO solver against its flat oracle. The nightly CI
-# job runs each for 10 minutes and uploads any crashers from
-# testdata/fuzz as artifacts; FUZZTIME overrides the budget locally.
+# with its sectioned snapshot leg), the MPI schedule invariants, the
+# duplicate-row SMO solver against its flat oracle and the IR parser.
+# The nightly CI job runs each for 10 minutes and uploads any crashers
+# from testdata/fuzz as artifacts; FUZZTIME overrides the budget
+# locally.
 FUZZTIME ?= 10m
 fuzz-nightly:
 	$(GO) test -run '^FuzzDifferential$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME) ./internal/interp
 	$(GO) test -run '^FuzzMPISchedule$$' -fuzz '^FuzzMPISchedule$$' -fuzztime $(FUZZTIME) -race ./internal/interp
 	$(GO) test -run '^FuzzSolve$$' -fuzz '^FuzzSolve$$' -fuzztime $(FUZZTIME) ./internal/svm
+	$(GO) test -run '^FuzzParse$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/ir
 
 # Vet and test the repository benchmark (cmd/ipasbench). It is its own
 # Go module, so the root `go test ./...` skips it; this builds it

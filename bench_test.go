@@ -407,18 +407,17 @@ func BenchmarkSVMGridSearch(b *testing.B) {
 // paper's §4.3.1 motivation for the SVM choice).
 func BenchmarkAblationClassWeights(b *testing.B) {
 	prob := syntheticProblem(400, 31, 6)
-	dist := svm.SqDistMatrix(prob.X)
 	params := svm.Params{C: 10, Gamma: 0.05}
 	var plain, weighted svm.CVResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		plain, err = svm.CrossValidate(prob, params, dist, 5)
+		plain, err = svm.CrossValidate(prob, params, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
 		wp := params
 		wp.WeightPos, wp.WeightNeg = 8, 0.57
-		weighted, err = svm.CrossValidate(prob, wp, dist, 5)
+		weighted, err = svm.CrossValidate(prob, wp, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -440,8 +439,7 @@ func BenchmarkAblationSliceFeatures(b *testing.B) {
 	eval := func(X [][]float64) float64 {
 		sc := svm.FitScaler(X)
 		prob := &svm.Problem{X: sc.ApplyAll(X), Y: labels}
-		dist := svm.SqDistMatrix(prob.X)
-		cv, err := svm.CrossValidate(prob, svm.Params{C: 100, Gamma: 0.1, WeightPos: 5}, dist, 5)
+		cv, err := svm.CrossValidate(prob, svm.Params{C: 100, Gamma: 0.1, WeightPos: 5}, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -481,8 +479,7 @@ func BenchmarkAblationInterproceduralSlices(b *testing.B) {
 		}
 		sc := svm.FitScaler(X)
 		prob := &svm.Problem{X: sc.ApplyAll(X), Y: labels}
-		dist := svm.SqDistMatrix(prob.X)
-		cv, err := svm.CrossValidate(prob, svm.Params{C: 100, Gamma: 0.1, WeightPos: 5}, dist, 5)
+		cv, err := svm.CrossValidate(prob, svm.Params{C: 100, Gamma: 0.1, WeightPos: 5}, 5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -531,7 +528,7 @@ func BenchmarkAblationECCAssumption(b *testing.B) {
 		b.Fatal(err)
 	}
 	run := func(model func(*ir.Instr) bool) float64 {
-		prog, err := fault.CompileWithModel(prot, model)
+		prog, err := interp.Compile(prot, model)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -179,9 +179,10 @@ func Train(d *TrainingData, labels []int, grid svm.GridSpec, topN int) ([]*Class
 
 // TrainContext is Train with cancellation and the controls' training
 // knobs threaded through: the grid search runs on a bounded worker
-// pool (Controls.TrainWorkers) against a shared per-γ kernel cache,
-// and per-grid-point progress flows into Controls.Progress under the
-// given stage name. Results are bit-identical for any worker count.
+// pool (Controls.TrainWorkers), and per-grid-point progress flows into
+// Controls.Progress under the given stage name. Each final fit is one
+// svm.TrainContext call. Results are bit-identical for any worker
+// count.
 func TrainContext(ctx context.Context, d *TrainingData, labels []int, grid svm.GridSpec, topN int, cc *CampaignControls, stage string) ([]*Classifier, error) {
 	if len(labels) != len(d.X) {
 		return nil, fmt.Errorf("core: %d labels for %d samples", len(labels), len(d.X))
@@ -204,12 +205,9 @@ func TrainContext(ctx context.Context, d *TrainingData, labels []int, grid svm.G
 		return nil, err
 	}
 
-	// Final fits share one distance matrix and kernel cache across the
-	// top-N configurations (several of which typically share a γ).
-	cache := svm.NewKernelCache(svm.SqDistMatrix(prob.X), 0)
 	var out []*Classifier
 	for _, cfg := range svm.TopN(configs, topN) {
-		model, err := svm.TrainWithKernel(ctx, prob, cfg.Params, cache.Matrix(cfg.Params.Gamma), nil)
+		model, err := svm.TrainContext(ctx, prob, cfg.Params)
 		if err != nil {
 			return nil, err
 		}
@@ -222,12 +220,18 @@ func TrainContext(ctx context.Context, d *TrainingData, labels []int, grid svm.G
 // per Step 4 and the chosen policy, returning the protection predicate
 // input: protect[site] == true means the site must be duplicated.
 func SelectSites(d *TrainingData, cls *Classifier, policy Policy) []bool {
-	protect := make([]bool, len(d.SiteFeatures))
-	for site, feats := range d.SiteFeatures {
-		if feats == nil {
+	return selectSites(d.SiteFeatures, cls, policy)
+}
+
+// selectSites is SelectSites over a per-site feature table. Only
+// PolicyIPAS and PolicyBaseline select sites.
+func selectSites(feats [][]float64, cls *Classifier, policy Policy) []bool {
+	protect := make([]bool, len(feats))
+	for site, f := range feats {
+		if f == nil {
 			continue
 		}
-		positive := cls.PredictPositive(feats)
+		positive := cls.PredictPositive(f)
 		switch policy {
 		case PolicyIPAS:
 			// Positive class = SOC-generating -> protect.
@@ -249,21 +253,16 @@ func SiteFeaturesOf(m *ir.Module) [][]float64 {
 // ProtectModule clones m and applies policy-directed duplication using
 // a classifier trained elsewhere (possibly on a different input of the
 // same code — the paper's §6.5 input-variation study). Site features
-// are extracted fresh from m.
+// are extracted fresh from m. Like SelectSites, only PolicyIPAS and
+// PolicyBaseline select sites.
 func ProtectModule(m *ir.Module, cls *Classifier, policy Policy) (*ir.Module, dup.Stats, error) {
-	feats := SiteFeaturesOf(m)
-	protect := make([]bool, len(feats))
-	for site, f := range feats {
-		if f == nil {
-			continue
-		}
-		positive := cls.PredictPositive(f)
-		if policy == PolicyBaseline {
-			protect[site] = !positive
-		} else {
-			protect[site] = positive
-		}
-	}
+	return protectSites(m, SiteFeaturesOf(m), cls, policy)
+}
+
+// protectSites clones m and duplicates the sites selectSites picks from
+// m's per-site feature table feats.
+func protectSites(m *ir.Module, feats [][]float64, cls *Classifier, policy Policy) (*ir.Module, dup.Stats, error) {
+	protect := selectSites(feats, cls, policy)
 	clone := ir.CloneModule(m)
 	st, err := dup.Protect(clone, func(in *ir.Instr) bool {
 		return in.SiteID >= 0 && in.SiteID < len(protect) && protect[in.SiteID]

@@ -242,15 +242,11 @@ func buildVariant(ctx context.Context, app *App, data *TrainingData, policy Poli
 		}
 		v.Stats = st
 	default:
-		protect := SelectSites(data, cls, policy)
-		v.Module = ir.CloneModule(app.Module)
-		st, err := dup.Protect(v.Module, func(in *ir.Instr) bool {
-			return in.SiteID >= 0 && in.SiteID < len(protect) && protect[in.SiteID]
-		})
+		m, st, err := protectSites(app.Module, data.SiteFeatures, cls, policy)
 		if err != nil {
 			return nil, err
 		}
-		v.Stats = st
+		v.Module, v.Stats = m, st
 	}
 	v.ProtectDuration = time.Since(tProtect)
 

@@ -52,12 +52,6 @@ func InjectableIncludingLoads(in *ir.Instr) bool {
 	return in.Op() == ir.OpLoad && in.Prot != ir.ProtCheck
 }
 
-// CompileWithModel compiles a module with an explicit injectable
-// predicate (used by ablations; Compile uses the paper's model).
-func CompileWithModel(m *ir.Module, injectable func(*ir.Instr) bool) (*interp.Program, error) {
-	return interp.Compile(m, injectable)
-}
-
 // Outcome classifies one fault-injection run (§5.5 of the paper).
 type Outcome int
 
@@ -932,9 +926,4 @@ func effectiveBitMask(eff uint64) (bit int, mask uint64) {
 	default:
 		return mbits.TrailingZeros64(eff), eff
 	}
-}
-
-// Golden runs the program fault-free and returns the result.
-func (c *Campaign) Golden() *interp.Result {
-	return interp.Run(c.Prog, c.Config)
 }

@@ -382,10 +382,27 @@ func TestParseErrors(t *testing.T) {
 		"builtin @b(i64 i64",                             // malformed builtin
 		"func @f() void {\n  %x = add i64 1, 2\n}",       // instr before label
 		"func @f() void {\nentry:\n  %x = add i9 1,2\n}", // bad type
+		// Truncated instructions, duplicate names and untyped constants
+		// once indexed past their tokens or panicked in the builder.
+		"func @f() void {\nentry:\n  ret\n}",
+		"func @f() i64 {\nentry:\n  ret i64\n}",
+		"builtin @f() i64\nbuiltin @f() void",
+		"func @f() void {\nentry:\n  ret void\n}\nfunc @f() void {\nentry:\n  ret void\n}",
+		"func @f(i64 %a, i64 %a) void {\nentry:\n  ret void\n}",
+		"func @f() void {\nentry:\n  br %entry\nentry:\n  ret void\n}",
+		"func @f() void {\nentry:\n  %c = icmp eq i64 1\n  ret void\n}",
+		"func @f() void {\nentry:\n  %x = load\n  ret void\n}",
+		"func @f() void {\nentry:\n  %x = alloca i64\n  ret void\n}",
+		"func @f() void {\nentry:\n  %x = phi i64 [1, %entry\n  ret void\n}",
+		"func @g(i64 %a) void {\nentry:\n  ret void\n}\nfunc @f() void {\nentry:\n  call void @g(i64\n  ret void\n}",
+		"func @f() void {\nentry:\n  %x = add void 1, 2\n  ret void\n}",
 	}
 	for _, src := range cases {
-		if _, err := Parse(src); err == nil {
+		_, err := Parse(src)
+		if err == nil {
 			t.Errorf("Parse accepted %q", src)
+		} else if !strings.HasPrefix(err.Error(), "ir: line ") {
+			t.Errorf("Parse(%q) error %q does not name the line", src, err)
 		}
 	}
 }

@@ -101,6 +101,9 @@ func (p *parser) parseBuiltin(ln string) error {
 	if err != nil {
 		return p.errf("%v", err)
 	}
+	if p.mod.FuncByName(name) != nil {
+		return p.errf("duplicate function @%s", name)
+	}
 	p.mod.NewBuiltin(name, ret, ptypes...)
 	return nil
 }
@@ -165,11 +168,17 @@ func (p *parser) parseFunc(lines []string, base int) error {
 	if err != nil {
 		return p.errf("%v", err)
 	}
+	if p.mod.FuncByName(name) != nil {
+		return p.errf("duplicate function @%s", name)
+	}
 	fn := p.mod.NewFunc(name, ret, pnames, ptypes)
 
 	// Pass 1: create blocks and instruction shells (names and types).
 	vals := map[string]Value{}
 	for _, prm := range fn.params {
+		if _, dup := vals[prm.name]; dup {
+			return p.errf("duplicate parameter %%%s", prm.name)
+		}
 		vals[prm.name] = prm
 	}
 	type pending struct {
@@ -185,8 +194,11 @@ func (p *parser) parseFunc(lines []string, base int) error {
 		if ln == "" {
 			continue
 		}
-		if strings.HasSuffix(ln, ":") {
-			cur = fn.NewBlock(strings.TrimSuffix(ln, ":"))
+		if label, ok := strings.CutSuffix(ln, ":"); ok {
+			if label != "" && fn.BlockByName(label) != nil {
+				return p.errf("duplicate block label %q", label)
+			}
+			cur = fn.NewBlock(label)
 			continue
 		}
 		if cur == nil {
@@ -235,6 +247,9 @@ func (p *parser) instrShell(ln string) (*Instr, []string, error) {
 	op, ok := opByName[toks[0]]
 	if !ok {
 		return nil, nil, p.errf("unknown opcode %q", toks[0])
+	}
+	if len(toks) < minTokens(op) {
+		return nil, nil, p.errf("too few operands in %q", ln)
 	}
 	in := &Instr{op: op, typ: Void, name: name}
 	switch op {
@@ -297,6 +312,23 @@ func (p *parser) instrShell(ln string) (*Instr, []string, error) {
 	return in, toks, nil
 }
 
+// minTokens is the fewest tokens an instruction of op is written
+// with, its opcode included: instrShell rejects a shorter one, so every
+// fixed token position instrShell and fillOperands read exists.
+func minTokens(op Op) int {
+	switch op {
+	case OpBr, OpRet, OpTrap, OpPhi: // ret void; phi <ty>
+		return 2
+	case OpLoad, OpAlloca:
+		return 3
+	case OpICmp, OpFCmp, OpSelect, OpTrunc, OpZExt, OpSExt, OpSIToFP, OpFPToSI, OpPtrToInt, OpIntToPtr, OpBitcast:
+		return 5
+	}
+	// store, gep, atomicrmw, condbr, call <ty> @f (, and the binary
+	// "<op> <ty> a, b".
+	return 4
+}
+
 // addOperand resolves a reference token against vals with an expected
 // type for constants, and wires def-use edges.
 func (p *parser) addOperand(in *Instr, tok string, want *Type, vals map[string]Value) error {
@@ -345,6 +377,9 @@ func (p *parser) resolve(tok string, want *Type, vals map[string]Value) (Value, 
 	}
 	if want == nil {
 		want = I64
+	}
+	if !want.IsInt() && !want.IsPtr() {
+		return nil, p.errf("integer constant %q of type %s", tok, want)
 	}
 	return ConstInt(want, n), nil
 }
@@ -403,9 +438,8 @@ func (p *parser) fillOperands(fn *Func, in *Instr, toks []string, vals map[strin
 		return p.addOperand(in, toks[2], ft, vals)
 	case OpPhi:
 		// phi <ty> [v, %bb] [v, %bb] ... (commas removed by tokenizer)
-		i := 2
-		for i+3 < len(toks)+1 && i < len(toks) {
-			if toks[i] != "[" {
+		for i := 2; i < len(toks); i += 4 {
+			if toks[i] != "[" || i+3 >= len(toks) {
 				return p.errf("malformed phi at token %q", toks[i])
 			}
 			if err := p.addOperand(in, toks[i+1], in.typ, vals); err != nil {
@@ -419,7 +453,6 @@ func (p *parser) fillOperands(fn *Func, in *Instr, toks []string, vals map[strin
 			if toks[i+3] != "]" {
 				return p.errf("malformed phi, expected ']'")
 			}
-			i += 4
 		}
 		return nil
 	case OpSelect:
@@ -438,9 +471,15 @@ func (p *parser) fillOperands(fn *Func, in *Instr, toks []string, vals map[strin
 			return p.errf("undefined function @%s", cname)
 		}
 		in.Callee = callee
-		i := 4 // skip "("
+		if toks[3] != "(" {
+			return p.errf("call @%s: expected '('", cname)
+		}
+		i := 4
 		arg := 0
 		for i < len(toks) && toks[i] != ")" {
+			if i+1 == len(toks) {
+				return p.errf("call @%s: argument %q has no value", cname, toks[i])
+			}
 			t, err := ParseType(toks[i])
 			if err != nil {
 				return p.errf("%v", err)
@@ -479,6 +518,9 @@ func (p *parser) fillOperands(fn *Func, in *Instr, toks []string, vals map[strin
 	case OpRet:
 		if len(toks) == 2 && toks[1] == "void" {
 			return nil
+		}
+		if len(toks) < 3 {
+			return p.errf("ret needs 'void' or a typed value")
 		}
 		t, err := ParseType(toks[1])
 		if err != nil {

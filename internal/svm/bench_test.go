@@ -15,10 +15,11 @@ func benchProblem(b *testing.B) *Problem { return loadProblem(b, "IS", false) }
 
 // BenchmarkGridSearch measures the quick 48-point (C, γ) search with
 // class weights at the default iteration cap, as the workflow runs it.
-// serial-baseline is the pre-pipeline implementation (one goroutine,
-// per-fold kernel exponentiation, rbf predictions); the workers-N
-// variants run the pooled search with the per-γ kernel cache. All
-// variants produce bit-identical rankings.
+// serial-baseline is the test oracle (one goroutine, one TrainContext
+// per fold, rbf predictions); the workers-N variants run the pooled
+// search, which exponentiates one kernel table over the distinct
+// feature vectors per grid point. All variants produce bit-identical
+// rankings.
 func BenchmarkGridSearch(b *testing.B) {
 	p := benchProblem(b)
 	spec := QuickGrid()
@@ -47,55 +48,29 @@ func BenchmarkGridSearch(b *testing.B) {
 
 // BenchmarkSolve times one full-set solve at a grid point that stops at
 // the default cap (C ≈ 3728, γ = 0.01: 10,000 iterations): flat is the
-// row-at-a-time oracle, grouped the solver, which also groups the rows
-// and reads its kernel from the same cached matrix. Both return
-// bit-identical models.
+// row-at-a-time oracle on the dense row kernel, grouped the solver,
+// which also groups the rows and fills its group kernel from the
+// vector table. Both return bit-identical models.
 func BenchmarkSolve(b *testing.B) {
 	p := benchProblem(b)
 	wPos, wNeg := classWeights(p)
 	spec := QuickGrid()
 	params := Params{C: spec.Cs[5], Gamma: spec.Gammas[3], WeightPos: wPos, WeightNeg: wNeg}
-	kernel := kernelMatrix(SqDistMatrix(p.X), params.Gamma)
+	vs := newVectors(p.X)
+	kt := vs.kernel(params.Gamma, nil)
+	dense := denseKernel(p.X, params.Gamma)
 	ctx := context.Background()
 	b.Run("flat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if m, _, err := solveFlat(ctx, p, params, kernel); err != nil || !m.Capped {
+			if m, _, err := solveFlat(ctx, p, params, dense); err != nil || !m.Capped {
 				b.Fatal("solve did not stop at the cap", err)
 			}
 		}
 	})
 	b.Run("grouped", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if m, _, err := trainKernel(ctx, p, params, kernel, nil); err != nil || !m.Capped {
+			if m, _, err := solve(ctx, p, params, vs.of, kt); err != nil || !m.Capped {
 				b.Fatal("solve did not stop at the cap", err)
-			}
-		}
-	})
-}
-
-// BenchmarkKernelCache isolates the cache's unit of work: producing the
-// kernel matrix for one γ. miss exponentiates the distance matrix;
-// hit returns the memoized rows (the state all but 1 of the 40
-// same-γ requests on the quick grid are served from).
-func BenchmarkKernelCache(b *testing.B) {
-	p := benchProblem(b)
-	dist := SqDistMatrix(p.X)
-
-	b.Run("miss", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c := NewKernelCache(dist, 1)
-			if rows := c.Matrix(0.1); len(rows) != len(dist) {
-				b.Fatal("bad matrix")
-			}
-		}
-	})
-	b.Run("hit", func(b *testing.B) {
-		c := NewKernelCache(dist, 1)
-		c.Matrix(0.1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if rows := c.Matrix(0.1); len(rows) != len(dist) {
-				b.Fatal("bad matrix")
 			}
 		}
 	})

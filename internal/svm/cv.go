@@ -47,16 +47,17 @@ type CVResult struct {
 // and the training sub-problem are built once per search, not once per
 // configuration.
 type foldSplit struct {
-	test     []int
-	trainIdx []int
-	sub      *Problem
+	test []int
+	sub  *Problem
+	vec  []int // the vector of each row of sub
 	// degenerate marks folds whose training half contains one class
-	// only; they are skipped, matching the serial path.
+	// only; they are skipped.
 	degenerate bool
 }
 
-// makeFoldSplits precomputes the k stratified train/test partitions.
-func makeFoldSplits(p *Problem, k int) []foldSplit {
+// makeFoldSplits precomputes the k stratified train/test partitions of
+// p, whose rows have the vectors vec.
+func makeFoldSplits(p *Problem, vec []int, k int) []foldSplit {
 	folds := StratifiedFolds(p.Y, k)
 	splits := make([]foldSplit, len(folds))
 	for fi := range folds {
@@ -69,7 +70,7 @@ func makeFoldSplits(p *Problem, k int) []foldSplit {
 		sub := &Problem{}
 		for i := range p.X {
 			if !inTest[i] {
-				sp.trainIdx = append(sp.trainIdx, i)
+				sp.vec = append(sp.vec, vec[i])
 				sub.X = append(sub.X, p.X[i])
 				sub.Y = append(sub.Y, p.Y[i])
 			}
@@ -83,45 +84,23 @@ func makeFoldSplits(p *Problem, k int) []foldSplit {
 	return splits
 }
 
-// CrossValidate evaluates params with k-fold stratified CV. dist must
-// be the squared-distance matrix of p.X (see SqDistMatrix); it is
-// shared across folds and configurations.
-//
-// This is the reference (serial) path: each fold exponentiates its own
-// sub-kernel and scores held-out samples through Model.Predict. The
-// kernel-cached path (CrossValidateContext) is test-asserted to be
-// bit-identical to it.
-func CrossValidate(p *Problem, params Params, dist [][]float64, k int) (CVResult, error) {
-	var agg cvAccum
-	for _, sp := range makeFoldSplits(p, k) {
-		if sp.degenerate {
-			continue
-		}
-		model, err := TrainWithDist(sp.sub, params, dist, sp.trainIdx)
-		if err != nil {
-			return CVResult{}, err
-		}
-		agg.fold(model)
-		for _, i := range sp.test {
-			agg.add(p.Y[i], model.Predict(p.X[i]))
-		}
+// CrossValidate evaluates params with k-fold stratified CV.
+func CrossValidate(p *Problem, params Params, k int) (CVResult, error) {
+	if err := p.Validate(); err != nil {
+		return CVResult{}, err
 	}
-	return agg.result(), nil
+	vs := newVectors(p.X)
+	splits := makeFoldSplits(p, vs.of, k)
+	return crossValidate(context.Background(), p, params, vs.of, vs.kernel(params.Gamma, nil), splits)
 }
 
-// CrossValidateContext evaluates params with k-fold stratified CV using
-// a precomputed kernel matrix for params.Gamma over all of p.X (see
-// KernelCache.Matrix). Training selects sub-kernels by lookup and
-// held-out samples are scored from the same matrix rows, so no
-// exp(-γ·d) is recomputed; results are bit-identical to CrossValidate
-// because the kernel entries and the accumulation order are the same.
-func CrossValidateContext(ctx context.Context, p *Problem, params Params, kernel [][]float64, k int) (CVResult, error) {
-	return crossValidateKernel(ctx, p, params, kernel, makeFoldSplits(p, k))
-}
-
-// crossValidateKernel is CrossValidateContext over pre-built splits
-// (the grid search shares one split set across all configurations).
-func crossValidateKernel(ctx context.Context, p *Problem, params Params, kernel [][]float64, splits []foldSplit) (CVResult, error) {
+// crossValidate is CrossValidate over pre-built splits of p, whose rows
+// have the vectors vec in the kernel table kt (the grid search shares
+// one split set across all configurations). Every fold trains from kt,
+// and a held-out row is scored from it too: the lookups are the bits
+// rbf(SV, x) would give, summed in Model.Decision's order, so the
+// prediction is Model.Predict's.
+func crossValidate(ctx context.Context, p *Problem, params Params, vec []int, kt table, splits []foldSplit) (CVResult, error) {
 	var agg cvAccum
 	for _, sp := range splits {
 		if sp.degenerate {
@@ -130,18 +109,15 @@ func crossValidateKernel(ctx context.Context, p *Problem, params Params, kernel 
 		if err := ctx.Err(); err != nil {
 			return CVResult{}, err
 		}
-		model, svIdx, err := trainKernel(ctx, sp.sub, params, kernel, sp.trainIdx)
+		model, sv, err := solve(ctx, sp.sub, params, sp.vec, kt)
 		if err != nil {
 			return CVResult{}, err
 		}
 		agg.fold(model)
 		for _, i := range sp.test {
-			// Decision by kernel lookup: kernel[sv][i] carries the
-			// identical bits rbf(SV, x) would produce, in the same
-			// summation order as Model.Decision.
 			s := model.B
-			for c, g := range svIdx {
-				s += model.Coef[c] * kernel[g][i]
+			for c, r := range sv {
+				s += model.Coef[c] * kt.at(sp.vec[r], vec[i])
 			}
 			pred := -1
 			if s >= 0 {

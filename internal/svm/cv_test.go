@@ -1,9 +1,6 @@
 package svm
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 // TestCrossValidateMoreFoldsThanSamples covers k > n: stratified folds
 // come out empty or degenerate and must be skipped, not crash.
@@ -12,21 +9,19 @@ func TestCrossValidateMoreFoldsThanSamples(t *testing.T) {
 		X: [][]float64{{0, 0}, {0.1, 0}, {1, 1}, {1.1, 1}, {0, 0.2}, {1, 0.9}},
 		Y: []int{-1, -1, 1, 1, -1, 1},
 	}
-	dist := SqDistMatrix(p.X)
-	res, err := CrossValidate(p, Params{C: 10, Gamma: 1}, dist, 10)
+	res, err := CrossValidate(p, Params{C: 10, Gamma: 1}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.PredictedPos < 0 || res.PredictedPos > 1 {
 		t.Fatalf("PredictedPos = %v", res.PredictedPos)
 	}
-	kres, err := CrossValidateContext(context.Background(), p, Params{C: 10, Gamma: 1},
-		NewKernelCache(dist, 1).Matrix(1), 10)
+	ref, err := referenceCV(p, Params{C: 10, Gamma: 1}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cvBits(kres) != cvBits(res) {
-		t.Fatalf("kernel path %+v != reference %+v with k > n", kres, res)
+	if res != ref {
+		t.Fatalf("CrossValidate %+v != reference %+v with k > n", res, ref)
 	}
 }
 
@@ -42,8 +37,7 @@ func TestCrossValidateSingleClassFold(t *testing.T) {
 		p.X = append(p.X, []float64{r.next() - 0.5, r.next() - 0.5})
 		p.Y = append(p.Y, -1)
 	}
-	dist := SqDistMatrix(p.X)
-	res, err := CrossValidate(p, Params{C: 10, Gamma: 0.5}, dist, 5)
+	res, err := CrossValidate(p, Params{C: 10, Gamma: 0.5}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +50,7 @@ func TestCrossValidateSingleClassFold(t *testing.T) {
 		t.Fatalf("negative folds were not evaluated: %+v", res)
 	}
 
-	splits := makeFoldSplits(p, 5)
+	splits := makeFoldSplits(p, newVectors(p.X).of, 5)
 	degenerate := 0
 	for _, sp := range splits {
 		if sp.degenerate {
@@ -76,7 +70,6 @@ func TestCrossValidateCountsCappedFolds(t *testing.T) {
 	p := loadProblem(t, "IS", false)
 	wPos, wNeg := classWeights(p)
 	spec := QuickGrid()
-	dist := SqDistMatrix(p.X)
 	for _, tc := range []struct {
 		c, gamma float64
 		capped   int
@@ -85,19 +78,12 @@ func TestCrossValidateCountsCappedFolds(t *testing.T) {
 		{spec.Cs[0], spec.Gammas[5], 0},
 	} {
 		params := Params{C: tc.c, Gamma: tc.gamma, WeightPos: wPos, WeightNeg: wNeg}
-		res, err := CrossValidateContext(context.Background(), p, params, kernelMatrix(dist, tc.gamma), 5)
+		res, err := CrossValidate(p, params, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.CappedFolds != tc.capped {
 			t.Fatalf("C=%g γ=%g: %d capped folds, want %d", tc.c, tc.gamma, res.CappedFolds, tc.capped)
-		}
-		ref, err := CrossValidate(p, params, dist, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref.CappedFolds != tc.capped {
-			t.Fatalf("C=%g γ=%g: reference path counts %d capped folds, want %d", tc.c, tc.gamma, ref.CappedFolds, tc.capped)
 		}
 	}
 }

@@ -67,10 +67,6 @@ type SearchOptions struct {
 	// Progress, when non-nil, is called under the search's lock after
 	// each evaluated grid point with the completed and total counts.
 	Progress func(done, total int)
-	// CacheCapacity bounds retained per-γ kernel matrices (≤ 0 uses
-	// DefaultKernelCacheCap). Grid points are dispatched γ-major, so a
-	// small capacity already captures nearly all reuse.
-	CacheCapacity int
 }
 
 // GridSearch cross-validates every (C, γ) combination and returns the
@@ -82,10 +78,12 @@ func GridSearch(p *Problem, spec GridSpec) ([]Config, error) {
 }
 
 // GridSearchContext is GridSearch with a bounded worker pool,
-// cancellation, and progress reporting. Each (C, γ) point is evaluated
-// independently against a shared per-γ kernel cache and gathered by
-// grid index, so the ranking is bit-identical regardless of worker
-// count or scheduling. On cancellation the configurations evaluated so
+// cancellation, and progress reporting. The problem's distinct feature
+// vectors and their distances are computed once; each (C, γ) point
+// exponentiates its own kernel table over them into its worker's
+// buffer, is evaluated independently and gathered by grid index, so
+// the ranking is bit-identical regardless of worker count or
+// scheduling. On cancellation the configurations evaluated so
 // far are returned — sorted — together with ctx's error, matching the
 // campaign engine's partial-results contract.
 func GridSearchContext(ctx context.Context, p *Problem, spec GridSpec, opts SearchOptions) ([]Config, error) {
@@ -111,10 +109,8 @@ func GridSearchContext(ctx context.Context, p *Problem, spec GridSpec, opts Sear
 	if total == 0 {
 		return nil, errors.New("svm: empty grid")
 	}
-	// γ-major dispatch order: consecutive tasks share a kernel matrix,
-	// so even a small cache serves every C and fold of a γ from one
-	// exponentiation. The task index doubles as the deterministic
-	// gather slot (and final sort tiebreaker).
+	// γ-major dispatch order. The task index doubles as the
+	// deterministic gather slot (and final sort tiebreaker).
 	params := make([]Params, 0, total)
 	for _, g := range spec.Gammas {
 		for _, c := range spec.Cs {
@@ -122,9 +118,8 @@ func GridSearchContext(ctx context.Context, p *Problem, spec GridSpec, opts Sear
 		}
 	}
 
-	dist := SqDistMatrix(p.X)
-	cache := NewKernelCache(dist, opts.CacheCapacity)
-	splits := makeFoldSplits(p, folds)
+	vs := newVectors(p.X)
+	splits := makeFoldSplits(p, vs.of, folds)
 
 	workers := opts.Workers
 	if workers <= 0 {
@@ -148,9 +143,10 @@ func GridSearchContext(ctx context.Context, p *Problem, spec GridSpec, opts Sear
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			buf := make([]float64, vs.n*vs.n)
 			for t := range next {
-				kernel := cache.Matrix(params[t].Gamma)
-				cv, err := crossValidateKernel(ctx, p, params[t], kernel, splits)
+				kt := vs.kernel(params[t].Gamma, buf)
+				cv, err := crossValidate(ctx, p, params[t], vs.of, kt, splits)
 				mu.Lock()
 				if err != nil {
 					// Cancellation surfaces through ctx below; any

@@ -29,11 +29,11 @@ func overlappingBlobs(n int) *Problem {
 	return p
 }
 
-// serialReferenceSearch replicates the pre-pipeline GridSearch: one
-// goroutine, C-major order, per-fold kernel exponentiation through
-// TrainWithDist, stable sort. It is the bit-exactness oracle for the
-// parallel cached path (and the baseline its speedup is measured
-// against in BenchmarkGridSearch).
+// serialReferenceSearch is the bit-exactness oracle for the pooled
+// search (and the baseline of BenchmarkGridSearch): one goroutine,
+// C-major order, a fold loop of its own that trains each fold with
+// TrainContext and scores held-out rows with Model.Predict, so every
+// kernel entry of the scoring comes from rbf, and a stable sort.
 func serialReferenceSearch(p *Problem, spec GridSpec) ([]Config, error) {
 	folds := spec.Folds
 	if folds <= 0 {
@@ -48,12 +48,11 @@ func serialReferenceSearch(p *Problem, spec GridSpec) ([]Config, error) {
 			wNeg = n / (2 * float64(neg))
 		}
 	}
-	dist := SqDistMatrix(p.X)
 	var out []Config
 	for _, c := range spec.Cs {
 		for _, g := range spec.Gammas {
 			params := Params{C: c, Gamma: g, WeightPos: wPos, WeightNeg: wNeg, MaxIter: spec.MaxIter}
-			cv, err := CrossValidate(p, params, dist, folds)
+			cv, err := referenceCV(p, params, folds)
 			if err != nil {
 				return nil, err
 			}
@@ -76,6 +75,66 @@ func serialReferenceSearch(p *Problem, spec GridSpec) ([]Config, error) {
 	return out, nil
 }
 
+// referenceCV is k-fold stratified cross validation the plain way:
+// each fold's training half is a fresh problem trained by TrainContext,
+// a fold whose training half holds one class is skipped, and every
+// held-out row is classified by Model.Predict.
+func referenceCV(p *Problem, params Params, k int) (CVResult, error) {
+	var ok1, n1, ok2, n2, predPos, capped int
+	for _, test := range StratifiedFolds(p.Y, k) {
+		held := map[int]bool{}
+		for _, i := range test {
+			held[i] = true
+		}
+		train := &Problem{}
+		for i := range p.X {
+			if !held[i] {
+				train.X = append(train.X, p.X[i])
+				train.Y = append(train.Y, p.Y[i])
+			}
+		}
+		if pos, neg := train.Count(); pos == 0 || neg == 0 {
+			continue
+		}
+		m, err := TrainContext(context.Background(), train, params)
+		if err != nil {
+			return CVResult{}, err
+		}
+		if m.Capped {
+			capped++
+		}
+		for _, i := range test {
+			pred := m.Predict(p.X[i])
+			if pred == 1 {
+				predPos++
+			}
+			if p.Y[i] == 1 {
+				n1++
+				if pred == 1 {
+					ok1++
+				}
+			} else {
+				n2++
+				if pred == -1 {
+					ok2++
+				}
+			}
+		}
+	}
+	res := CVResult{CappedFolds: capped}
+	if n1 > 0 {
+		res.Acc1 = float64(ok1) / float64(n1)
+	}
+	if n2 > 0 {
+		res.Acc2 = float64(ok2) / float64(n2)
+	}
+	if n1+n2 > 0 {
+		res.PredictedPos = float64(predPos) / float64(n1+n2)
+	}
+	res.FScore = FScore(res.Acc1, res.Acc2)
+	return res, nil
+}
+
 func testSpec() GridSpec {
 	s := LogGrid(1, 1e4, 5, 1e-4, 1, 4)
 	s.WeightByClassFreq = true
@@ -83,8 +142,9 @@ func testSpec() GridSpec {
 }
 
 // TestGridSearchMatchesSerialReference pins the pipeline's core
-// invariant: the cached, pooled search returns bit-identical rankings
-// to the original serial implementation.
+// invariant: the pooled search, which scores held-out rows by kernel
+// table lookup, returns bit-identical rankings to the serial oracle,
+// which scores them by rbf prediction.
 func TestGridSearchMatchesSerialReference(t *testing.T) {
 	p := overlappingBlobs(90)
 	spec := testSpec()
@@ -97,7 +157,7 @@ func TestGridSearchMatchesSerialReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(flattenConfigs(got), flattenConfigs(want)) {
-		t.Fatal("parallel cached search diverges from the serial reference")
+		t.Fatal("pooled search diverges from the serial reference")
 	}
 }
 
@@ -110,7 +170,7 @@ func TestGridSearchDeterministicAcrossWorkers(t *testing.T) {
 	counts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	var ref [][]uint64
 	for _, w := range counts {
-		cfgs, err := GridSearchContext(context.Background(), p, spec, SearchOptions{Workers: w, CacheCapacity: 2})
+		cfgs, err := GridSearchContext(context.Background(), p, spec, SearchOptions{Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

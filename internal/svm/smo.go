@@ -2,8 +2,6 @@ package svm
 
 import (
 	"context"
-	"encoding/binary"
-	"fmt"
 	"math"
 )
 
@@ -20,98 +18,9 @@ func TrainContext(ctx context.Context, p *Problem, params Params) (*Model, error
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	d := SqDistMatrix(p.X)
-	return trainDist(ctx, p, params, d, nil)
-}
-
-// TrainWithDist fits a model using a precomputed squared-distance
-// matrix over a superset of samples. idx maps problem rows to distance-
-// matrix rows (nil means identity). This lets cross validation and grid
-// search share one O(n²·dim) distance computation.
-func TrainWithDist(p *Problem, params Params, dist [][]float64, idx []int) (*Model, error) {
-	return trainDist(context.Background(), p, params, dist, idx)
-}
-
-// TrainWithKernel fits a model using a precomputed kernel matrix for
-// params.Gamma over a superset of samples (see KernelCache). idx maps
-// problem rows to kernel-matrix rows (nil means identity). Because the
-// cached kernel entries are the same exp(-γ·d) values TrainWithDist
-// computes, the resulting model is bit-identical. The matrix must be
-// a function of the feature vectors, as KernelCache's is: rows with
-// identical features are trained from one representative's entries.
-func TrainWithKernel(ctx context.Context, p *Problem, params Params, kernel [][]float64, idx []int) (*Model, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	m, _, err := trainKernel(ctx, p, params, kernel, idx)
+	vs := newVectors(p.X)
+	m, _, err := solve(ctx, p, params, vs.of, vs.kernel(params.Gamma, nil))
 	return m, err
-}
-
-func trainDist(ctx context.Context, p *Problem, params Params, dist [][]float64, idx []int) (*Model, error) {
-	n := len(p.X)
-	if n == 0 {
-		return nil, fmt.Errorf("svm: empty problem")
-	}
-	if idx == nil {
-		idx = identity(n)
-	}
-	m, _, err := solve(ctx, p, params, func(reps []int, K []float64) {
-		for a, ra := range reps {
-			row, Ka := dist[idx[ra]], K[a*len(reps):]
-			for b, rb := range reps {
-				Ka[b] = math.Exp(-params.Gamma * row[idx[rb]])
-			}
-		}
-	})
-	return m, err
-}
-
-// trainKernel fits a model on the rows idx of a full kernel matrix. It
-// additionally returns, for each support vector, its row index in the
-// full matrix, so cross validation can score held-out samples by
-// kernel lookup instead of recomputing exp(-γ·d).
-func trainKernel(ctx context.Context, p *Problem, params Params, kernel [][]float64, idx []int) (*Model, []int, error) {
-	n := len(p.X)
-	if n == 0 {
-		return nil, nil, fmt.Errorf("svm: empty problem")
-	}
-	if idx == nil {
-		idx = identity(n)
-	}
-	m, sv, err := solve(ctx, p, params, func(reps []int, K []float64) {
-		for a, ra := range reps {
-			row, Ka := kernel[idx[ra]], K[a*len(reps):]
-			for b, rb := range reps {
-				Ka[b] = row[idx[rb]]
-			}
-		}
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	svIdx := make([]int, len(sv))
-	for i, t := range sv {
-		svIdx[i] = idx[t]
-	}
-	return m, svIdx, nil
-}
-
-func identity(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
-}
-
-// newSquare allocates an n×n matrix backed by one contiguous buffer.
-func newSquare(n int) [][]float64 {
-	rows := make([][]float64, n)
-	buf := make([]float64, n*n)
-	for i := range rows {
-		rows[i] = buf[i*n : (i+1)*n]
-	}
-	return rows
 }
 
 // ctxCheckInterval is how many SMO iterations run between cancellation
@@ -120,9 +29,9 @@ func newSquare(n int) [][]float64 {
 const ctxCheckInterval = 1024
 
 // solve runs SMO with maximal-violating-pair selection and assembles
-// the model. kernel fills K, row-major, with the kernel entries of the
-// problem rows reps: K[a·len(reps)+b] for reps[a] and reps[b]. It
-// returns the problem-row indices of the support vectors alongside.
+// the model. vec numbers each row's feature vector in kt, the kernel
+// table the entries are read from. It returns the problem-row indices
+// of the support vectors alongside.
 //
 // We solve: min 1/2 αᵀQα - eᵀα, 0 ≤ α_i ≤ C_i, yᵀα = 0,
 // where Q_ij = y_i y_j K_ij. G is the gradient Qα - e.
@@ -135,11 +44,11 @@ const ctxCheckInterval = 1024
 // the lowest row, so every iteration picks the pair the row-at-a-time
 // loop would and the model is bit-identical to it (DESIGN.md §8,
 // "Duplicate rows").
-func solve(ctx context.Context, p *Problem, params Params, kernel func(reps []int, K []float64)) (*Model, []int, error) {
+func solve(ctx context.Context, p *Problem, params Params, vec []int, kt table) (*Model, []int, error) {
 	n := len(p.X)
 	params = params.withDefaults(n)
 
-	of, members := dupGroups(p)
+	of, members := dupGroups(p.Y, vec, kt.n)
 	ng := len(members)
 	gy := make([]float64, ng) // label
 	gc := make([]float64, ng) // penalty
@@ -147,7 +56,7 @@ func solve(ctx context.Context, p *Problem, params Params, kernel func(reps []in
 	up := make([]int, ng)  // first member in I_up, or -1
 	low := make([]int, ng) // first member in I_low, or -1
 	states := make([]boundRuns, ng)
-	reps := make([]int, ng)
+	K := make([]float64, ng*ng) // K[a*ng+b]: kernel of groups a and b
 	for g, rows := range members {
 		G[g] = -1
 		if p.Y[rows[0]] == 1 {
@@ -155,10 +64,10 @@ func solve(ctx context.Context, p *Problem, params Params, kernel func(reps []in
 		} else {
 			gy[g], gc[g] = -1, params.C*params.WeightNeg
 		}
-		reps[g] = rows[0]
+		for h, other := range members {
+			K[g*ng+h] = kt.at(vec[rows[0]], vec[other[0]])
+		}
 	}
-	K := make([]float64, ng*ng) // K[a*ng+b]: kernel of groups a and b
-	kernel(reps, K)
 	// refresh re-derives a group's scan representatives from its α
 	// states: the first member below C and the first above 0, which
 	// are I_up and I_low for y = +1 and the other way round for -1.
@@ -321,33 +230,24 @@ func solve(ctx context.Context, p *Problem, params Params, kernel func(reps []in
 	return m, sv, nil
 }
 
-// dupGroups partitions the rows of p into groups of bitwise-identical
-// (x, y), numbered in order of first appearance. It returns each row's
-// group and each group's rows in ascending order. A row holding a
-// non-finite feature stays alone: its distance to an equal row is NaN,
-// not the 0 of its distance to itself.
-func dupGroups(p *Problem) (of []int, members [][]int) {
-	of = make([]int, len(p.X))
-	index := make(map[string]int)
-	var key []byte
-	for t, x := range p.X {
-		key = append(key[:0], byte(p.Y[t]))
-		finite := true
-		for _, v := range x {
-			if math.IsInf(v, 0) || math.IsNaN(v) {
-				finite = false
-				break
-			}
-			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
+// dupGroups partitions rows into groups of equal (vector, label):
+// rows with bitwise-identical (x, y), as vectors numbers them, so a
+// row with a non-finite feature stays alone. Groups are numbered in
+// order of first appearance; it returns each row's group and each
+// group's rows in ascending order. nv is the number of vectors.
+func dupGroups(y, vec []int, nv int) (of []int, members [][]int) {
+	of = make([]int, len(y))
+	index := make([]int, 2*nv) // group+1 of (vector, label), 0 for none yet
+	for t, v := range vec {
+		key := 2 * v
+		if y[t] == 1 {
+			key++
 		}
-		g, ok := index[string(key)]
-		if !finite || !ok {
-			g = len(members)
+		if index[key] == 0 {
 			members = append(members, nil)
-			if finite {
-				index[string(key)] = g
-			}
+			index[key] = len(members)
 		}
+		g := index[key] - 1
 		of[t] = g
 		members[g] = append(members[g], t)
 	}

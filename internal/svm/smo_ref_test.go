@@ -7,9 +7,9 @@ import (
 
 // solveFlat is the row-at-a-time SMO loop that solve replaced: three
 // O(n) sweeps per iteration over the dense n×n kernel matrix K. It is
-// kept as the bit-identity oracle for the grouped solver
-// (TestSolveMatchesFlat, FuzzSolve) and as the baseline of
-// BenchmarkSolve.
+// kept as the bit-identity oracle for the grouped solver and its
+// vector table (TestSolveMatchesFlat, FuzzSolve) and as the baseline
+// of BenchmarkSolve.
 func solveFlat(ctx context.Context, p *Problem, params Params, K [][]float64) (*Model, []int, error) {
 	n := len(p.X)
 	params = params.withDefaults(n)
@@ -143,17 +143,19 @@ func solveFlat(ctx context.Context, p *Problem, params Params, K [][]float64) (*
 	return m, sv, nil
 }
 
-// subKernel copies the rows and columns idx (nil: all) of kernel into a
-// dense matrix, the input solveFlat takes.
-func subKernel(kernel [][]float64, idx []int, n int) [][]float64 {
-	if idx == nil {
-		idx = identity(n)
-	}
-	K := newSquare(n)
-	for i := 0; i < n; i++ {
-		ki := kernel[idx[i]]
-		for j := 0; j < n; j++ {
-			K[i][j] = ki[idx[j]]
+// denseKernel is the row-by-row RBF kernel of X that solveFlat takes,
+// every entry computed from its own two rows. A row's distance to
+// itself is 0, also when it holds a non-finite feature.
+func denseKernel(X [][]float64, gamma float64) [][]float64 {
+	K := make([][]float64, len(X))
+	for i := range X {
+		K[i] = make([]float64, len(X))
+		for j := range X {
+			if i == j {
+				K[i][j] = math.Exp(-gamma * 0)
+			} else {
+				K[i][j] = rbf(X[i], X[j], gamma)
+			}
 		}
 	}
 	return K

@@ -146,25 +146,21 @@ func TestModelJSONRoundtrip(t *testing.T) {
 	}
 }
 
-// checkSolve trains p on the rows idx (nil: all) of kernel with the
-// grouped solver and with the flat oracle, and fails unless the two
-// models agree bit for bit: B, every coefficient and support vector,
-// the support vectors' row indices, the iteration count and the cap.
-func checkSolve(t *testing.T, what string, p *Problem, params Params, kernel [][]float64, idx []int) {
+// checkSolve trains p, whose rows have the vectors vec in the kernel
+// table kt, with the grouped solver, and with the flat oracle on p's
+// dense row-by-row kernel. It fails unless the two models agree bit
+// for bit: B, every coefficient and support vector, the support
+// vectors' row indices, the iteration count and the cap.
+func checkSolve(t *testing.T, what string, p *Problem, params Params, vec []int, kt table) {
 	t.Helper()
 	ctx := context.Background()
-	got, gotSV, err := trainKernel(ctx, p, params, kernel, idx)
+	got, gotSV, err := solve(ctx, p, params, vec, kt)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	want, wantSV, err := solveFlat(ctx, p, params, subKernel(kernel, idx, len(p.X)))
+	want, wantSV, err := solveFlat(ctx, p, params, denseKernel(p.X, params.Gamma))
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
-	}
-	if idx != nil {
-		for k, r := range wantSV {
-			wantSV[k] = idx[r]
-		}
 	}
 	switch {
 	case got.Iters != want.Iters || got.Capped != want.Capped:
@@ -198,15 +194,15 @@ func TestSolveMatchesFlat(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/baseline=%v", name, baseline), func(t *testing.T) {
 				p := loadProblem(t, name, baseline)
 				wPos, wNeg := classWeights(p)
-				dist := SqDistMatrix(p.X)
-				fold := makeFoldSplits(p, 5)[0]
+				vs := newVectors(p.X)
+				fold := makeFoldSplits(p, vs.of, 5)[0]
 				for _, g := range spec.Gammas {
-					kernel := kernelMatrix(dist, g)
+					kt := vs.kernel(g, nil)
 					for _, c := range spec.Cs {
 						params := Params{C: c, Gamma: g, WeightPos: wPos, WeightNeg: wNeg}
 						what := fmt.Sprintf("C=%g γ=%g", c, g)
-						checkSolve(t, what, p, params, kernel, nil)
-						checkSolve(t, what+" fold 0", fold.sub, params, kernel, fold.trainIdx)
+						checkSolve(t, what, p, params, vs.of, kt)
+						checkSolve(t, what+" fold 0", fold.sub, params, fold.vec, kt)
 					}
 				}
 			})
@@ -215,14 +211,14 @@ func TestSolveMatchesFlat(t *testing.T) {
 
 	for _, hc := range handBuiltProblems() {
 		t.Run(hc.name, func(t *testing.T) {
-			dist := SqDistMatrix(hc.p.X)
+			vs := newVectors(hc.p.X)
 			for _, g := range []float64{0.1, 1, 10, 1e4} {
-				kernel := kernelMatrix(dist, g)
+				kt := vs.kernel(g, nil)
 				for _, c := range []float64{0.05, 0.3, 1, 10, 1e3} {
 					for _, w := range [][2]float64{{0, 0}, {0.7, 1.9}} {
 						for _, maxIter := range []int{0, 7, 50} {
 							params := Params{C: c, Gamma: g, WeightPos: w[0], WeightNeg: w[1], MaxIter: maxIter}
-							checkSolve(t, fmt.Sprintf("%+v", params), hc.p, params, kernel, nil)
+							checkSolve(t, fmt.Sprintf("%+v", params), hc.p, params, vs.of, kt)
 						}
 					}
 				}
@@ -275,7 +271,11 @@ func handBuiltProblems() []handBuilt {
 	// other is NaN, not 0.
 	inf, nan := []float64{math.Inf(1), 0.5}, []float64{0.3, math.NaN()}
 	nonFinite := rows(a, 1, inf, 1, c, -1, inf, 1, b, -1, nan, -1, d, 1, nan, -1, inf, 1, a, -1)
-	return []handBuilt{{"conflicting", conflicting}, {"dominant", dominant}, {"interleaved", interleaved}, {"tied", tied}, {"non-finite", nonFinite}}
+	// Signed zeros: +0 and −0 are distinct vectors at distance 0, so
+	// their groups carry equal kernel rows and tie.
+	pz, nz := []float64{0, 0.5}, []float64{math.Copysign(0, -1), 0.5}
+	signedZero := rows(pz, 1, nz, 1, c, -1, nz, -1, pz, 1, b, -1, nz, 1, pz, -1, d, 1, nz, -1)
+	return []handBuilt{{"conflicting", conflicting}, {"dominant", dominant}, {"interleaved", interleaved}, {"tied", tied}, {"non-finite", nonFinite}, {"signed-zero", signedZero}}
 }
 
 // FuzzSolve checks the grouped solver against the flat oracle on small
@@ -311,6 +311,7 @@ func FuzzSolve(f *testing.F) {
 			WeightNeg: ws[(weights/4)%4],
 			MaxIter:   int(maxIter%500) + 1,
 		}
-		checkSolve(t, fmt.Sprintf("%+v", params), p, params, kernelMatrix(SqDistMatrix(p.X), params.Gamma), nil)
+		vs := newVectors(p.X)
+		checkSolve(t, fmt.Sprintf("%+v", params), p, params, vs.of, vs.kernel(params.Gamma, nil))
 	})
 }

@@ -8,6 +8,7 @@
 package svm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -125,35 +126,91 @@ func (m *Model) Predict(x []float64) int {
 
 // rbf is the radial basis kernel exp(-gamma * ||a-b||^2).
 func rbf(a, b []float64, gamma float64) float64 {
+	return math.Exp(-gamma * sqDist(a, b))
+}
+
+func sqDist(a, b []float64) float64 {
 	var d float64
 	for i := range a {
 		diff := a[i] - b[i]
 		d += diff * diff
 	}
-	return math.Exp(-gamma * d)
+	return d
 }
 
-// SqDistMatrix precomputes pairwise squared distances so a (C, γ) grid
-// search can derive each kernel matrix with just an exponential, as
-// K_ij = exp(-γ D_ij).
-func SqDistMatrix(X [][]float64) [][]float64 {
-	n := len(X)
-	d := make([][]float64, n)
-	buf := make([]float64, n*n)
-	for i := range d {
-		d[i] = buf[i*n : (i+1)*n]
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			var s float64
-			xi, xj := X[i], X[j]
-			for k := range xi {
-				diff := xi[k] - xj[k]
-				s += diff * diff
+// vectors numbers the distinct feature vectors of a problem's rows and
+// holds their pairwise squared distances, from which every kernel
+// entry of training and cross validation is exponentiated. Features
+// describe the static instruction a fault hit, so a training set is
+// mostly repeats (100 IS rows hold 36 vectors), and one γ costs
+// n(n+1)/2 exp calls for n vectors. Vectors are keyed on their bits;
+// one with a non-finite feature stays alone, as its distance to an
+// equal vector is NaN, not the 0 of its distance to itself.
+type vectors struct {
+	of   []int     // each row's vector, numbered in order of first appearance
+	n    int       // distinct vectors
+	dist []float64 // n×n squared distances, row-major, 0 on the diagonal
+}
+
+func newVectors(X [][]float64) *vectors {
+	vs := &vectors{of: make([]int, len(X))}
+	index := make(map[string]int)
+	var reps [][]float64
+	var key []byte
+	for t, x := range X {
+		key = key[:0]
+		finite := true
+		for _, v := range x {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				finite = false
+				break
 			}
-			d[i][j] = s
-			d[j][i] = s
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
+		}
+		a, ok := index[string(key)]
+		if !finite || !ok {
+			a = len(reps)
+			reps = append(reps, x)
+			if finite {
+				index[string(key)] = a
+			}
+		}
+		vs.of[t] = a
+	}
+	n := len(reps)
+	vs.n, vs.dist = n, make([]float64, n*n)
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			// The same terms in the same order as rbf, and
+			// (a-b)² ≡ (b-a)², so an entry has the bits rbf sums.
+			d := sqDist(reps[a], reps[b])
+			vs.dist[a*n+b], vs.dist[b*n+a] = d, d
 		}
 	}
-	return d
+	return vs
+}
+
+// table is the RBF kernel of one γ over numbered vectors.
+type table struct {
+	k []float64 // k[a*n+b] for vectors a and b
+	n int
+}
+
+func (t table) at(a, b int) float64 { return t.k[a*t.n+b] }
+
+// kernel exponentiates the distances for gamma into buf (allocated when
+// nil). Each of the n(n+1)/2 distinct entries is computed once; its
+// mirror gets the same bits, as exp of the same input would.
+func (vs *vectors) kernel(gamma float64, buf []float64) table {
+	n := vs.n
+	if buf == nil {
+		buf = make([]float64, n*n)
+	}
+	for a := 0; a < n; a++ {
+		for b := a; b < n; b++ {
+			v := math.Exp(-gamma * vs.dist[a*n+b])
+			buf[a*n+b], buf[b*n+a] = v, v
+		}
+	}
+	return table{buf, n}
 }
