@@ -146,39 +146,52 @@ errmodel-smoke:
 		-run 'Model|TestDifferentialErrorModels|TestTrialRecordsEffectiveBitAndMask|TestConvergence|TestSnapshotTrialsMatchFullRuns' \
 		./internal/interp ./internal/fault/... ./internal/campaign ./internal/workloads
 
-# Short fuzz smokes. The differential oracle (fast loop vs
-# instrumented loop vs snapshot-resumed run vs IR reference walker,
-# plus a sectioned leg resuming a section-targeted run from
-# section-tracked snapshots) must agree on random programs and fault
-# plans (see FuzzDifferential); the simulated MPI runtime, under the race
-# detector, must keep outcome classes schedule-independent and
-# clean/deadlock results bit-identical on random rank programs with
-# random comm patterns (see FuzzMPISchedule); the duplicate-row SMO
-# solver must return models bit-identical to the row-at-a-time oracle
-# on small problems with forced duplicates (see FuzzSolve); and the IR
-# parser irun reads .ir files with must return line-numbered errors,
-# never panic, and round-trip what it accepts (see FuzzParse). CI runs
-# this as a smoke; run any of them open-ended with a larger -fuzztime
-# to go hunting.
-fuzz-smoke:
-	$(GO) test -run '^FuzzDifferential$$' -fuzz '^FuzzDifferential$$' -fuzztime 10s ./internal/interp
-	$(GO) test -run '^FuzzMPISchedule$$' -fuzz '^FuzzMPISchedule$$' -fuzztime 10s -race ./internal/interp
-	$(GO) test -run '^FuzzSolve$$' -fuzz '^FuzzSolve$$' -fuzztime 10s ./internal/svm
-	$(GO) test -run '^FuzzParse$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/ir
+# Every fuzz target, as Name:package[:extra go test flags]. The
+# differential oracle (fast loop vs instrumented loop vs
+# snapshot-resumed run vs IR reference walker, plus a sectioned leg
+# resuming a section-targeted run from section-tracked snapshots) must
+# agree on random programs and fault plans (FuzzDifferential); the
+# simulated MPI runtime, under the race detector, must keep outcome
+# classes schedule-independent and clean/deadlock results bit-identical
+# on random rank programs with random comm patterns (FuzzMPISchedule);
+# the duplicate-row SMO solver must return models bit-identical to the
+# row-at-a-time oracle on small problems with forced duplicates
+# (FuzzSolve); the IR parser irun reads .ir files with must return
+# line-numbered errors, never panic, and round-trip what it accepts
+# (FuzzParse); and the sci front end campaignd compiles submitted
+# source with must return a module or an error, never panic or
+# generate invalid IR (FuzzCompile).
+FUZZ_TARGETS = \
+	FuzzDifferential:./internal/interp \
+	FuzzMPISchedule:./internal/interp:-race \
+	FuzzSolve:./internal/svm \
+	FuzzParse:./internal/ir \
+	FuzzCompile:./internal/lang
 
-# Long-running fuzz of the differential oracle (fast loop vs
-# instrumented loop vs snapshot-resumed run vs IR reference walker,
-# with its sectioned snapshot leg), the MPI schedule invariants, the
-# duplicate-row SMO solver against its flat oracle and the IR parser.
-# The nightly CI job runs each for 10 minutes and uploads any crashers
-# from testdata/fuzz as artifacts; FUZZTIME overrides the budget
-# locally.
+# fuzz-run fuzzes every FUZZ_TARGETS entry for $(1) each. Minimizing
+# a new input is bounded at 5s so that it costs seconds, not the
+# default minute, which starved the fuzzing budget itself; a crasher
+# is still written to testdata/fuzz.
+define fuzz-run
+	@set -e; for entry in $(FUZZ_TARGETS); do \
+		name=$${entry%%:*}; rest=$${entry#*:}; pkg=$${rest%%:*}; flags=; \
+		case $$rest in *:*) flags=$${rest#*:};; esac; \
+		echo "$(GO) test -run '^$$name\$$' -fuzz '^$$name\$$' -fuzztime $(1) -fuzzminimizetime 5s $$flags $$pkg"; \
+		$(GO) test -run "^$$name\$$" -fuzz "^$$name\$$" -fuzztime $(1) -fuzzminimizetime 5s $$flags $$pkg; \
+	done
+endef
+
+# Short fuzz smokes of every target; CI runs this. Run any target
+# open-ended with a larger -fuzztime to go hunting.
+fuzz-smoke:
+	$(call fuzz-run,10s)
+
+# Long-running fuzz of every target. The nightly CI job runs each for
+# 10 minutes and uploads any crashers from testdata/fuzz as artifacts;
+# FUZZTIME overrides the budget locally.
 FUZZTIME ?= 10m
 fuzz-nightly:
-	$(GO) test -run '^FuzzDifferential$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME) ./internal/interp
-	$(GO) test -run '^FuzzMPISchedule$$' -fuzz '^FuzzMPISchedule$$' -fuzztime $(FUZZTIME) -race ./internal/interp
-	$(GO) test -run '^FuzzSolve$$' -fuzz '^FuzzSolve$$' -fuzztime $(FUZZTIME) ./internal/svm
-	$(GO) test -run '^FuzzParse$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/ir
+	$(call fuzz-run,$(FUZZTIME))
 
 # Vet and test the repository benchmark (cmd/ipasbench). It is its own
 # Go module, so the root `go test ./...` skips it; this builds it

@@ -26,7 +26,6 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "worker lease duration; a worker that misses it loses its shard")
 	backoff := flag.Duration("backoff", time.Second, "base quarantine delay; requeue k waits backoff<<(k-1)")
 	retries := flag.Int("shard-retries", 2, "shard quarantine retries before its unexecuted trials fail (0 = none)")
-	fsyncEvery := flag.Int("fsync-every", 0, "extra journal fsync interval between acks (acks always fsync first)")
 	quiet := flag.Bool("quiet", false, "suppress operational log lines")
 	flag.Parse()
 
@@ -37,12 +36,11 @@ func main() {
 		logf = nil
 	}
 	srv, err := campaign.New(campaign.Options{
-		Dir:        *dir,
-		LeaseTTL:   *leaseTTL,
-		Backoff:    *backoff,
-		Retries:    fault.ExplicitRetries(*retries),
-		FsyncEvery: *fsyncEvery,
-		Logf:       logf,
+		Dir:      *dir,
+		LeaseTTL: *leaseTTL,
+		Backoff:  *backoff,
+		Retries:  fault.ExplicitRetries(*retries),
+		Logf:     logf,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "campaignd: %v\n", err)

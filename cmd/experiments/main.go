@@ -13,26 +13,21 @@
 //
 // Usage:
 //
-//	experiments [-run all|table3|table4|table5|table6|fig5|fig6|fig7|fig8|fig9]
-//	            [-quick|-paper] [-workloads CoMD,HPCCG,...] [-trials N] [-seed S]
-//	            [-deadline D] [-max-retries N] [-watchdog D]
-//	            [-remote URL [-shards K]] [-progress]
+//	experiments [-run all|table3|table5|fig5|fig6|fig7|table4|fig8|fig9|table6]
+//	            [-paper] [-workloads CoMD,HPCCG,...] [-trials N] [-samples N]
+//	            [-seed S] [-csv] [-train-workers N] [campaign flags]
+//
+// The campaign flags are flipit's (internal/cli).
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"sync"
-	"syscall"
 
-	"ipas/internal/campaign"
-	"ipas/internal/core"
+	"ipas/internal/cli"
 	"ipas/internal/experiments"
-	"ipas/internal/fault"
 )
 
 func main() {
@@ -43,27 +38,16 @@ func main() {
 	samples := flag.Int("samples", 0, "override training sample count")
 	seed := flag.Int64("seed", 1, "RNG seed")
 	csv := flag.Bool("csv", false, "emit comma-separated values instead of aligned tables")
-	deadline := flag.Duration("deadline", 0, "wall-clock budget for the whole suite (0 = none)")
-	maxRetries := flag.Int("max-retries", 2, "per-trial retries after infrastructure errors (0 = none)")
-	shards := flag.Int("shards", 1, "with -remote: shards the coordinator splits each collection campaign into (results are bit-identical)")
-	watchdog := flag.Duration("watchdog", 0, "per-MPI-op wall-clock watchdog in every campaign (0 = interpreter default)")
-	remote := flag.String("remote", "", "campaignd coordinator URL; dispatch each workflow's collection campaign there")
 	trainWorkers := flag.Int("train-workers", 0, "concurrent grid-search workers for SVM training (0 = GOMAXPROCS; results are identical for any count)")
-	progress := flag.Bool("progress", false, "report per-campaign progress and error summaries on stderr")
-	sections := flag.Bool("sections", false, "run each single-rank campaign sectioned: stratify trials over IR sections with per-section budgets")
-	sectionCoverage := flag.Int("coverage", 1, "sectioned coverage factor: expected injections per exercised site per section")
-	maxPerSection := flag.Int("max-per-section", 0, "cap on any one section's trial budget (0 = engine default)")
-	errorModel := flag.String("error-model", "", "error model for every injection campaign: single-bit (default), burst-N, random-N, correlated, sticky")
+	cf := cli.Register(flag.CommandLine, "experiments")
 	flag.Parse()
-	model, err := fault.ParseModel(*errorModel)
+	// With -remote, the suite scopes a per-workload RemoteSpec onto
+	// the controls (collection campaigns only; see Suite.optsFor).
+	controls, err := cf.Controls()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	if *shards > 1 && *remote == "" {
-		fmt.Fprintln(os.Stderr, "experiments: -shards partitions the -remote collection campaigns across the coordinator's workers; it needs -remote")
-		os.Exit(1)
-	}
+	controls.TrainWorkers = *trainWorkers
 
 	params := experiments.Quick()
 	if *paper {
@@ -80,34 +64,10 @@ func main() {
 		params.Opts.Samples = *samples
 	}
 	params.Opts.Seed = *seed
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if *deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *deadline)
-		defer cancel()
-	}
-
-	controls := &core.CampaignControls{
-		Model:           model,
-		MaxRetries:      fault.ExplicitRetries(*maxRetries),
-		TrainWorkers:    *trainWorkers,
-		Shards:          *shards,
-		Watchdog:        *watchdog,
-		Sections:        *sections,
-		SectionCoverage: *sectionCoverage,
-		MaxPerSection:   *maxPerSection,
-	}
-	if *remote != "" {
-		// The suite scopes a per-workload RemoteSpec onto these
-		// controls (collection campaigns only; see Suite.optsFor).
-		controls.Remote = &campaign.Client{Base: *remote}
-	}
-	if *progress {
-		controls.Progress = newProgressReporter()
-	}
 	params.Opts.Controls = controls
+
+	ctx, stop := cf.Context()
+	defer stop()
 
 	suite := experiments.NewSuite(params)
 	ids := experiments.IDs()
@@ -121,8 +81,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "experiments: %s interrupted: %v\n", id, err)
 				os.Exit(130)
 			}
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", id, err)
-			os.Exit(1)
+			fatal(fmt.Errorf("%s: %w", id, err))
 		}
 		if *csv {
 			fmt.Printf("# %s: %s\n%s\n", t.ID, t.Title, t.CSV())
@@ -132,36 +91,7 @@ func main() {
 	}
 }
 
-// newProgressReporter returns a stage-aware progress callback: it logs
-// roughly every tenth of each campaign plus its completion, and flags
-// campaigns that finished with failed trials.
-func newProgressReporter() func(stage string, done, total, failed, deadlocked int) {
-	var mu sync.Mutex
-	return func(stage string, done, total, failed, deadlocked int) {
-		step := total / 10
-		if step == 0 {
-			step = 1
-		}
-		if done%step != 0 && done != total {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		what := "trials"
-		// Stage names arrive workload-prefixed ("FFT: train IPAS"),
-		// so match anywhere in the string.
-		if strings.Contains(stage, "train") {
-			what = "grid points"
-		}
-		suffix := ""
-		if deadlocked > 0 {
-			suffix = fmt.Sprintf(", %d deadlocked", deadlocked)
-		}
-		if done == total && failed > 0 {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %d/%d %s, %d failed (excluded from proportions)%s\n",
-				stage, done, total, what, failed, suffix)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "experiments: %s: %d/%d %s%s\n", stage, done, total, what, suffix)
-	}
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "experiments:", err)
+	os.Exit(1)
 }

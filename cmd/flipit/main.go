@@ -28,10 +28,13 @@
 // Usage:
 //
 //	flipit [-workload NAME] [-input N] [-n TRIALS] [-seed S] [-funcs]
-//	       [-journal FILE [-resume]] [-deadline D] [-max-retries N]
-//	       [-workers N] [-watchdog D] [-remote URL [-shards K]]
-//	       [-progress]
-//	       [-sections [-coverage N] [-max-per-section N]]
+//	       [-journal FILE [-resume]] [-workers N] [-model-report]
+//	       [campaign flags]
+//
+// The campaign flags, shared with ipas and experiments (internal/cli),
+// are [-deadline D] [-max-retries N] [-watchdog D] [-remote URL
+// [-shards K]] [-progress] [-sections [-coverage N]
+// [-max-per-section N]] [-error-model M].
 package main
 
 import (
@@ -40,12 +43,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"sort"
-	"syscall"
 	"text/tabwriter"
 
 	"ipas/internal/campaign"
+	"ipas/internal/cli"
 	"ipas/internal/compose"
 	"ipas/internal/core"
 	"ipas/internal/dup"
@@ -64,34 +66,29 @@ func main() {
 	funcs := flag.Bool("funcs", false, "break outcomes down per function")
 	journalPath := flag.String("journal", "", "JSONL trial journal for checkpointing (enables resume)")
 	resume := flag.Bool("resume", false, "continue a campaign from an existing non-empty -journal")
-	deadline := flag.Duration("deadline", 0, "wall-clock budget for the campaign (0 = none)")
-	maxRetries := flag.Int("max-retries", 2, "per-trial retries after infrastructure errors (0 = none)")
 	workers := flag.Int("workers", 0, "concurrent trial workers (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 1, "with -remote: shards the coordinator splits the trial space into (results are bit-identical)")
-	watchdog := flag.Duration("watchdog", 0, "per-MPI-op wall-clock watchdog (0 = interpreter default)")
-	remote := flag.String("remote", "", "campaignd coordinator URL; submit the campaign there instead of running locally")
-	progress := flag.Bool("progress", false, "report trial progress on stderr")
-	sections := flag.Bool("sections", false, "sectioned campaign: stratify the trial space over IR sections and compose the whole-program distribution; -n is ignored (the per-section allocation sets the budget)")
-	coverage := flag.Int("coverage", 1, "sectioned coverage factor: expected injections per exercised site per section")
-	maxPerSection := flag.Int("max-per-section", 0, "cap on any one section's trial budget (0 = engine default)")
-	errorModel := flag.String("error-model", "", "error model for injected faults: single-bit (default), burst-N, random-N, correlated, sticky")
 	modelReport := flag.Bool("model-report", false, "compare every built-in error model: unprotected outcome distribution plus DMR detector recall per model (two local campaigns per model; ignores -error-model, -journal, -shards, -remote, -sections)")
+	cf := cli.Register(flag.CommandLine, "flipit")
 	flag.Parse()
 
-	model, err := fault.ParseModel(*errorModel)
+	if *modelReport {
+		// The report runs local plain campaigns, one pair per model.
+		cf.Remote, cf.Shards, cf.Sections = "", 1, false
+	}
+	cc, err := cf.Controls()
 	if err != nil {
 		fatal(err)
 	}
-
-	// Ctrl-C / SIGTERM cancels the campaign; completed trials are
-	// already in the journal by the time we observe the cancellation.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if *deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *deadline)
-		defer cancel()
+	cc.Workers = *workers
+	if cc.Remote != nil {
+		wl, in := *name, *input
+		cc.RemoteSpec = func(string) *campaign.Spec { return &campaign.Spec{Workload: wl, Input: in} }
+		if *journalPath != "" {
+			fatal(errors.New("-remote and -journal are mutually exclusive: remote campaigns journal durably on the coordinator"))
+		}
 	}
+	ctx, stop := cf.Context()
+	defer stop()
 
 	spec, err := workloads.Get(*name, *input)
 	if err != nil {
@@ -105,20 +102,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
 	c := &fault.Campaign{Prog: prog, Verify: spec.Verify, Config: spec.BaseConfig(1), Seed: *seed}
-	cc := &core.CampaignControls{
-		MaxRetries: fault.ExplicitRetries(*maxRetries),
-		Workers:    *workers,
-		Watchdog:   *watchdog,
-	}
-	if *progress {
-		cc.Progress = func(_ string, done, total, failed, deadlocked int) {
-			if done%50 == 0 || done == total {
-				fmt.Fprintf(os.Stderr, "flipit: %d/%d trials (%d failed, %d deadlocked)\n", done, total, failed, deadlocked)
-			}
-		}
-	}
 
 	if *modelReport {
 		if err := reportModels(ctx, cc, m, c, *n); err != nil {
@@ -127,28 +111,13 @@ func main() {
 		return
 	}
 
-	if *remote != "" && *journalPath != "" {
-		fatal(errors.New("-remote and -journal are mutually exclusive: remote campaigns journal durably on the coordinator"))
-	}
-	cc.Model, cc.Shards = model, *shards
-	cc.Sections, cc.SectionCoverage, cc.MaxPerSection = *sections, *coverage, *maxPerSection
-	if *remote != "" {
-		wl, in := *name, *input
-		cc.Remote = &campaign.Client{Base: *remote}
-		cc.RemoteSpec = func(string) *campaign.Spec { return &campaign.Spec{Workload: wl, Input: in} }
-	}
-
 	if *journalPath != "" {
-		journal, err := fault.OpenJournal(*journalPath)
+		journal, err := core.OpenJournal(*journalPath, *resume)
 		if err != nil {
 			fatal(err)
 		}
 		defer journal.Close()
-		if journal.Restored() > 0 && !*resume {
-			fatal(fmt.Errorf("journal %s already holds %d trials; pass -resume to continue it (or delete the file)",
-				*journalPath, journal.Restored()))
-		}
-		if *resume && journal.Restored() > 0 {
+		if journal.Restored() > 0 {
 			fmt.Fprintf(os.Stderr, "flipit: resuming: %d trials restored from %s\n", journal.Restored(), *journalPath)
 		}
 		c.Journal = journal
@@ -156,17 +125,13 @@ func main() {
 		fatal(fmt.Errorf("-resume requires -journal"))
 	}
 
-	res, err := cc.Run(ctx, c, *n, "flipit")
+	res, err := cc.Run(ctx, c, *n, "campaign")
 	if res == nil {
 		fatal(err)
 	}
 	if ctx.Err() != nil {
 		fmt.Fprintf(os.Stderr, "flipit: interrupted (%v): %d/%d trials completed\n", ctx.Err(), res.Completed, len(res.Trials))
-		if *journalPath != "" {
-			fmt.Fprintf(os.Stderr, "flipit: checkpoint saved; rerun with -journal %s -resume to continue\n", *journalPath)
-		} else {
-			fmt.Fprintln(os.Stderr, "flipit: no -journal was set, so this partial progress is lost on exit")
-		}
+		cf.Interrupted(*journalPath)
 	} else if err != nil {
 		// Infrastructure failures: the campaign degraded but completed.
 		fmt.Fprintf(os.Stderr, "flipit: degraded campaign: %s\n", res.ErrorSummary())
@@ -177,7 +142,7 @@ func main() {
 
 	fmt.Printf("%s input %d (%s): %d/%d injections completed, golden run %d dyn instrs\n",
 		*name, *input, spec.InputDesc, res.Completed, len(res.Trials), res.GoldenDyn)
-	if *sections {
+	if cc.Sections {
 		// Re-derive the section plan locally: it is deterministic, a
 		// golden-cache hit after a local run, and is derived even once
 		// ctx is done, so an interrupted campaign reports its partial
@@ -281,10 +246,10 @@ func reportModels(ctx context.Context, cc *core.CampaignControls, m *ir.Module, 
 		return err
 	}
 
-	run := func(p *interp.Program, model fault.ErrorModel) (*fault.CampaignResult, error) {
-		mc := *c
-		mc.Prog, mc.Model = p, model
-		res, err := cc.Run(ctx, &mc, trials, "model-report")
+	run := func(p *interp.Program, model fault.ErrorModel, build string) (*fault.CampaignResult, error) {
+		mc, mcc := *c, *cc
+		mc.Prog, mcc.Model = p, model
+		res, err := mcc.Run(ctx, &mc, trials, "model-report "+model.Name()+" "+build)
 		if res == nil {
 			return nil, err
 		}
@@ -299,11 +264,11 @@ func reportModels(ctx context.Context, cc *core.CampaignControls, m *ir.Module, 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "model\tsymptom%\tdetected%\tmasked%\tSOC%\t|\tDMR SOC%\tDMR recall%")
 	for _, model := range fault.BuiltinModels() {
-		base, err := run(c.Prog, model)
+		base, err := run(c.Prog, model, "unprotected")
 		if err != nil {
 			return err
 		}
-		prot, err := run(pprog, model)
+		prot, err := run(pprog, model, "DMR")
 		if err != nil {
 			return err
 		}

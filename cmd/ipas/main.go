@@ -26,27 +26,25 @@
 //
 // Usage:
 //
-//	ipas [-workload NAME] [-input N] [-quick|-paper] [-samples N]
-//	     [-trials N] [-topn N] [-seed S]
-//	     [-journal DIR [-resume]] [-deadline D] [-max-retries N]
-//	     [-watchdog D] [-remote URL [-shards K]] [-progress]
-//	     [-sections [-coverage N] [-max-per-section N]]
+//	ipas [-workload NAME] [-input N] [-paper] [-samples N]
+//	     [-trials N] [-topn N] [-seed S] [-train-workers N]
+//	     [-journal DIR [-resume]] [campaign flags]
+//	ipas -with-classifier FILE -save-protected FILE [-workload NAME] [-input N]
+//
+// The campaign flags are flipit's (internal/cli).
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 	"text/tabwriter"
 	"time"
 
 	"ipas"
 	"ipas/internal/campaign"
+	"ipas/internal/cli"
 	"ipas/internal/core"
 	"ipas/internal/fault"
 	"ipas/internal/ir"
@@ -65,24 +63,26 @@ func main() {
 	withClassifier := flag.String("with-classifier", "", "skip training: protect using a previously saved classifier and write the module to -save-protected")
 	journalDir := flag.String("journal", "", "checkpoint directory: one JSONL trial journal per campaign stage")
 	resume := flag.Bool("resume", false, "continue an interrupted workflow from the -journal directory")
-	deadline := flag.Duration("deadline", 0, "wall-clock budget for the workflow (0 = none)")
-	maxRetries := flag.Int("max-retries", 2, "per-trial retries after infrastructure errors (0 = none)")
-	shards := flag.Int("shards", 1, "with -remote: shards the coordinator splits the collection campaign into (results are bit-identical)")
-	watchdog := flag.Duration("watchdog", 0, "per-MPI-op wall-clock watchdog in every campaign (0 = interpreter default)")
-	remote := flag.String("remote", "", "campaignd coordinator URL; dispatch the collection campaign there")
 	trainWorkers := flag.Int("train-workers", 0, "concurrent grid-search workers for SVM training (0 = GOMAXPROCS; results are identical for any count)")
-	progress := flag.Bool("progress", false, "report campaign and training progress on stderr")
-	sections := flag.Bool("sections", false, "run each single-rank campaign sectioned: stratify trials over IR sections with per-section budgets (checkpointed like plain campaigns, one journal per stage)")
-	sectionCoverage := flag.Int("coverage", 1, "sectioned coverage factor: expected injections per exercised site per section")
-	maxPerSection := flag.Int("max-per-section", 0, "cap on any one section's trial budget (0 = engine default)")
-	errorModel := flag.String("error-model", "", "error model for every injection campaign: single-bit (default), burst-N, random-N, correlated, sticky")
+	cf := cli.Register(flag.CommandLine, "ipas")
 	flag.Parse()
-	if *shards > 1 && *remote == "" {
-		fatal(errors.New("-shards partitions the -remote collection campaign across the coordinator's workers; it needs -remote"))
-	}
-	model, err := fault.ParseModel(*errorModel)
+	controls, err := cf.Controls()
 	if err != nil {
 		fatal(err)
+	}
+	controls.TrainWorkers = *trainWorkers
+	if controls.Remote != nil {
+		// Only the collection campaign is spec-expressible (it runs the
+		// unmodified workload); protected-variant evaluations cannot
+		// round-trip through source text, so they degrade gracefully to
+		// local execution.
+		wl, in := *name, *input
+		controls.RemoteSpec = func(stage string) *campaign.Spec {
+			if stage != "collect" {
+				return nil
+			}
+			return &campaign.Spec{Workload: wl, Input: in}
+		}
 	}
 
 	opts := ipas.QuickOptions()
@@ -100,53 +100,9 @@ func main() {
 	}
 	opts.Seed = *seed
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cf.Context()
 	defer stop()
-	if *deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *deadline)
-		defer cancel()
-	}
 
-	controls := &core.CampaignControls{
-		Model:           model,
-		MaxRetries:      fault.ExplicitRetries(*maxRetries),
-		TrainWorkers:    *trainWorkers,
-		Shards:          *shards,
-		Watchdog:        *watchdog,
-		Sections:        *sections,
-		SectionCoverage: *sectionCoverage,
-		MaxPerSection:   *maxPerSection,
-	}
-	if *remote != "" {
-		// Only the collection campaign is spec-expressible (it runs the
-		// unmodified workload); protected-variant evaluations cannot
-		// round-trip through source text, so they degrade gracefully to
-		// local execution.
-		wl, in := *name, *input
-		controls.Remote = &campaign.Client{Base: *remote}
-		controls.RemoteSpec = func(stage string) *campaign.Spec {
-			if stage != "collect" {
-				return nil
-			}
-			return &campaign.Spec{Workload: wl, Input: in}
-		}
-	}
-	if *progress {
-		controls.Progress = func(stage string, done, total, failed, deadlocked int) {
-			if done%50 == 0 || done == total {
-				what := "trials"
-				if strings.Contains(stage, "train") {
-					what = "grid points"
-				}
-				extra := ""
-				if deadlocked > 0 {
-					extra = fmt.Sprintf(", %d deadlocked", deadlocked)
-				}
-				fmt.Fprintf(os.Stderr, "ipas: %s: %d/%d %s (%d failed%s)\n", stage, done, total, what, failed, extra)
-			}
-		}
-	}
 	if *journalDir != "" {
 		cp, err := ipas.NewCheckpoint(*journalDir, *resume)
 		if err != nil {
@@ -198,11 +154,7 @@ func main() {
 	if err != nil {
 		if ctx.Err() != nil {
 			fmt.Fprintf(os.Stderr, "ipas: interrupted after %v: %v\n", time.Since(t0).Round(10*time.Millisecond), err)
-			if *journalDir != "" {
-				fmt.Fprintf(os.Stderr, "ipas: checkpoint saved; rerun with -journal %s -resume to continue\n", *journalDir)
-			} else {
-				fmt.Fprintln(os.Stderr, "ipas: no -journal was set, so this partial progress is lost on exit")
-			}
+			cf.Interrupted(*journalDir)
 			os.Exit(130)
 		}
 		fatal(err)

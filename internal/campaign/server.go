@@ -37,11 +37,6 @@ type Options struct {
 	// shard's unexecuted trials are recorded as TrialFailed and its
 	// siblings continue.
 	Retries int
-	// FsyncEvery is the per-shard journal durability interval between
-	// acks (fault.Journal.SetFsyncEvery). Independent of it, the
-	// coordinator always fsyncs before acknowledging a segment: an
-	// acked trial is on stable storage.
-	FsyncEvery int
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -431,7 +426,6 @@ func (s *Server) openShardJournalLocked(st *state, sh int) error {
 			}
 			return err
 		}
-		j.SetFsyncEvery(s.opts.FsyncEvery)
 		st.journals[sh] = j
 		for t, tr := range prev {
 			if t >= lo && t < hi && tr.Status != fault.TrialPending {

@@ -95,8 +95,7 @@ type Segment struct {
 }
 
 // SegmentResponse acknowledges a segment: Acked records are durable on
-// the coordinator's disk per its fsync policy (default: synced before
-// this response was written).
+// the coordinator's disk (fsynced before this response was written).
 type SegmentResponse struct {
 	Acked int `json:"acked"`
 }

@@ -19,10 +19,9 @@ import (
 // fault-injection campaign the workflow runs: retry policy, worker
 // bound, progress reporting and checkpointing.
 type CampaignControls struct {
-	// MaxRetries / RetryBackoff configure per-trial retry of
-	// infrastructure errors (see fault.Campaign).
-	MaxRetries   int
-	RetryBackoff time.Duration
+	// MaxRetries configures per-trial retry of infrastructure errors
+	// (see fault.Campaign).
+	MaxRetries int
 	// Workers bounds concurrent trials per campaign (0 = GOMAXPROCS).
 	Workers int
 	// Shards is the coordinator's partition count for campaigns
@@ -97,7 +96,6 @@ func (cc *CampaignControls) Run(ctx context.Context, c *fault.Campaign, n int, s
 		return nil, fmt.Errorf("core: Shards=%d partitions campaigns dispatched to a coordinator; set Remote or leave Shards at 0", cc.Shards)
 	}
 	c.MaxRetries = cc.MaxRetries
-	c.RetryBackoff = cc.RetryBackoff
 	c.Workers = cc.Workers
 	if cc.Model != nil {
 		c.Model = cc.Model
@@ -273,17 +271,27 @@ func (c *Checkpoint) Journal(stage string) (*fault.Journal, error) {
 	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: creating checkpoint dir: %w", err)
 	}
-	path := filepath.Join(c.Dir, stageFileName(stage)+".jsonl")
+	j, err := OpenJournal(filepath.Join(c.Dir, stageFileName(stage)+".jsonl"), c.Resume)
+	if err != nil {
+		return nil, err
+	}
+	c.open[stage] = j
+	return j, nil
+}
+
+// OpenJournal opens the trial journal at path. A journal that already
+// holds trials opens only with resume set, a guard against silently
+// mixing two runs' trials.
+func OpenJournal(path string, resume bool) (*fault.Journal, error) {
 	j, err := fault.OpenJournal(path)
 	if err != nil {
 		return nil, err
 	}
-	if j.Restored() > 0 && !c.Resume {
+	if j.Restored() > 0 && !resume {
 		j.Close()
-		return nil, fmt.Errorf("core: journal %s already holds %d trials; pass resume to continue it (or use a fresh checkpoint dir)",
+		return nil, fmt.Errorf("core: journal %s already holds %d trials; pass -resume to continue it (or start a fresh one)",
 			path, j.Restored())
 	}
-	c.open[stage] = j
 	return j, nil
 }
 

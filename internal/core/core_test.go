@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"ipas/internal/fault"
+	"ipas/internal/interp"
 	"ipas/internal/svm"
 	"ipas/internal/workloads"
 )
@@ -78,6 +80,14 @@ func TestWorkflowEndToEnd(t *testing.T) {
 		t.Fatal("unprotected SOC is zero; nothing to reduce")
 	}
 
+	// Every slowdown divides by the unprotected evaluation campaign's
+	// golden run (TestCampaignGoldenDynMatchesRun pins that count).
+	for _, v := range res.AllVariants() {
+		if want := float64(v.Coverage.GoldenDyn) / float64(un.Coverage.GoldenDyn); v.Slowdown != want {
+			t.Errorf("%s slowdown %v, want %d/%d = %v", v.Label(), v.Slowdown, v.Coverage.GoldenDyn, un.Coverage.GoldenDyn, want)
+		}
+	}
+
 	fd := res.FullDup
 	if fd.Slowdown <= 1.0 || fd.Slowdown > 3.5 {
 		t.Errorf("full-dup slowdown = %.2f, want (1, 3.5]", fd.Slowdown)
@@ -129,6 +139,35 @@ func TestWorkflowEndToEnd(t *testing.T) {
 	}
 	if res.TrainIPASTime <= 0 || res.ProtectTime <= 0 {
 		t.Error("timing not recorded")
+	}
+}
+
+// A campaign's golden run, plain or sectioned, counts exactly the
+// dynamic instructions of the uninstrumented run, so the workflow's
+// slowdowns can divide by the unprotected evaluation campaign's count
+// instead of running the workload once more.
+func TestCampaignGoldenDynMatchesRun(t *testing.T) {
+	for _, name := range append(append([]string(nil), workloads.Names...), workloads.ConvergenceNames...) {
+		app := loadApp(t, name)
+		prog, err := interp.Compile(app.Module, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := interp.Run(prog, app.Config).TotalDyn
+		fprog, err := fault.Compile(app.Module)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sections := range []bool{false, true} {
+			c := &fault.Campaign{Prog: fprog, Verify: app.Verify, Config: app.Config, Seed: 1, Sections: sections, Coverage: 1}
+			prep, err := c.Prepare(context.Background())
+			if err != nil {
+				t.Fatalf("%s sections=%v: %v", name, sections, err)
+			}
+			if got := prep.Golden.TotalDyn; got != want {
+				t.Errorf("%s sections=%v: campaign golden run %d dyn instrs, uninstrumented run %d", name, sections, got, want)
+			}
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"ipas/internal/dup"
 	"ipas/internal/fault"
-	"ipas/internal/interp"
 	"ipas/internal/ir"
 	"ipas/internal/svm"
 )
@@ -167,37 +166,19 @@ func RunWithDataContext(ctx context.Context, app *App, data *TrainingData, opts 
 	}
 	res.TrainBaselineTime = time.Since(t0)
 
-	// Unprotected golden run, shared by every variant's slowdown ratio.
-	// The config carries no fault plan, site counting, or budget, so
-	// this (like every golden and timing run in the pipeline) executes
-	// on the interpreter's uninstrumented fast loop.
-	baseProg, err := interp.Compile(app.Module, nil)
-	if err != nil {
-		return nil, err
-	}
-	baseGolden := interp.RunContext(ctx, baseProg, app.Config)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if baseGolden.Trap != interp.TrapNone {
-		return nil, fmt.Errorf("core: unprotected golden run trapped: %v", baseGolden.Trap)
-	}
-	baseDyn := baseGolden.TotalDyn
-
 	// Reference variants.
-	unprot, err := buildVariant(ctx, app, data, PolicyNone, -1, nil, opts, baseDyn)
+	unprot, err := buildVariant(ctx, app, data, PolicyNone, -1, nil, opts)
 	if err != nil {
 		return nil, err
 	}
 	res.Unprotected = unprot
-	unprotSOC := unprot.Coverage.Proportion(fault.OutcomeSOC)
-
-	full, err := buildVariant(ctx, app, data, PolicyFullDup, -1, nil, opts, baseDyn)
+	full, err := buildVariant(ctx, app, data, PolicyFullDup, -1, nil, opts)
 	if err != nil {
 		return nil, err
 	}
+	res.FullDup = full
 	for i, cls := range ipasCls {
-		v, err := buildVariant(ctx, app, data, PolicyIPAS, i, cls, opts, baseDyn)
+		v, err := buildVariant(ctx, app, data, PolicyIPAS, i, cls, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -205,17 +186,20 @@ func RunWithDataContext(ctx context.Context, app *App, data *TrainingData, opts 
 		res.ProtectTime += v.ProtectDuration
 	}
 	for i, cls := range baseCls {
-		v, err := buildVariant(ctx, app, data, PolicyBaseline, i, cls, opts, baseDyn)
+		v, err := buildVariant(ctx, app, data, PolicyBaseline, i, cls, opts)
 		if err != nil {
 			return nil, err
 		}
 		res.Baseline = append(res.Baseline, v)
 		res.ProtectTime += v.ProtectDuration
 	}
-	res.FullDup = full
 
-	// SOC reduction relative to the unprotected proportion.
+	// Slowdown and SOC reduction relative to the unprotected variant,
+	// whose evaluation campaign's golden run is the workload's own.
+	baseDyn := unprot.Coverage.GoldenDyn
+	unprotSOC := unprot.Coverage.Proportion(fault.OutcomeSOC)
 	for _, v := range res.AllVariants() {
+		v.Slowdown = float64(v.Coverage.GoldenDyn) / float64(baseDyn)
 		socP := v.Coverage.Proportion(fault.OutcomeSOC)
 		if unprotSOC > 0 {
 			v.SOCReductionPct = 100 * (unprotSOC - socP) / unprotSOC
@@ -224,10 +208,10 @@ func RunWithDataContext(ctx context.Context, app *App, data *TrainingData, opts 
 	return res, nil
 }
 
-// buildVariant protects (policy-dependent), measures slowdown, and runs
-// the evaluation campaign. baseDyn is the unprotected golden dynamic
+// buildVariant protects (policy-dependent) and runs the evaluation
+// campaign, whose golden run measures the variant's dynamic
 // instruction count.
-func buildVariant(ctx context.Context, app *App, data *TrainingData, policy Policy, cfgIdx int, cls *Classifier, opts Options, baseDyn int64) (*Variant, error) {
+func buildVariant(ctx context.Context, app *App, data *TrainingData, policy Policy, cfgIdx int, cls *Classifier, opts Options) (*Variant, error) {
 	v := &Variant{Policy: policy, ConfigIndex: cfgIdx, Classifier: cls}
 
 	tProtect := time.Now()
@@ -275,8 +259,5 @@ func buildVariant(ctx context.Context, app *App, data *TrainingData, policy Poli
 		return nil, fmt.Errorf("core: evaluating %s: no trials completed: %w", v.Label(), err)
 	}
 	v.Coverage = cov
-
-	// Slowdown: golden dynamic instructions, protected / unprotected.
-	v.Slowdown = float64(cov.GoldenDyn) / float64(baseDyn)
 	return v, nil
 }

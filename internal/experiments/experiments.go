@@ -285,26 +285,11 @@ func (s *Suite) All() ([]*Table, error) {
 // campaign the generators run.
 func (s *Suite) AllContext(ctx context.Context) ([]*Table, error) {
 	s.setContext(ctx)
-	type gen struct {
-		id string
-		fn func() (*Table, error)
-	}
-	gens := []gen{
-		{"table3", s.Table3},
-		{"table5", s.Table5},
-		{"fig5", s.Fig5},
-		{"fig6", s.Fig6},
-		{"fig7", s.Fig7},
-		{"table4", s.Table4},
-		{"fig8", s.Fig8},
-		{"fig9", s.Fig9},
-		{"table6", s.Table6},
-	}
 	var out []*Table
-	for _, g := range gens {
-		t, err := g.fn()
+	for _, e := range experimentTable {
+		t, err := e.gen(s)
 		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", g.id, err)
+			return out, fmt.Errorf("experiments: %s: %w", e.id, err)
 		}
 		out = append(out, t)
 	}
@@ -316,36 +301,43 @@ func (s *Suite) Run(id string) (*Table, error) {
 	return s.RunContext(context.Background(), id)
 }
 
-// RunContext runs one experiment by ID under ctx: cancellation aborts
-// the underlying workflows and campaigns, returning ctx's error.
+// RunContext runs one experiment by ID (case-insensitive) under ctx:
+// cancellation aborts the underlying workflows and campaigns,
+// returning ctx's error.
 func (s *Suite) RunContext(ctx context.Context, id string) (*Table, error) {
 	s.setContext(ctx)
-	switch strings.ToLower(id) {
-	case "table3":
-		return s.Table3()
-	case "table4":
-		return s.Table4()
-	case "table5":
-		return s.Table5()
-	case "table6":
-		return s.Table6()
-	case "fig5":
-		return s.Fig5()
-	case "fig6":
-		return s.Fig6()
-	case "fig7":
-		return s.Fig7()
-	case "fig8":
-		return s.Fig8()
-	case "fig9":
-		return s.Fig9()
+	for _, e := range experimentTable {
+		if strings.ToLower(id) == e.id {
+			return e.gen(s)
+		}
 	}
-	return nil, fmt.Errorf("experiments: unknown experiment %q (want table3|table4|table5|table6|fig5|fig6|fig7|fig8|fig9)", id)
+	return nil, fmt.Errorf("experiments: unknown experiment %q (want %s)", id, strings.Join(IDs(), "|"))
+}
+
+// experimentTable lists every experiment in paper order, with the
+// generator that builds its table.
+var experimentTable = []struct {
+	id  string
+	gen func(*Suite) (*Table, error)
+}{
+	{"table3", (*Suite).Table3},
+	{"table5", (*Suite).Table5},
+	{"fig5", (*Suite).Fig5},
+	{"fig6", (*Suite).Fig6},
+	{"fig7", (*Suite).Fig7},
+	{"table4", (*Suite).Table4},
+	{"fig8", (*Suite).Fig8},
+	{"fig9", (*Suite).Fig9},
+	{"table6", (*Suite).Table6},
 }
 
 // IDs lists the experiment identifiers in paper order.
 func IDs() []string {
-	return []string{"table3", "table5", "fig5", "fig6", "fig7", "table4", "fig8", "fig9", "table6"}
+	ids := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }

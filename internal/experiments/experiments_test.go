@@ -23,8 +23,22 @@ func TestTableRender(t *testing.T) {
 
 func TestRunUnknownID(t *testing.T) {
 	s := NewSuite(Smoke())
-	if _, err := s.Run("fig42"); err == nil {
-		t.Fatal("expected error for unknown experiment")
+	_, err := s.Run("fig42")
+	want := `experiments: unknown experiment "fig42" (want table3|table5|fig5|fig6|fig7|table4|fig8|fig9|table6)`
+	if err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %s", err, want)
+	}
+}
+
+// IDs come in paper order, and lookup ignores case.
+func TestIDsInPaperOrder(t *testing.T) {
+	want := "table3 table5 fig5 fig6 fig7 table4 fig8 fig9 table6"
+	if got := strings.Join(IDs(), " "); got != want {
+		t.Fatalf("IDs() = %s, want %s", got, want)
+	}
+	tb, err := NewSuite(Params{Opts: Smoke().Opts}).Run("TABLE3")
+	if err != nil || tb.ID != "Table3" {
+		t.Fatalf("Run(TABLE3) = %v, %v", tb, err)
 	}
 }
 

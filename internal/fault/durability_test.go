@@ -7,22 +7,27 @@ import (
 	"testing"
 )
 
-// durabilityJournal records n trials under the given fsync policy and
-// returns the journal plus its on-disk bytes after Close.
-func durabilityRun(t *testing.T, fsyncEvery, n int) (syncs int, data []byte) {
+// durabilityRun records n trials, calling Sync after the first record
+// when sync is set, and returns the fsyncs issued plus the journal's
+// on-disk bytes after Close.
+func durabilityRun(t *testing.T, sync bool, n int) (syncs int, data []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "trials.jsonl")
 	j, err := OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.SetFsyncEvery(fsyncEvery)
 	if _, err := j.Begin(JournalMeta{Seed: 9, Trials: n, GoldenDyn: 100, Population: 50}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
 		if err := j.Record(i, Trial{Site: i, Bit: i % 64, Index: int64(i), Latency: int64(10 * i)}); err != nil {
 			t.Fatal(err)
+		}
+		if sync && i == 0 {
+			if err := j.Sync(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := j.Close(); err != nil {
@@ -35,33 +40,21 @@ func durabilityRun(t *testing.T, fsyncEvery, n int) (syncs int, data []byte) {
 	return j.syncs, data
 }
 
-// The durability policy changes only when bytes reach stable storage,
-// never which bytes: every policy writes identical journals, and the
-// fsync accounting matches the configured checkpoint interval.
+// Durability changes only when bytes reach stable storage, never which
+// bytes: buffered Record and Close issue no fsync, one Sync issues
+// exactly one, and both journals are byte-identical.
 func TestJournalDurabilityPolicy(t *testing.T) {
 	const n = 7
-	baseSyncs, baseBytes := durabilityRun(t, 0, n)
-	if baseSyncs != 0 {
-		t.Fatalf("buffered journal issued %d fsyncs, want 0", baseSyncs)
+	bufSyncs, bufBytes := durabilityRun(t, false, n)
+	if bufSyncs != 0 {
+		t.Fatalf("buffered journal issued %d fsyncs, want 0", bufSyncs)
 	}
-	for _, tc := range []struct {
-		every, wantSyncs int
-	}{
-		// Per trial: one fsync per appended line (meta header + 7
-		// trials); nothing left unsynced for Close.
-		{1, n + 1},
-		// Interval 3: 8 lines fsync at 3 and 6, Close syncs the tail.
-		{3, 3},
-		// Interval larger than the journal: only Close syncs.
-		{100, 1},
-	} {
-		syncs, data := durabilityRun(t, tc.every, n)
-		if syncs != tc.wantSyncs {
-			t.Errorf("fsyncEvery=%d issued %d fsyncs, want %d", tc.every, syncs, tc.wantSyncs)
-		}
-		if !bytes.Equal(data, baseBytes) {
-			t.Errorf("fsyncEvery=%d journal bytes differ from the buffered journal", tc.every)
-		}
+	syncs, data := durabilityRun(t, true, n)
+	if syncs != 1 {
+		t.Errorf("one Sync issued %d fsyncs, want 1", syncs)
+	}
+	if !bytes.Equal(data, bufBytes) {
+		t.Errorf("synced journal bytes differ from the buffered journal")
 	}
 }
 

@@ -85,15 +85,13 @@ type journalLine struct {
 type Journal struct {
 	path string
 
-	mu        sync.Mutex
-	f         *os.File
-	w         *bufio.Writer
-	meta      *JournalMeta
-	restored  map[int]Trial
-	began     bool
-	fsyncEach int // fsync every N appended records; 0 = never (buffered)
-	sinceSync int
-	syncs     int // fsyncs issued (tests assert the policy's accounting)
+	mu       sync.Mutex
+	f        *os.File
+	w        *bufio.Writer
+	meta     *JournalMeta
+	restored map[int]Trial
+	began    bool
+	syncs    int // fsyncs issued (tests assert the durability accounting)
 }
 
 // ErrJournalLocked reports that a journal file is already open in
@@ -269,34 +267,11 @@ func (j *Journal) Begin(meta JournalMeta) (map[int]Trial, error) {
 	return nil, nil
 }
 
-// SetFsyncEvery selects the journal's durability policy: how many
-// appended records may accumulate before the journal forces them to
-// stable storage with fsync.
-//
-//	n == 0  buffered (default): every record is flushed to the OS, so
-//	        a killed process loses at most the line being written, but
-//	        host power loss can lose recent records.
-//	n == 1  per trial: fsync after every record — a record handed back
-//	        to the caller is on stable storage.
-//	n > 1   per checkpoint interval: fsync every n records and on
-//	        Sync/Close — amortizes the fsync cost, bounding power-loss
-//	        exposure to the last n records.
-//
-// Local campaigns keep the buffered default (a crashed process resumes
-// from its own disk cache anyway); the campaign coordinator syncs
-// before acknowledging worker segments, so an acked trial survives
-// host power loss.
-func (j *Journal) SetFsyncEvery(n int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	j.fsyncEach = n
-	j.sinceSync = 0
-}
-
 // Sync flushes buffered records and forces them to stable storage.
+// Record and Close never fsync: a killed local campaign resumes from
+// the OS's copy, and the campaign coordinator calls Sync before it
+// acknowledges a worker's segment, so an acked trial survives host
+// power loss.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -306,20 +281,12 @@ func (j *Journal) Sync() error {
 	if err := j.w.Flush(); err != nil {
 		return err
 	}
-	return j.fsync()
-}
-
-// fsync forces the file to stable storage; callers hold j.mu and have
-// flushed the buffer.
-func (j *Journal) fsync() error {
-	j.sinceSync = 0
 	j.syncs++
 	return j.f.Sync()
 }
 
-// Record appends one finished trial and flushes it to the OS (and, per
-// the SetFsyncEvery policy, to stable storage), so a killed process
-// loses at most the line being written.
+// Record appends one finished trial and flushes it to the OS, so a
+// killed process loses at most the line being written.
 func (j *Journal) Record(t int, tr Trial) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -341,16 +308,7 @@ func (j *Journal) append(rec journalLine) error {
 	if err := j.w.WriteByte('\n'); err != nil {
 		return err
 	}
-	if err := j.w.Flush(); err != nil {
-		return err
-	}
-	if j.fsyncEach > 0 {
-		j.sinceSync++
-		if j.sinceSync >= j.fsyncEach {
-			return j.fsync()
-		}
-	}
-	return nil
+	return j.w.Flush()
 }
 
 // WriteCanonical writes a complete campaign journal to path in
@@ -404,11 +362,6 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	err := j.w.Flush()
-	if j.fsyncEach > 0 && j.sinceSync > 0 {
-		if serr := j.fsync(); err == nil {
-			err = serr
-		}
-	}
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
 	}
