@@ -108,12 +108,13 @@ compose-smoke:
 # hit) must resume to the bit-identical result, a torn journal tail is
 # dropped, a structurally corrupt journal, plain or sectioned, is
 # refused with its bytes untouched (see internal/fault/*_test.go), and
-# a coordinator campaign killed twice with torn, corrupt and deleted
-# shard journals resumes to the bit-identical merged journal
-# (internal/campaign/coordinator_test.go). The target first checks
-# with `go test -list` that every name in CHAOS_TESTS names a test in
-# CHAOS_PKGS: a moved or renamed test would otherwise run as "no tests
-# to run" and pass.
+# a coordinator campaign killed again and again with its one journal
+# torn, corrupted and deleted resumes to the result and journal of an
+# uninterrupted local run, refusing an older build's shard journals
+# untouched (internal/campaign/coordinator_test.go). The target first
+# checks with `go test -list` that every name in CHAOS_TESTS names a
+# test in CHAOS_PKGS: a moved or renamed test would otherwise run as
+# "no tests to run" and pass.
 CHAOS_TESTS = TestCampaignCancelThenResumeBitIdentical|TestJournalDiscardsTornTail|TestModelCancelThenResumeBitIdentical|TestGoldenCacheCancelResumeBitIdentical|TestOpenJournalRefusesCorruptUntouched|TestChaosCrashResumeBitIdentical
 CHAOS_PKGS = ./internal/fault/... ./internal/campaign
 chaos-smoke:
@@ -126,8 +127,8 @@ chaos-smoke:
 # Chaos tests for the campaign coordinator under the race detector:
 # worker processes SIGKILLed mid-shard, dropped heartbeats, leases
 # expiring under slow workers, and a shard forced to retry exhaustion
-# must all converge to a merged journal bit-identical to a local
-# single-loop run (see internal/campaign/chaos_test.go).
+# must all converge to the result and journal of a local single-loop
+# run (see internal/campaign/chaos_test.go).
 server-chaos-smoke:
 	$(GO) test -race -shuffle=on -run 'TestServerChaos' -timeout=10m ./internal/campaign
 
@@ -158,15 +159,19 @@ errmodel-smoke:
 # row-at-a-time oracle on small problems with forced duplicates
 # (FuzzSolve); the IR parser irun reads .ir files with must return
 # line-numbered errors, never panic, and round-trip what it accepts
-# (FuzzParse); and the sci front end campaignd compiles submitted
-# source with must return a module or an error, never panic or
-# generate invalid IR (FuzzCompile).
+# (FuzzParse); the sci front end campaignd compiles submitted source
+# with must return a module or an error, never panic or generate
+# invalid IR (FuzzCompile); and campaignd's spec admission must never
+# panic and admit only specs whose campaign directory is one path
+# element under the journal root and whose counts stay in bounds
+# (FuzzSpec).
 FUZZ_TARGETS = \
 	FuzzDifferential:./internal/interp \
 	FuzzMPISchedule:./internal/interp:-race \
 	FuzzSolve:./internal/svm \
 	FuzzParse:./internal/ir \
-	FuzzCompile:./internal/lang
+	FuzzCompile:./internal/lang \
+	FuzzSpec:./internal/campaign
 
 # fuzz-run fuzzes every FUZZ_TARGETS entry for $(1) each. Minimizing
 # a new input is bounded at 5s so that it costs seconds, not the

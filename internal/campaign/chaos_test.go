@@ -1,17 +1,18 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strconv"
 	"testing"
 	"time"
 
+	"ipas/internal/campaign/campaigntest"
 	"ipas/internal/fault"
 )
 
@@ -83,15 +84,17 @@ func spawnChaosWorker(t *testing.T, base string, env map[string]string) *exec.Cm
 // fleet: a worker SIGKILLed mid-shard, a partitioned worker that stops
 // heartbeating and is too slow to renew its lease through record acks,
 // and a healthy replacement. The campaign must converge to the exact
-// result and byte-identical merged journal of a local Workers=1 run.
+// result and journal of a local Workers=1 run.
 func TestServerChaosConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test spawns worker processes")
 	}
 	spec := testSpec("chaos", 36, 6, 7)
-	want, wantBytes := localReference(t, spec)
+	want, meta := localReference(t, spec)
 
+	root := t.TempDir()
 	client := newTestServer(t, Options{
+		Dir:      root,
 		LeaseTTL: 400 * time.Millisecond,
 		Backoff:  2 * time.Millisecond,
 		Retries:  fault.ExplicitRetries(20),
@@ -124,29 +127,25 @@ func TestServerChaosConvergence(t *testing.T) {
 		t.Fatalf("campaign did not converge: %v", err)
 	}
 	assertSameTrials(t, res, want)
-	got, err := client.MergedJournal(context.Background(), sub.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, wantBytes) {
-		t.Fatalf("merged journal differs from the local reference after chaos (%d vs %d bytes)", len(got), len(wantBytes))
-	}
+	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, nil)
 }
 
 // TestServerChaosQuarantineExhaustion runs a worker process that fails
 // one shard on every attempt: that shard alone exhausts its retry
 // budget and fails with the deterministic quarantine message, while
-// every sibling shard's trials and journal lines stay bit-identical to
-// the local reference.
+// every sibling shard's trials and journal records stay bit-identical
+// to the local reference.
 func TestServerChaosQuarantineExhaustion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test spawns worker processes")
 	}
 	spec := testSpec("chaos-exhaust", 18, 6, 11)
-	want, wantBytes := localReference(t, spec)
+	want, meta := localReference(t, spec)
 	const sick = 2
 
+	root := t.TempDir()
 	client := newTestServer(t, Options{
+		Dir:     root,
 		Backoff: 2 * time.Millisecond,
 		Retries: fault.ExplicitRetries(1),
 	})
@@ -179,9 +178,5 @@ func TestServerChaosQuarantineExhaustion(t *testing.T) {
 			t.Fatalf("sibling trial %d differs:\n  got  %+v\n  want %+v", tr, res.Trials[tr], want.Trials[tr])
 		}
 	}
-	got, err := client.MergedJournal(context.Background(), sub.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertJournalLinesMatch(t, got, wantBytes, func(trial int) bool { return trial >= lo && trial < hi })
+	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, func(trial int) bool { return trial >= lo && trial < hi })
 }

@@ -28,7 +28,8 @@ type Client struct {
 
 // Submit sends a campaign spec and returns the coordinator's admission
 // response plus the HTTP status classifying it (201 fresh, 200
-// resumed, 202 resumed with corrupt shard journals recovered).
+// resumed, 202 re-run from trial 0 after a corrupt journal was
+// deleted).
 // Mismatch (409) and locked-journal (423) rejections come back as
 // errors wrapping fault.ErrCampaignMismatch / fault.ErrJournalLocked
 // so callers branch on them the same way local journal code does.
@@ -81,22 +82,6 @@ func (c *Client) Result(ctx context.Context, id string) (*fault.CampaignResult, 
 	res := &fault.CampaignResult{GoldenDyn: out.GoldenDyn, Trials: out.Trials}
 	res.Finalize()
 	return res, nil
-}
-
-// MergedJournal fetches the canonical merged journal's raw bytes.
-// Returns ErrNotComplete while the campaign is running.
-func (c *Client) MergedJournal(ctx context.Context, id string) ([]byte, error) {
-	status, body, err := roundTrip(ctx, c.HTTP, http.MethodGet, c.Base+"/api/v1/campaigns/"+id+"/journal", nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	switch status {
-	case http.StatusOK:
-		return body, nil
-	case http.StatusTooEarly:
-		return nil, ErrNotComplete
-	}
-	return nil, fmt.Errorf("campaign: journal of %s: HTTP %d: %s", id, status, strings.TrimSpace(string(body)))
 }
 
 // WaitResult polls until the campaign completes (or ctx ends) and

@@ -1,11 +1,12 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
 	"net/http"
+	"path/filepath"
 	"testing"
 
+	"ipas/internal/campaign/campaigntest"
 	"ipas/internal/workloads"
 )
 
@@ -21,7 +22,8 @@ func TestConvergenceWorkloadsAcrossHarnessPaths(t *testing.T) {
 		t.Skip("fault campaigns are slow")
 	}
 	ctx := context.Background()
-	client := newTestServer(t, Options{})
+	root := t.TempDir()
+	client := newTestServer(t, Options{Dir: root})
 	startWorker(t, client, nil)
 	startWorker(t, client, nil)
 
@@ -53,7 +55,7 @@ func TestConvergenceWorkloadsAcrossHarnessPaths(t *testing.T) {
 
 			// Path 2: local injection — the reference everything else
 			// must reproduce.
-			want, wantBytes := localReference(t, spec)
+			want, meta := localReference(t, spec)
 			if len(want.Trials) != spec.Trials {
 				t.Fatalf("local campaign ran %d trials, want %d", len(want.Trials), spec.Trials)
 			}
@@ -90,13 +92,7 @@ func TestConvergenceWorkloadsAcrossHarnessPaths(t *testing.T) {
 			}
 			rres := waitComplete(t, client, sub.ID)
 			assertSameTrials(t, rres, want)
-			rj, err := client.MergedJournal(ctx, sub.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(rj, wantBytes) {
-				t.Fatalf("remote merged journal differs from the local reference (%d vs %d bytes)", len(rj), len(wantBytes))
-			}
+			campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, nil)
 		})
 	}
 }

@@ -4,15 +4,15 @@ package campaign
 // tests run an in-process coordinator and a fleet of workers over
 // httptest and require that partitioning a campaign — any shard count,
 // any number of workers, interrupted, mutilated and resumed — changes
-// nothing about its result or its merged journal, which must equal a
-// local Workers=1 run byte for byte. Specs are name-pinned
-// ("shard-test"), so resubmissions with a different seed, model or
-// shard count land in the same journal directory. The plain shard ×
-// worker count table, TestShardCountInvariance, is a black-box test in
-// internal/fault/shard.
+// nothing about its result or its journal, which must carry a local
+// Workers=1 run's header and trials (campaigntest.AssertJournal) and
+// resume under a local campaign, as a local journal resumes here.
+// Specs are name-pinned ("shard-test"), so resubmissions with a
+// different seed, model or shard count land in the same journal
+// directory. The plain shard × worker count table,
+// TestShardCountInvariance, is a black-box test in internal/fault/shard.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -21,6 +21,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -28,6 +29,7 @@ import (
 	"testing"
 	"time"
 
+	"ipas/internal/campaign/campaigntest"
 	"ipas/internal/fault"
 )
 
@@ -86,7 +88,7 @@ func submit(t *testing.T, client *Client, spec Spec, want int) SubmitResponse {
 
 // interrupt runs spec on a fresh fleet until `after` trials have
 // started, then stops the fleet, and asserts the campaign was left
-// incomplete with no merged journal.
+// incomplete in its one journal.
 func interrupt(t *testing.T, root string, spec Spec, workers int, after int64, wantStatus int) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -104,29 +106,36 @@ func interrupt(t *testing.T, root string, spec Spec, workers int, after int64, w
 		t.Fatalf("campaign never reached %d started trials", after)
 	}
 	stop()
-	if _, err := os.Stat(mergedJournalPath(filepath.Join(root, sub.ID))); !os.IsNotExist(err) {
-		t.Fatal("interrupted campaign wrote a merged journal")
-	}
-}
-
-func assertMergedJournal(t *testing.T, dir string, want []byte) {
-	t.Helper()
-	got, err := os.ReadFile(mergedJournalPath(dir))
+	entries, err := os.ReadDir(filepath.Join(root, sub.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("merged journal differs from the single-loop journal (%d vs %d bytes)", len(got), len(want))
+	if len(entries) != 1 || entries[0].Name() != fault.CampaignJournal {
+		t.Fatalf("interrupted campaign left %v, want just %s", entries, fault.CampaignJournal)
+	}
+	if restored := journaled(t, root, sub.ID); restored >= spec.Trials {
+		t.Fatalf("interrupted campaign journaled all %d trials", restored)
 	}
 }
 
-// Interrupting a campaign mid-flight and resuming it from the
-// per-shard journals must reproduce the uninterrupted result — for
+// journaled counts the trials campaign id's journal under root holds.
+func journaled(t *testing.T, root, id string) int {
+	t.Helper()
+	j, err := fault.OpenJournal(filepath.Join(root, id, fault.CampaignJournal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	return j.Restored()
+}
+
+// Interrupting a campaign mid-flight and resuming it from its journal
+// must reproduce the uninterrupted result — for
 // every shard and worker count, including resuming with a different
 // worker count.
 func TestShardCancelThenResumeInvariance(t *testing.T) {
 	const seed, n = 37, 48
-	refRes, refJournal := localReference(t, testSpec("shard-test", n, 1, seed))
+	refRes, meta := localReference(t, testSpec("shard-test", n, 1, seed))
 
 	for _, k := range []int{1, 2, 7, n} {
 		for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
@@ -140,10 +149,10 @@ func TestShardCancelThenResumeInvariance(t *testing.T) {
 				client, _ := startFleet(t, context.Background(), root, w%3+1, nil)
 				sub := submit(t, client, spec, http.StatusOK)
 				if sub.Restored == 0 {
-					t.Fatal("resume restored no trials from the interrupted run's journals")
+					t.Fatal("resume restored no trials from the interrupted run's journal")
 				}
 				assertSameTrials(t, waitComplete(t, client, sub.ID), refRes)
-				assertMergedJournal(t, filepath.Join(root, sub.ID), refJournal)
+				campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, refRes.Trials, nil)
 			})
 		}
 	}
@@ -151,15 +160,15 @@ func TestShardCancelThenResumeInvariance(t *testing.T) {
 
 // TestModelShardCountInvariance extends the shard-count invariance to
 // every built-in error model: each shard count must reproduce the
-// single-loop engine's result and merged journal bit for bit, which is
-// only possible if the per-trial model draws survive partitioning.
+// single-loop engine's result and journal bit for bit, which is only
+// possible if the per-trial model draws survive partitioning.
 func TestModelShardCountInvariance(t *testing.T) {
 	const seed, n = 29, 36
 	for _, model := range fault.BuiltinModels() {
 		t.Run(model.Name(), func(t *testing.T) {
 			spec := testSpec("shard-test", n, 1, seed)
 			spec.Model = model.Name()
-			refRes, refJournal := localReference(t, spec)
+			refRes, meta := localReference(t, spec)
 
 			for _, k := range []int{1, 2, 7} {
 				t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
@@ -169,17 +178,17 @@ func TestModelShardCountInvariance(t *testing.T) {
 					spec.Shards = k
 					sub := submit(t, client, spec, http.StatusCreated)
 					assertSameTrials(t, waitComplete(t, client, sub.ID), refRes)
-					assertMergedJournal(t, filepath.Join(root, sub.ID), refJournal)
+					campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, refRes.Trials, nil)
 				})
 			}
 		})
 	}
 }
 
-// A campaign pointed at a directory whose shard journals belong to a
-// different campaign must refuse rather than clobber them; one resumed
-// with a different shard partition must refuse with a message naming
-// the cure.
+// A campaign pointed at a directory whose journal belongs to a
+// different campaign must refuse rather than clobber it; the same
+// campaign resubmitted at another shard count resumes, because the
+// partition only decides dispatch.
 func TestShardJournalOwnership(t *testing.T) {
 	const n = 12
 	root := t.TempDir()
@@ -188,38 +197,28 @@ func TestShardJournalOwnership(t *testing.T) {
 	waitComplete(t, client, sub.ID)
 	stop()
 
-	// Each refusal is checked on a freshly started coordinator, so it
-	// comes from the journals on disk, not from in-memory state.
-	refuse := func(spec Spec, want string) {
-		t.Helper()
-		client, stop := startFleet(t, context.Background(), root, 0, nil)
-		defer stop()
-		_, status, err := client.Submit(context.Background(), spec)
-		if err == nil {
-			t.Fatalf("submit of %+v reused another campaign's journal directory", spec)
-		}
-		if status != http.StatusConflict || !errors.Is(err, fault.ErrCampaignMismatch) {
-			t.Fatalf("submit returned HTTP %d, %v; want 409 and ErrCampaignMismatch", status, err)
-		}
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("refusal does not say %q: %v", want, err)
-		}
+	// Each admission runs on a freshly started coordinator, so its
+	// verdict comes from the journal on disk, not from in-memory state.
+	client, stop = startFleet(t, context.Background(), root, 0, nil)
+	_, status, err := client.Submit(context.Background(), testSpec("shard-test", n, 3, 6))
+	if status != http.StatusConflict || !errors.Is(err, fault.ErrCampaignMismatch) || !strings.Contains(err.Error(), "different campaign") {
+		t.Fatalf("submit of another seed returned HTTP %d, %v; want 409 and ErrCampaignMismatch", status, err)
 	}
-	refuse(testSpec("shard-test", n, 3, 6), "different campaign")
-	refuse(testSpec("shard-test", n, 4, 5), "different shard partition")
-
-	// The original configuration still resumes (instantly: everything
-	// is journaled).
-	client, _ = startFleet(t, context.Background(), root, 0, nil)
-	if sub := submit(t, client, testSpec("shard-test", n, 3, 5), http.StatusOK); sub.Status != "complete" {
-		t.Fatalf("resumed campaign status %q, want complete", sub.Status)
+	stop()
+	for _, shards := range []int{4, 3} {
+		client, stop := startFleet(t, context.Background(), root, 0, nil)
+		// Everything is journaled, so the campaign resumes complete.
+		if sub := submit(t, client, testSpec("shard-test", n, shards, 5), http.StatusOK); sub.Status != "complete" {
+			t.Fatalf("campaign resumed at %d shards has status %q, want complete", shards, sub.Status)
+		}
+		stop()
 	}
 }
 
-// TestShardJournalUnknownModelFailsShard: a shard journal whose header
-// names a model this build does not know must refuse admission
-// (ErrCampaignMismatch path), not silently re-run the shard's trials
-// under the default model.
+// TestShardJournalUnknownModelFailsShard: a campaign journal whose
+// header names a model this build does not know must refuse admission
+// (ErrCampaignMismatch path) and stay untouched, not silently re-run
+// its trials under the default model.
 func TestShardJournalUnknownModelFailsShard(t *testing.T) {
 	const seed, n = 29, 20
 	root := t.TempDir()
@@ -228,11 +227,10 @@ func TestShardJournalUnknownModelFailsShard(t *testing.T) {
 	sub := submit(t, client, spec, http.StatusCreated)
 	waitComplete(t, client, sub.ID)
 	stop()
-	dir := filepath.Join(root, sub.ID)
 
-	// Stamp an unknown model into shard 0's header, keeping the rest of
-	// the journal intact so only the model mismatches.
-	path := filepath.Join(dir, shardJournalName(0))
+	// Stamp an unknown model into the header, keeping the rest of the
+	// journal intact so only the model mismatches.
+	path := filepath.Join(root, sub.ID, fault.CampaignJournal)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -242,61 +240,52 @@ func TestShardJournalUnknownModelFailsShard(t *testing.T) {
 		Meta *fault.JournalMeta `json:"meta"`
 	}
 	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil || rec.Meta == nil {
-		t.Fatalf("shard journal %s: malformed header (err=%v)", path, err)
+		t.Fatalf("journal %s: malformed header (err=%v)", path, err)
 	}
 	rec.Meta.Model = "future-model-v9"
 	hdr, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, []byte(string(hdr)+"\n"+lines[1]), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Drop the merged journal so the resume actually re-opens the
-	// per-shard journals.
-	if err := os.Remove(mergedJournalPath(dir)); err != nil {
+	stamped := string(hdr) + "\n" + lines[1]
+	if err := os.WriteFile(path, []byte(stamped), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	client, _ = startFleet(t, context.Background(), root, 2, nil)
 	_, status, err := client.Submit(context.Background(), spec)
 	if err == nil {
-		t.Fatal("sharded resume accepted a journal naming an unknown model")
+		t.Fatal("coordinator resume accepted a journal naming an unknown model")
 	}
 	if status != http.StatusConflict || !errors.Is(err, fault.ErrCampaignMismatch) || !strings.Contains(err.Error(), "future-model-v9") {
-		t.Fatalf("sharded resume returned HTTP %d, %v; want 409 and the unknown-model mismatch", status, err)
+		t.Fatalf("coordinator resume returned HTTP %d, %v; want 409 and the unknown-model mismatch", status, err)
 	}
-	rewritten, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := string(hdr) + "\n" + lines[1]; string(rewritten) != want {
-		t.Fatal("refused shard journal was modified")
+	if rewritten, err := os.ReadFile(path); err != nil || string(rewritten) != stamped {
+		t.Fatalf("refused journal was modified (err=%v)", err)
 	}
 }
 
 // TestChaosCrashResumeBitIdentical is the chaos gauntlet: a campaign
-// is killed mid-flight twice, its journals are mutilated between
-// resumes — a torn tail (process killed mid-write), a wholesale
-// corrupt shard journal, a deleted shard journal — and a shard's
-// first lease of the final leg fails. The survivor must be
-// bit-identical, result and merged journal both, to an uninterrupted
-// single-loop campaign.
+// is killed mid-flight again and again, its journal is mutilated
+// between resumes — a torn tail (process killed mid-write), wholesale
+// structural corruption, an older build's shard journal beside it,
+// outright deletion — and a shard's first lease of the final leg
+// fails. The survivor must be bit-identical, result and journal both,
+// to an uninterrupted single-loop campaign.
 func TestChaosCrashResumeBitIdentical(t *testing.T) {
 	const seed, n, shards = 31, 60, 6
 	spec := testSpec("shard-test", n, shards, seed)
-	refRes, refJournal := localReference(t, spec)
+	refRes, meta := localReference(t, spec)
 	root := t.TempDir()
 	id := spec.ID()
-	journal := func(sh int) string { return filepath.Join(root, id, shardJournalName(sh)) }
+	dir := filepath.Join(root, id)
+	journal := filepath.Join(dir, fault.CampaignJournal)
 
 	// Leg 1: kill after ~10 trials.
 	interrupt(t, root, spec, 3, 10, http.StatusCreated)
 
-	// Chaos: a torn tail on shard 0 (the journal's own crash-recovery
-	// drops it) and a half-overwritten, structurally corrupt journal on
-	// shard 1 (the coordinator deletes it and re-runs the shard).
-	f, err := os.OpenFile(journal(0), os.O_APPEND|os.O_WRONLY, 0o644)
+	// Chaos: a torn tail, which the journal's own crash recovery drops.
+	f, err := os.OpenFile(journal, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,23 +293,48 @@ func TestChaosCrashResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if err := os.WriteFile(journal(1), []byte("{\"meta\":{\"format\":\"bogus-v9\"}}\n{\"t\":0}\n"), 0o644); err != nil {
+
+	// Leg 2: resume (HTTP 200) and kill again after ~15 more trials.
+	interrupt(t, root, spec, 3, 15, http.StatusOK)
+
+	// Chaos: a half-overwritten, structurally corrupt journal. The
+	// coordinator deletes it and re-runs the campaign from trial 0
+	// (HTTP 202).
+	if err := os.WriteFile(journal, []byte("{\"meta\":{\"format\":\"bogus-v9\"}}\n{\"t\":0}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	interrupt(t, root, spec, 3, 10, http.StatusAccepted)
+
+	// Chaos: an older build's shard journal beside the journal. The
+	// directory is refused (409) and left as it was.
+	older := filepath.Join(dir, "shard-0000.jsonl")
+	if err := os.WriteFile(older, []byte("{\"meta\":{\"format\":\"ipas-trial-journal-v1\"}}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := readTree(t, root)
+	client, stop := startFleet(t, context.Background(), root, 0, nil)
+	if _, status, err := client.Submit(context.Background(), spec); status != http.StatusConflict || !errors.Is(err, fault.ErrCampaignMismatch) {
+		t.Fatalf("older layout returned HTTP %d, %v; want 409 and ErrCampaignMismatch", status, err)
+	}
+	stop()
+	if after := readTree(t, root); !reflect.DeepEqual(after, before) {
+		t.Fatal("refused older-layout directory changed")
+	}
+	if err := os.Remove(older); err != nil {
 		t.Fatal(err)
 	}
 
-	// Leg 2: kill again after ~15 more trials. Admission reports the
-	// corrupt shard journal as recovered (HTTP 202).
-	interrupt(t, root, spec, 3, 15, http.StatusAccepted)
-
-	// Chaos: lose shard 2's journal entirely.
-	if err := os.Remove(journal(2)); err != nil {
+	// Chaos: lose the journal entirely; the campaign starts afresh
+	// (HTTP 201) and is killed once more.
+	if err := os.Remove(journal); err != nil {
 		t.Fatal(err)
 	}
+	interrupt(t, root, spec, 3, 10, http.StatusCreated)
 
-	// Leg 3: run to completion, with shard 3's first lease of this leg
-	// failing — the coordinator must back off, retry, and heal.
+	// Final leg: run to completion, with shard 3's first lease of this
+	// leg failing — the coordinator must back off, retry, and heal.
 	var failed atomic.Bool
-	client, _ := startFleet(t, context.Background(), root, 3, func(_ string, sh, _ int) error {
+	client, _ = startFleet(t, context.Background(), root, 3, func(_ string, sh, _ int) error {
 		if sh == 3 && failed.CompareAndSwap(false, true) {
 			return errors.New("chaos: injected shard failure")
 		}
@@ -328,5 +342,134 @@ func TestChaosCrashResumeBitIdentical(t *testing.T) {
 	})
 	sub := submit(t, client, spec, http.StatusOK)
 	assertSameTrials(t, waitComplete(t, client, sub.ID), refRes)
-	assertMergedJournal(t, filepath.Join(root, sub.ID), refJournal)
+	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, refRes.Trials, nil)
+}
+
+// A completed coordinator campaign's journal is a local campaign's
+// journal: a fault.Campaign built from the same spec, plain or
+// sectioned, opened on it restores every trial, runs none, and returns
+// the coordinator's result.
+func TestLocalCampaignResumesCoordinatorJournal(t *testing.T) {
+	for _, sections := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sections=%t", sections), func(t *testing.T) {
+			spec := testSpec("local-resume", 24, 3, 17)
+			if sections {
+				spec = Spec{Name: "local-resume", Source: testSource, Verifier: "exact", Seed: 17, Shards: 3, Sections: true, MaxPerSection: 8}
+				spec.Normalize()
+			}
+			root := t.TempDir()
+			client, stop := startFleet(t, context.Background(), root, 2, nil)
+			sub := submit(t, client, spec, http.StatusCreated)
+			remote := waitComplete(t, client, sub.ID)
+			stop()
+
+			c, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, err := fault.OpenJournal(filepath.Join(root, sub.ID, fault.CampaignJournal))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			if j.Restored() != len(remote.Trials) {
+				t.Fatalf("local journal open restored %d of %d trials", j.Restored(), len(remote.Trials))
+			}
+			ran := 0
+			c.Journal, c.Progress = j, func(int, int, int, int) { ran++ }
+			res, err := c.RunContext(context.Background(), spec.Trials)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ran != 0 {
+				t.Fatalf("local resume of a complete journal ran %d trials", ran)
+			}
+			assertSameTrials(t, res, remote)
+		})
+	}
+}
+
+// A local Workers=1 journal interrupted after k trials and copied into
+// a coordinator's campaign directory resumes there: a 3-shard fleet
+// runs exactly the n−k missing trials and matches the local reference.
+func TestCoordinatorResumesLocalJournal(t *testing.T) {
+	const seed, n = 23, 30
+	spec := testSpec("", n, 3, seed)
+	refRes, meta := localReference(t, spec)
+
+	// Interrupt a local run after ~n/3 trials.
+	local := filepath.Join(t.TempDir(), "local.jsonl")
+	c, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := fault.OpenJournal(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	c.Journal, c.Workers = j, 1
+	c.Progress = func(done, _, _, _ int) {
+		if done >= n/3 {
+			cancel()
+		}
+	}
+	if _, err := c.RunContext(ctx, n); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted local run returned %v, want context.Canceled", err)
+	}
+	k := j.Restored()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if k == 0 || k >= n {
+		t.Fatalf("local run journaled %d of %d trials before the interrupt", k, n)
+	}
+
+	root := t.TempDir()
+	data, err := os.ReadFile(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(root, spec.ID()), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, spec.ID(), fault.CampaignJournal), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var ran atomic.Int64
+	client, _ := startFleet(t, context.Background(), root, 2, func(string, int, int) error {
+		ran.Add(1)
+		return nil
+	})
+	sub := submit(t, client, spec, http.StatusOK)
+	if sub.Restored != k {
+		t.Fatalf("coordinator restored %d trials, want the local journal's %d", sub.Restored, k)
+	}
+	assertSameTrials(t, waitComplete(t, client, sub.ID), refRes)
+	if got := ran.Load(); got != int64(n-k) {
+		t.Fatalf("coordinator ran %d trials, want the %d the local journal lacked", got, n-k)
+	}
+	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, refRes.Trials, nil)
+}
+
+// A name-pinned campaign interrupted at 3 shards resumes at 4: the
+// journal's header does not name the partition, so the new partition
+// runs only the trials the journal lacks.
+func TestRepartitionedCampaignResumes(t *testing.T) {
+	const seed, n = 41, 36
+	refRes, meta := localReference(t, testSpec("shard-test", n, 1, seed))
+	root := t.TempDir()
+	interrupt(t, root, testSpec("shard-test", n, 3, seed), 2, n/3, http.StatusCreated)
+
+	var ran atomic.Int64
+	client, _ := startFleet(t, context.Background(), root, 2, func(string, int, int) error {
+		ran.Add(1)
+		return nil
+	})
+	sub := submit(t, client, testSpec("shard-test", n, 4, seed), http.StatusOK)
+	assertSameTrials(t, waitComplete(t, client, sub.ID), refRes)
+	if got := ran.Load(); sub.Restored == 0 || got != int64(n-sub.Restored) {
+		t.Fatalf("4-shard resume restored %d trials and ran %d, want the %d missing", sub.Restored, got, n-sub.Restored)
+	}
+	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, refRes.Trials, nil)
 }

@@ -1,12 +1,12 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
 	"net/http"
-	"strings"
+	"path/filepath"
 	"testing"
 
+	"ipas/internal/campaign/campaigntest"
 	"ipas/internal/fault"
 )
 
@@ -47,9 +47,11 @@ func TestSpecModelKeepsLegacyID(t *testing.T) {
 // TestServerModelCampaignsMatchLocalReference is the local-vs-remote
 // leg of the model determinism matrix: for every built-in model, a
 // campaign executed by coordinator + workers must reproduce the local
-// single-loop engine's result and canonical journal bit for bit.
+// single-loop engine's result and journal bit for bit, header (and so
+// model) included.
 func TestServerModelCampaignsMatchLocalReference(t *testing.T) {
-	client := newTestServer(t, Options{})
+	root := t.TempDir()
+	client := newTestServer(t, Options{Dir: root})
 	startWorker(t, client, nil)
 	startWorker(t, client, nil)
 
@@ -57,7 +59,10 @@ func TestServerModelCampaignsMatchLocalReference(t *testing.T) {
 		t.Run(model.Name(), func(t *testing.T) {
 			spec := testSpec("", 16, 3, 42)
 			spec.Model = fault.ModelName(model)
-			want, wantBytes := localReference(t, spec)
+			want, meta := localReference(t, spec)
+			if meta.Model != fault.ModelName(model) {
+				t.Fatalf("local header names model %q, want %q", meta.Model, fault.ModelName(model))
+			}
 
 			sub, status, err := client.Submit(context.Background(), spec)
 			if err != nil {
@@ -68,17 +73,7 @@ func TestServerModelCampaignsMatchLocalReference(t *testing.T) {
 			}
 			res := waitComplete(t, client, sub.ID)
 			assertSameTrials(t, res, want)
-			got, err := client.MergedJournal(context.Background(), sub.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, wantBytes) {
-				t.Fatalf("merged journal differs from the local reference (%d vs %d bytes)", len(got), len(wantBytes))
-			}
-			if model.Name() != fault.SingleBit.Name() &&
-				!strings.Contains(string(got), `"model":"`+model.Name()+`"`) {
-				t.Fatalf("merged journal header does not carry model %s", model.Name())
-			}
+			campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, nil)
 		})
 	}
 }

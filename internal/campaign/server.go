@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -19,9 +18,9 @@ import (
 // Options configures a coordinator.
 type Options struct {
 	// Dir is the root journal directory; each campaign owns Dir/<id>/
-	// with one journal per shard (shard-0000.jsonl, ...) and
-	// merged.jsonl on completion, so a coordinator restart resumes
-	// from the same files.
+	// and journals into its one file, fault.CampaignJournal, in the
+	// format a local campaign writes, so a coordinator restart resumes
+	// from it and a local run resumes it too.
 	Dir string
 	// LeaseTTL bounds how long a worker may hold a shard without
 	// heartbeating (default 15s). An expired lease requeues the shard.
@@ -56,37 +55,35 @@ type state struct {
 	spec  Spec
 	n, k  int
 	dir   string
-	meta  fault.JournalMeta // campaign-wide (merged-journal) header
+	meta  fault.JournalMeta // the journal header, as a local run writes it
 	plans []interp.FaultPlan
 	res   *fault.CampaignResult
 	sm    *shardMachine
 
-	journals     []*fault.Journal
-	jmu          []sync.Mutex // per-shard journal I/O; see Server's locking notes
-	failedShard  []bool       // guarded by jmu[sh]: shard terminally failed, journal retired
+	journal      *fault.Journal
+	jmu          sync.Mutex // journal I/O; see Server's locking notes
+	failedShard  []bool     // guarded by jmu: shard terminally failed, its records final
 	backoffUntil []time.Time
 	leaseOf      []*lease
 
-	restored  int   // trials recovered from durable journals on admit
-	recovered []int // shards whose corrupt journal was deleted on admit
-	hadPrior  bool  // any durable trial or merged journal existed
+	restored  int  // trials recovered from the durable journal on admit
+	recovered bool // a corrupt journal was deleted on admit
 	complete  bool
-	finalErr  error // merged-journal write failure, surfaced in Progress
 }
 
 // Server is the campaign coordinator: it admits specs, restores their
 // durable journals, and dispatches shards to workers under leases. One
 // mutex (mu) serializes campaign and lease state, but the hot path's
-// journal appends and fsyncs run outside it under a per-shard journal
-// lock (state.jmu), so one slow fsync never holds up heartbeats or
-// sibling shards' segments. The durable-ack contract survives the
-// split because it is ordered, not locked: a segment is journaled and
-// fsynced first, and only then — back under mu, with the lease
-// re-validated — settled in memory and acknowledged.
+// journal appends and fsyncs run outside it under the campaign's
+// journal lock (state.jmu), so one slow fsync never holds up
+// heartbeats or other campaigns' segments. The durable-ack contract
+// survives the split because it is ordered, not locked: a segment is
+// journaled and fsynced first, and only then — back under mu, with the
+// lease re-validated — settled in memory and acknowledged.
 //
-// Lock order: mu before jmu, never the reverse. The only paths that
-// hold both are rare and cold (terminal shard failure, journal close
-// on completion); phase-2 segment I/O holds jmu alone.
+// Lock order: mu before jmu, never the reverse. The only path that
+// holds both is rare and cold (terminal shard failure); phase-2
+// segment I/O holds jmu alone.
 type Server struct {
 	opts    Options
 	ttl     time.Duration
@@ -143,7 +140,6 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /api/v1/campaigns", s.handleList)
 	s.mux.HandleFunc("GET /api/v1/campaigns/{id}", s.handleProgress)
 	s.mux.HandleFunc("GET /api/v1/campaigns/{id}/result", s.handleResult)
-	s.mux.HandleFunc("GET /api/v1/campaigns/{id}/journal", s.handleJournal)
 	s.mux.HandleFunc("POST /api/v1/leases", s.handleAcquire)
 	s.mux.HandleFunc("POST /api/v1/leases/{lease}/heartbeat", s.handleHeartbeat)
 	s.mux.HandleFunc("POST /api/v1/leases/{lease}/records", s.handleRecords)
@@ -168,7 +164,7 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	for _, st := range s.campaigns {
-		closeJournals(st)
+		closeJournal(st)
 	}
 	s.mu.Unlock()
 	close(s.stopSweep)
@@ -207,10 +203,11 @@ func (s *Server) logf(format string, args ...any) {
 // ---- admission ----
 
 // handleSubmit admits a campaign spec. The HTTP status classifies the
-// admission: 201 fresh, 200 resumed from durable journals (torn tails
-// truncated silently), 202 resumed with corrupt shard journals deleted
-// and those shards requeued, 409 when the campaign directory belongs to
-// a different campaign, 423 when another process holds a journal lock.
+// admission: 201 fresh, 200 resumed from the durable journal (a torn
+// tail truncated silently), 202 with a corrupt journal deleted and the
+// campaign re-run from trial 0, 409 when the campaign directory belongs
+// to a different campaign or an older build's layout, 423 when another
+// process holds the journal lock.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
@@ -247,6 +244,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "sectioned campaign has no injectable sections")
 			return
 		}
+		if spec.Trials > maxTrials {
+			httpError(w, http.StatusBadRequest, "sectioned campaign allocates %d trials, above the limit of %d", spec.Trials, maxTrials)
+			return
+		}
 		if spec.Shards > spec.Trials {
 			spec.Shards = spec.Trials
 		}
@@ -266,9 +267,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusConflict, "campaign %s: %v", id, fault.ErrCampaignMismatch)
 			return
 		}
-		writeJSON(w, http.StatusOK, SubmitResponse{
-			ID: id, Status: statusOf(st), Restored: st.restored, RecoveredShards: st.recovered,
-		})
+		writeJSON(w, http.StatusOK, SubmitResponse{ID: id, Status: statusOf(st), Restored: st.restored})
 		return
 	}
 
@@ -286,22 +285,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	status := http.StatusCreated
 	switch {
-	case len(st.recovered) > 0:
+	case st.recovered:
 		status = http.StatusAccepted
-	case st.hadPrior:
+	case st.restored > 0:
 		status = http.StatusOK
 	}
-	s.logf("campaign %s admitted: %d trials, %d shards, %d restored, %d shard journals recovered",
-		id, st.n, st.k, st.restored, len(st.recovered))
-	writeJSON(w, status, SubmitResponse{
-		ID: id, Status: statusOf(st), Restored: st.restored, RecoveredShards: st.recovered,
-	})
+	s.logf("campaign %s admitted: %d trials, %d shards, %d restored, corrupt journal deleted: %t",
+		id, st.n, st.k, st.restored, st.recovered)
+	writeJSON(w, status, SubmitResponse{ID: id, Status: statusOf(st), Restored: st.restored})
 }
 
-// admitLocked registers a campaign and restores its journal directory:
-// torn tails are truncated on open, a corrupt shard journal is deleted
-// and its shard re-run, a valid journal of a different campaign is
-// never clobbered.
+// admitLocked registers a campaign and restores its journal: a torn
+// tail is truncated on open, a corrupt journal is deleted and the
+// campaign re-run, and a valid journal of a different campaign, or an
+// older build's layout, is never clobbered.
 func (s *Server) admitLocked(id string, spec Spec, prep *fault.Prepared, meta fault.JournalMeta) (*state, error) {
 	plans := prep.Plans(spec.Trials)
 	st := &state{
@@ -314,28 +311,18 @@ func (s *Server) admitLocked(id string, spec Spec, prep *fault.Prepared, meta fa
 		plans:        plans,
 		res:          prep.NewResult(plans),
 		sm:           newShardMachine(spec.Shards),
-		journals:     make([]*fault.Journal, spec.Shards),
-		jmu:          make([]sync.Mutex, spec.Shards),
 		failedShard:  make([]bool, spec.Shards),
 		backoffUntil: make([]time.Time, spec.Shards),
 		leaseOf:      make([]*lease, spec.Shards),
 	}
+	if err := refuseOlderLayout(st.dir); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(st.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("creating campaign dir: %w", err)
 	}
-	if err := s.restoreMergedLocked(st); err != nil {
+	if err := openJournal(st); err != nil {
 		return nil, err
-	}
-	for sh := 0; sh < st.k; sh++ {
-		if err := s.openShardJournalLocked(st, sh); err != nil {
-			closeJournals(st)
-			return nil, err
-		}
-	}
-	for t := range st.res.Trials {
-		if st.res.Trials[t].Status != fault.TrialPending {
-			st.restored++
-		}
 	}
 	// Shards whose whole range is already durable owe no execution.
 	for sh := 0; sh < st.k; sh++ {
@@ -350,107 +337,53 @@ func (s *Server) admitLocked(id string, spec Spec, prep *fault.Prepared, meta fa
 	return st, nil
 }
 
-// restoreMergedLocked loads a completed prior run's merged journal,
-// with the same recovery split as shard journals: corrupt → delete and
-// rebuild from shard journals, foreign → hard mismatch error.
-func (s *Server) restoreMergedLocked(st *state) error {
-	path := mergedJournalPath(st.dir)
-	if _, err := os.Stat(path); err != nil {
-		return nil
-	}
-	j, err := fault.OpenJournal(path)
-	if err != nil {
-		if errors.Is(err, fault.ErrJournalCorrupt) {
-			return os.Remove(path)
-		}
-		return err
-	}
-	prev, err := j.Begin(st.meta)
-	closeErr := j.Close()
-	if err != nil {
-		if errors.Is(err, fault.ErrCampaignMismatch) {
-			return err
-		}
-		return os.Remove(path)
-	}
-	if closeErr != nil {
-		return closeErr
-	}
-	for t, tr := range prev {
-		if t >= 0 && t < st.n && tr.Status != fault.TrialPending {
-			st.res.Trials[t] = tr
-			st.hadPrior = true
+// refuseOlderLayout fails for a campaign directory an older build
+// wrote: one journal per shard (shard-NNNN.jsonl) and merged.jsonl on
+// completion. No path reads them any more, so admitting the campaign
+// would silently re-run their trials; the files are left untouched.
+func refuseOlderLayout(dir string) error {
+	for _, pattern := range []string{"shard-*.jsonl", "merged.jsonl"} {
+		if old, _ := filepath.Glob(filepath.Join(dir, pattern)); len(old) > 0 {
+			return fmt.Errorf("%s holds shard journals of an older build, which this one cannot resume: %w; finish them with that build or use a fresh campaign name",
+				dir, fault.ErrCampaignMismatch)
 		}
 	}
 	return nil
 }
 
-// openShardJournalLocked opens shard sh's journal, restoring its trials
-// and classifying damage: corrupt → delete, recreate, and report the
-// shard as recovered (it re-runs from scratch); a valid journal of a
-// different campaign → mismatch error; held lock → locked error.
-func (s *Server) openShardJournalLocked(st *state, sh int) error {
-	path := filepath.Join(st.dir, shardJournalName(sh))
-	lo, hi := shardRange(st.n, st.k, sh)
-	meta := st.meta
-	meta.Shards, meta.Shard, meta.ShardStart, meta.ShardEnd = st.k, sh, lo, hi
-	for recreated := false; ; recreated = true {
-		j, err := fault.OpenJournal(path)
-		if err != nil {
-			if errors.Is(err, fault.ErrJournalCorrupt) && !recreated {
-				if err := os.Remove(path); err != nil {
-					return err
-				}
-				st.recovered = append(st.recovered, sh)
-				continue
-			}
-			return err
-		}
-		prev, err := j.Begin(meta)
-		if err != nil {
-			j.Close()
-			if errors.Is(err, fault.ErrCampaignMismatch) {
-				if sameCampaignDifferentSharding(path, st.meta) {
-					return fmt.Errorf(
-						"journal %s was written with a different shard partition; resubmit with the original shard count or use a fresh campaign name (%w)",
-						path, err)
-				}
-				return err
-			}
-			if !recreated {
-				if err := os.Remove(path); err != nil {
-					return err
-				}
-				st.recovered = append(st.recovered, sh)
-				continue
-			}
-			return err
-		}
-		st.journals[sh] = j
-		for t, tr := range prev {
-			if t >= lo && t < hi && tr.Status != fault.TrialPending {
-				st.res.Trials[t] = tr
-				st.hadPrior = true
-			}
-		}
-		return nil
-	}
-}
-
-// sameCampaignDifferentSharding reports whether the journal at path
-// belongs to this campaign but was partitioned differently.
-func sameCampaignDifferentSharding(path string, meta fault.JournalMeta) bool {
+// openJournal opens the campaign's journal and restores its trials,
+// classifying damage: a structurally corrupt journal is deleted and the
+// campaign re-runs from trial 0 (every lost record is re-derived
+// deterministically); a valid journal of a different campaign
+// (mismatch) or one another process holds (locked) fails admission and
+// stays untouched. The shard partition is not part of the header, so a
+// name-pinned campaign resumes at any shard count.
+func openJournal(st *state) error {
+	path := filepath.Join(st.dir, fault.CampaignJournal)
 	j, err := fault.OpenJournal(path)
+	if errors.Is(err, fault.ErrJournalCorrupt) {
+		if err := os.Remove(path); err != nil {
+			return err
+		}
+		st.recovered = true
+		j, err = fault.OpenJournal(path)
+	}
 	if err != nil {
-		return false
+		return err
 	}
-	defer j.Close()
-	m := j.Meta()
-	if m == nil {
-		return false
+	prev, err := j.Begin(st.meta)
+	if err != nil {
+		j.Close()
+		return err
 	}
-	return m.Seed == meta.Seed && m.Trials == meta.Trials && m.ProgramFP == meta.ProgramFP &&
-		m.GoldenDyn == meta.GoldenDyn && m.Population == meta.Population
+	st.journal = j
+	for t, tr := range prev {
+		if t >= 0 && t < st.n && tr.Status != fault.TrialPending {
+			st.res.Trials[t] = tr
+			st.restored++
+		}
+	}
+	return nil
 }
 
 // ---- lease dispatch ----
@@ -541,8 +474,12 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // the idempotent-resend path and collecting a durable ack for a record
 // that never reached disk. Re-sent records for already-settled trials
 // ack idempotently without re-journaling. The fsync runs outside the
-// coordinator mutex — under the shard's journal lock — so a slow disk
-// never blocks heartbeats or other shards' segments.
+// coordinator mutex — under the campaign's journal lock — so a slow
+// disk never blocks heartbeats or other campaigns' segments. A record
+// that is not a settled trial (pending, an unknown status, or a
+// completed one with an outcome out of range) fails the whole segment
+// with 400 before anything is journaled: once durable, it would come
+// back on every restart and local resume.
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("lease")
 	var seg Segment
@@ -569,9 +506,9 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "record for trial %d is outside lease %s's range [%d,%d)", rec.T, id, lo, hi)
 			return
 		}
-		if rec.Trial.Status == fault.TrialPending {
+		if err := checkSettled(rec.Trial); err != nil {
 			s.mu.Unlock()
-			httpError(w, http.StatusBadRequest, "record for trial %d is pending; segments carry settled trials only", rec.T)
+			httpError(w, http.StatusBadRequest, "record for trial %d: %v", rec.T, err)
 			return
 		}
 	}
@@ -581,16 +518,16 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 			fresh = append(fresh, rec)
 		}
 	}
-	j := st.journals[sh]
+	j := st.journal
 	s.mu.Unlock()
 
-	// Phase 2, shard journal lock only: make the fresh records durable.
+	// Phase 2, journal lock only: make the fresh records durable.
 	// failedShard fences zombie leases — once a shard terminally fails,
-	// a late segment may not append after the TrialFailed records and
+	// a late segment may not append after its TrialFailed records and
 	// flip the journal's last-wins restore against the in-memory
 	// verdicts.
 	if len(fresh) > 0 {
-		st.jmu[sh].Lock()
+		st.jmu.Lock()
 		retired := st.failedShard[sh] || j == nil
 		var jerr error
 		if !retired {
@@ -604,7 +541,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 				jerr = j.Sync()
 			}
 		}
-		st.jmu[sh].Unlock()
+		st.jmu.Unlock()
 		if retired {
 			httpError(w, http.StatusGone, "lease %s: shard %d is no longer accepting records", id, sh)
 			return
@@ -727,16 +664,16 @@ func backoffDelay(base time.Duration, attempt int) time.Duration {
 func (s *Server) failShardLocked(st *state, sh, attempts int, cause string) {
 	lo, hi := shardRange(st.n, st.k, sh)
 	msg := fmt.Sprintf("shard %d/%d quarantined after %d attempts: %s", sh, st.k, attempts, cause)
-	// Taking the shard journal lock (mu → jmu, the cold direction)
-	// retires the journal: a zombie lease's segment that was mid-fsync
-	// either finished before this point — those trials are pending in
-	// memory (its settle was refused) and are overwritten below, after
-	// its records in the journal — or observes failedShard and is
-	// refused. Either way nothing appends after these TrialFailed
+	// Taking the journal lock (mu → jmu, the cold direction) retires
+	// the shard: a zombie lease's segment that was mid-fsync either
+	// finished before this point — those trials are pending in memory
+	// (its settle was refused) and are overwritten below, after its
+	// records in the journal — or observes failedShard and is refused.
+	// Either way nothing of this shard appends after these TrialFailed
 	// records, so the journal's last-wins restore always agrees with
 	// the in-memory verdicts.
-	st.jmu[sh].Lock()
-	defer st.jmu[sh].Unlock()
+	st.jmu.Lock()
+	defer st.jmu.Unlock()
 	st.failedShard[sh] = true
 	for t := lo; t < hi; t++ {
 		if st.res.Trials[t].Status != fault.TrialPending {
@@ -749,29 +686,25 @@ func (s *Server) failShardLocked(st *state, sh, attempts int, cause string) {
 		st.res.Trials[t] = tr
 		// Best-effort journaling: the verdict is re-derived on resume
 		// if it never reached disk.
-		if j := st.journals[sh]; j != nil {
-			j.Record(t, tr)
+		if st.journal != nil {
+			st.journal.Record(t, tr)
 		}
 	}
-	if j := st.journals[sh]; j != nil {
-		j.Sync()
+	if st.journal != nil {
+		st.journal.Sync()
 	}
 }
 
 // maybeCompleteLocked finalizes a campaign once every shard is
-// terminal: the canonical merged journal — byte-identical to a local
-// Workers=1 run over the same surviving trial set — is written
-// atomically and the shard journals are closed.
+// terminal and closes its journal, which then holds every trial under
+// the header a local run of the campaign writes: a local campaign
+// opened on it restores every trial and runs none.
 func (s *Server) maybeCompleteLocked(st *state) {
 	if st.complete || !st.sm.allTerminal() {
 		return
 	}
 	st.res.Finalize()
-	if err := fault.WriteCanonical(mergedJournalPath(st.dir), st.meta, st.res.Trials); err != nil {
-		st.finalErr = err
-		s.logf("campaign %s: writing merged journal: %v", st.id, err)
-	}
-	closeJournals(st)
+	closeJournal(st)
 	st.complete = true
 	s.logf("campaign %s complete: %d/%d trials completed, %d failed", st.id, st.res.Completed, st.n, st.res.Failed)
 }
@@ -828,9 +761,6 @@ func (s *Server) progressLocked(st *state) Progress {
 	if summary := st.res.ErrorSummary(); summary != "" && st.res.Failed > 0 {
 		p.Errors = summary
 	}
-	if st.finalErr != nil {
-		p.Errors = strings.TrimSpace(p.Errors + " merged journal: " + st.finalErr.Error())
-	}
 	for sh := 0; sh < st.k; sh++ {
 		lo, hi := shardRange(st.n, st.k, sh)
 		ss := ShardStatus{
@@ -863,32 +793,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, ResultResponse{ID: st.id, GoldenDyn: st.res.GoldenDyn, Trials: st.res.Trials})
-}
-
-// handleJournal streams the canonical merged journal's bytes, or 425
-// while the campaign is still running.
-func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	st := s.campaigns[r.PathValue("id")]
-	if st == nil {
-		s.mu.Unlock()
-		httpError(w, http.StatusNotFound, "unknown campaign %q", r.PathValue("id"))
-		return
-	}
-	if !st.complete {
-		s.mu.Unlock()
-		httpError(w, http.StatusTooEarly, "campaign %s is still running", st.id)
-		return
-	}
-	path := mergedJournalPath(st.dir)
-	s.mu.Unlock()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "reading merged journal: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/jsonl")
-	w.Write(data)
 }
 
 // ---- helpers ----
@@ -929,13 +833,24 @@ func rangeLen(n, k, sh int) int {
 	return hi - lo
 }
 
-func closeJournals(st *state) {
-	for i, j := range st.journals {
-		if j != nil {
-			j.Close()
-			st.journals[i] = nil
-		}
+func closeJournal(st *state) {
+	if st.journal != nil {
+		st.journal.Close()
+		st.journal = nil
 	}
+}
+
+// checkSettled reports why tr is not a settled trial a segment may
+// carry: its status must be completed or failed, and a completed
+// trial's outcome one of the NumOutcomes classes.
+func checkSettled(tr fault.Trial) error {
+	switch {
+	case tr.Status != fault.TrialCompleted && tr.Status != fault.TrialFailed:
+		return fmt.Errorf("status %v; segments carry settled trials only", tr.Status)
+	case tr.Status == fault.TrialCompleted && (tr.Outcome < 0 || tr.Outcome >= fault.NumOutcomes):
+		return fmt.Errorf("outcome %d is outside [0,%d)", tr.Outcome, fault.NumOutcomes)
+	}
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -11,11 +11,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
-	"strings"
 	"testing"
 	"time"
 
+	"ipas/internal/campaign/campaigntest"
 	"ipas/internal/fault"
 )
 
@@ -92,33 +93,25 @@ func startWorker(t *testing.T, client *Client, cfg func(*Worker)) {
 }
 
 // localReference runs the spec's campaign on the local single-loop
-// engine with Workers=1 and a journal: the ground truth every remote
-// configuration must reproduce bit for bit.
-func localReference(t *testing.T, spec Spec) (*fault.CampaignResult, []byte) {
+// engine with Workers=1: the ground truth every remote configuration
+// must reproduce bit for bit. It also returns the journal header the
+// local run writes, which the coordinator's journal must carry.
+func localReference(t *testing.T, spec Spec) (*fault.CampaignResult, fault.JournalMeta) {
 	t.Helper()
 	c, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "ref.jsonl")
-	j, err := fault.OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Journal = j
 	c.Workers = 1
 	res, err := c.RunContext(context.Background(), spec.Trials)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
+	prep, err := c.Prepare(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, data
+	return res, prep.Meta(spec.Trials)
 }
 
 func assertSameTrials(t *testing.T, got, want *fault.CampaignResult) {
@@ -149,12 +142,13 @@ func waitComplete(t *testing.T, client *Client, id string) *fault.CampaignResult
 }
 
 // A remote campaign executed by workers must reproduce the local
-// single-loop engine's result and canonical journal bit for bit.
+// single-loop engine's result and journal bit for bit.
 func TestServerCampaignMatchesLocalReference(t *testing.T) {
 	spec := testSpec("", 20, 4, 42)
-	want, wantBytes := localReference(t, spec)
+	want, meta := localReference(t, spec)
 
-	client := newTestServer(t, Options{})
+	root := t.TempDir()
+	client := newTestServer(t, Options{Dir: root})
 	sub, status, err := client.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -167,13 +161,7 @@ func TestServerCampaignMatchesLocalReference(t *testing.T) {
 
 	res := waitComplete(t, client, sub.ID)
 	assertSameTrials(t, res, want)
-	got, err := client.MergedJournal(context.Background(), sub.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, wantBytes) {
-		t.Fatalf("merged journal differs from the local reference (%d vs %d bytes)", len(got), len(wantBytes))
-	}
+	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, nil)
 
 	p, err := client.Progress(context.Background(), sub.ID)
 	if err != nil {
@@ -194,7 +182,7 @@ func TestServerCampaignMatchesLocalReference(t *testing.T) {
 	}
 }
 
-// Result and journal fetches before completion answer 425 (mapped to
+// Result fetches before completion answer 425 (mapped to
 // ErrNotComplete), never a partial result.
 func TestServerResultTooEarly(t *testing.T) {
 	client := newTestServer(t, Options{})
@@ -204,9 +192,6 @@ func TestServerResultTooEarly(t *testing.T) {
 	}
 	if _, err := client.Result(context.Background(), sub.ID); !errors.Is(err, ErrNotComplete) {
 		t.Fatalf("Result before completion: %v, want ErrNotComplete", err)
-	}
-	if _, err := client.MergedJournal(context.Background(), sub.ID); !errors.Is(err, ErrNotComplete) {
-		t.Fatalf("MergedJournal before completion: %v, want ErrNotComplete", err)
 	}
 	p, err := client.Progress(context.Background(), sub.ID)
 	if err != nil {
@@ -244,15 +229,17 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
-// The coordinator classifies journal-directory damage on admission with
-// distinct HTTP statuses — clean resume 200, torn tail truncated 200,
-// corrupt shard journal deleted and its shard reassigned 202, foreign
-// or repartitioned campaign 409, locked journal 423 — and every
-// recoverable case still converges to the byte-identical merged
-// journal.
+// The coordinator classifies damage to a campaign's journal on
+// admission with distinct HTTP statuses — clean resume 200, torn tail
+// truncated 200, corrupt journal deleted and the campaign re-run 202,
+// resubmission at another shard count resumed 200, a foreign
+// campaign's journal, an older build's header or an older build's
+// shard journals 409, a locked journal 423. Every recoverable case
+// converges to the local reference's journal, and every refusal leaves
+// the campaign directory untouched.
 func TestServerJournalPathologies(t *testing.T) {
 	spec := testSpec("patho", 12, 3, 9)
-	want, wantBytes := localReference(t, spec)
+	want, meta := localReference(t, spec)
 
 	// Seed a completed campaign directory to mutilate.
 	seedRoot := t.TempDir()
@@ -264,56 +251,64 @@ func TestServerJournalPathologies(t *testing.T) {
 	startWorker(t, client, nil)
 	waitComplete(t, client, sub.ID)
 
-	shard0 := func(root string) string { return filepath.Join(root, sub.ID, shardJournalName(0)) }
-	merged := func(root string) string { return mergedJournalPath(filepath.Join(root, sub.ID)) }
+	journal := func(root string) string { return filepath.Join(root, sub.ID, fault.CampaignJournal) }
+	// keepLines rewrites the journal to its first n lines plus, when
+	// torn is set, half of line n+1 without its newline.
+	keepLines := func(t *testing.T, root string, n int, torn bool) {
+		data, err := os.ReadFile(journal(root))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		out := bytes.Join(lines[:n], nil)
+		if torn {
+			out = append(out, lines[n][:len(lines[n])/2]...)
+		}
+		if err := os.WriteFile(journal(root), out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	for _, tc := range []struct {
 		name       string
+		shards     int // resubmitted shard count
 		mutilate   func(t *testing.T, root string)
 		wantStatus int
-		recovered  bool // shard 0 reported recovered
 		runWorker  bool // campaign needs execution to converge
 	}{
 		{
 			name:       "clean resume of a complete campaign",
+			shards:     3,
 			mutilate:   func(t *testing.T, root string) {},
 			wantStatus: http.StatusOK,
 		},
 		{
-			name: "torn tail truncated silently",
-			mutilate: func(t *testing.T, root string) {
-				if err := os.Remove(merged(root)); err != nil {
-					t.Fatal(err)
-				}
-				path := shard0(root)
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				lines := bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n"))
-				last := lines[len(lines)-1]
-				torn := append(bytes.Join(lines[:len(lines)-1], []byte("\n")), '\n')
-				torn = append(torn, last[:len(last)/2]...) // no newline: torn
-				if err := os.WriteFile(path, torn, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			},
+			name:       "torn tail truncated silently",
+			shards:     3,
+			mutilate:   func(t *testing.T, root string) { keepLines(t, root, spec.Trials, true) },
 			wantStatus: http.StatusOK,
 			runWorker:  true,
 		},
 		{
-			name: "corrupt shard journal deleted and reassigned",
+			name:   "corrupt journal deleted and re-run",
+			shards: 3,
 			mutilate: func(t *testing.T, root string) {
-				if err := os.Remove(merged(root)); err != nil {
-					t.Fatal(err)
-				}
 				bogus := []byte(`{"meta":{"format":"bogus"}}` + "\n")
-				if err := os.WriteFile(shard0(root), bogus, 0o644); err != nil {
+				if err := os.WriteFile(journal(root), bogus, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			},
 			wantStatus: http.StatusAccepted,
-			recovered:  true,
+			runWorker:  true,
+		},
+		{
+			// The partition only decides dispatch: the journal's header
+			// does not name it, so the four shards re-run the four
+			// trials the truncation lost and nothing else.
+			name:       "repartitioned campaign resumed",
+			shards:     4,
+			mutilate:   func(t *testing.T, root string) { keepLines(t, root, 1+spec.Trials-4, false) },
+			wantStatus: http.StatusOK,
 			runWorker:  true,
 		},
 	} {
@@ -322,105 +317,104 @@ func TestServerJournalPathologies(t *testing.T) {
 			copyDir(t, seedRoot, root)
 			tc.mutilate(t, root)
 			client := newTestServer(t, Options{Dir: root})
-			sub2, status, err := client.Submit(context.Background(), spec)
+			resubmitted := testSpec("patho", spec.Trials, tc.shards, spec.Seed)
+			sub2, status, err := client.Submit(context.Background(), resubmitted)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if status != tc.wantStatus {
 				t.Fatalf("submit returned HTTP %d, want %d", status, tc.wantStatus)
 			}
-			if tc.recovered != (len(sub2.RecoveredShards) > 0) {
-				t.Fatalf("recovered shards %v, want recovered=%v", sub2.RecoveredShards, tc.recovered)
-			}
 			if tc.runWorker {
 				startWorker(t, client, nil)
 			}
 			res := waitComplete(t, client, sub2.ID)
 			assertSameTrials(t, res, want)
-			got, err := client.MergedJournal(context.Background(), sub2.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, wantBytes) {
-				t.Fatal("merged journal differs from the local reference after recovery")
-			}
+			campaigntest.AssertJournal(t, filepath.Join(root, sub2.ID), meta, want.Trials, nil)
 		})
+	}
+
+	// refused submits spec to a coordinator on root and wants status
+	// and the sentinel, with root's campaign directory unchanged.
+	refused := func(t *testing.T, root string, spec Spec, status int, sentinel error) {
+		t.Helper()
+		before := readTree(t, root)
+		client := newTestServer(t, Options{Dir: root})
+		_, got, err := client.Submit(context.Background(), spec)
+		if got != status || !errors.Is(err, sentinel) {
+			t.Fatalf("submit returned HTTP %d, %v; want %d and %v", got, err, status, sentinel)
+		}
+		if after := readTree(t, root); !reflect.DeepEqual(after, before) {
+			t.Fatalf("refused campaign directory changed:\n  before %v\n  after  %v", before, after)
+		}
 	}
 
 	t.Run("foreign campaign rejected 409", func(t *testing.T) {
 		root := t.TempDir()
 		copyDir(t, seedRoot, root)
-		client := newTestServer(t, Options{Dir: root})
-		foreign := testSpec("patho", 12, 3, 10) // same name, different seed
-		_, status, err := client.Submit(context.Background(), foreign)
-		if status != http.StatusConflict {
-			t.Fatalf("foreign spec returned HTTP %d, want 409", status)
-		}
-		if !errors.Is(err, fault.ErrCampaignMismatch) {
-			t.Fatalf("foreign spec error %v, want ErrCampaignMismatch", err)
-		}
+		refused(t, root, testSpec("patho", 12, 3, 10), http.StatusConflict, fault.ErrCampaignMismatch) // same name, different seed
 	})
 
-	t.Run("repartitioned campaign rejected 409", func(t *testing.T) {
-		root := t.TempDir()
-		copyDir(t, seedRoot, root)
-		client := newTestServer(t, Options{Dir: root})
-		repartitioned := testSpec("patho", 12, 4, 9) // same campaign, 4 shards instead of 3
-		_, status, err := client.Submit(context.Background(), repartitioned)
-		if status != http.StatusConflict || !errors.Is(err, fault.ErrCampaignMismatch) {
-			t.Fatalf("repartitioned spec returned HTTP %d, %v; want 409 and ErrCampaignMismatch", status, err)
-		}
-		if !strings.Contains(err.Error(), "different shard partition") {
-			t.Fatalf("repartition error does not name the cause: %v", err)
-		}
-	})
-
-	t.Run("older-build shard journal rejected 409", func(t *testing.T) {
+	t.Run("older-build journal rejected 409", func(t *testing.T) {
 		// A header without the program fingerprint was written by an
-		// older build: a plain mismatch, not a repartition.
+		// older build.
 		root := t.TempDir()
 		copyDir(t, seedRoot, root)
-		if err := os.Remove(merged(root)); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(shard0(root))
+		data, err := os.ReadFile(journal(root))
 		if err != nil {
 			t.Fatal(err)
 		}
 		stripped := regexp.MustCompile(`,"program_fp":"[0-9a-f]*"`).ReplaceAll(data, nil)
 		if bytes.Equal(stripped, data) {
-			t.Fatal("shard journal header carries no program fingerprint")
+			t.Fatal("journal header carries no program fingerprint")
 		}
-		if err := os.WriteFile(shard0(root), stripped, 0o644); err != nil {
+		if err := os.WriteFile(journal(root), stripped, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		client := newTestServer(t, Options{Dir: root})
-		_, status, err := client.Submit(context.Background(), spec)
-		if status != http.StatusConflict || !errors.Is(err, fault.ErrCampaignMismatch) {
-			t.Fatalf("older-build journal returned HTTP %d, %v; want 409 and ErrCampaignMismatch", status, err)
-		}
-		if strings.Contains(err.Error(), "different shard partition") {
-			t.Fatalf("older-build journal misreported as a repartition: %v", err)
+		refused(t, root, spec, http.StatusConflict, fault.ErrCampaignMismatch)
+	})
+
+	t.Run("older layout rejected 409", func(t *testing.T) {
+		// Older builds kept one journal per shard and, on completion,
+		// merged.jsonl; either one alone marks the layout.
+		for _, name := range []string{"shard-0000.jsonl", "merged.jsonl"} {
+			root := t.TempDir()
+			copyDir(t, seedRoot, root)
+			if err := os.Rename(journal(root), filepath.Join(root, sub.ID, name)); err != nil {
+				t.Fatal(err)
+			}
+			refused(t, root, spec, http.StatusConflict, fault.ErrCampaignMismatch)
 		}
 	})
 
 	t.Run("locked journal rejected 423", func(t *testing.T) {
 		root := t.TempDir()
 		copyDir(t, seedRoot, root)
-		holder, err := fault.OpenJournal(shard0(root))
+		holder, err := fault.OpenJournal(journal(root))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer holder.Close()
-		client := newTestServer(t, Options{Dir: root})
-		_, status, err := client.Submit(context.Background(), spec)
-		if status != http.StatusLocked {
-			t.Fatalf("locked journal returned HTTP %d, want 423", status)
-		}
-		if !errors.Is(err, fault.ErrJournalLocked) {
-			t.Fatalf("locked journal error %v, want ErrJournalLocked", err)
-		}
+		refused(t, root, spec, http.StatusLocked, fault.ErrJournalLocked)
 	})
+}
+
+// readTree maps every file under root to its contents.
+func readTree(t *testing.T, root string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		files[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // A worker that stops heartbeating loses its lease: heartbeats and
@@ -429,9 +423,10 @@ func TestServerJournalPathologies(t *testing.T) {
 // result.
 func TestServerLeaseExpiryRequeuesShard(t *testing.T) {
 	spec := testSpec("expiry", 6, 2, 5)
-	want, wantBytes := localReference(t, spec)
+	want, meta := localReference(t, spec)
 
-	client := newTestServer(t, Options{LeaseTTL: 60 * time.Millisecond, Backoff: time.Millisecond})
+	root := t.TempDir()
+	client := newTestServer(t, Options{Dir: root, LeaseTTL: 60 * time.Millisecond, Backoff: time.Millisecond})
 	sub, _, err := client.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -464,13 +459,7 @@ func TestServerLeaseExpiryRequeuesShard(t *testing.T) {
 	startWorker(t, client, nil)
 	res := waitComplete(t, client, sub.ID)
 	assertSameTrials(t, res, want)
-	got, err := client.MergedJournal(context.Background(), sub.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, wantBytes) {
-		t.Fatal("merged journal differs from the local reference after a lease expiry")
-	}
+	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, nil)
 	p, err := client.Progress(context.Background(), sub.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -485,10 +474,11 @@ func TestServerLeaseExpiryRequeuesShard(t *testing.T) {
 // message while sibling shards complete bit-identically.
 func TestServerQuarantineExhaustionFailsShardAlone(t *testing.T) {
 	spec := testSpec("exhaust", 12, 4, 8)
-	want, wantBytes := localReference(t, spec)
+	want, meta := localReference(t, spec)
 	const sick = 1
 
-	client := newTestServer(t, Options{Retries: fault.ExplicitRetries(1), Backoff: time.Millisecond})
+	root := t.TempDir()
+	client := newTestServer(t, Options{Dir: root, Retries: fault.ExplicitRetries(1), Backoff: time.Millisecond})
 	sub, _, err := client.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -520,13 +510,9 @@ func TestServerQuarantineExhaustionFailsShardAlone(t *testing.T) {
 		}
 	}
 
-	// The merged journal matches the reference byte for byte outside the
-	// failed shard's lines: same header, same surviving trial records.
-	got, err := client.MergedJournal(context.Background(), sub.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertJournalLinesMatch(t, got, wantBytes, func(trial int) bool { return trial >= lo && trial < hi })
+	// The journal carries the reference's header and, outside the
+	// failed shard's range, its trials.
+	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, func(trial int) bool { return trial >= lo && trial < hi })
 }
 
 // A journal write failure must not leave a phantom in-memory settle:
@@ -553,7 +539,7 @@ func TestServerJournalFailureLeavesTrialPending(t *testing.T) {
 	// Make every append to the leased shard's journal fail by closing
 	// the file underneath the coordinator.
 	srv.mu.Lock()
-	srv.campaigns[sub.ID].journals[grant.Shard].Close()
+	srv.campaigns[sub.ID].journal.Close()
 	srv.mu.Unlock()
 
 	seg := Segment{Records: []Record{{T: grant.Lo, Trial: fault.Trial{
@@ -571,6 +557,58 @@ func TestServerJournalFailureLeavesTrialPending(t *testing.T) {
 	if p.Shards[grant.Shard].Settled != 0 || p.Done != 0 {
 		t.Fatalf("unjournaled records settled in memory: %+v", p)
 	}
+}
+
+// A segment carrying a record that is no settled trial — an unknown
+// status, or a completed trial whose outcome is outside the outcome
+// classes — is refused whole with 400 before anything is journaled or
+// settled: acked, it would reach the journal and break every later
+// progress report, restart and local resume.
+func TestServerRejectsMalformedRecords(t *testing.T) {
+	spec := testSpec("malformed", 6, 2, 19)
+	want, meta := localReference(t, spec)
+	root := t.TempDir()
+	client := newTestServer(t, Options{Dir: root})
+	sub, _, err := client.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant := acquireRaw(t, client.Base)
+	records := "/api/v1/leases/" + grant.Lease + "/records"
+	good := Record{T: grant.Lo, Trial: want.Trials[grant.Lo]}
+	for _, bad := range []fault.Trial{
+		{Site: -1, Status: 7, Attempts: 1},
+		{Site: 3, Status: fault.TrialCompleted, Outcome: fault.NumOutcomes, Attempts: 1},
+		{Site: 3, Status: fault.TrialCompleted, Outcome: 9, Attempts: 1},
+		{Site: 3, Status: fault.TrialCompleted, Outcome: -1, Attempts: 1},
+	} {
+		seg := Segment{Records: []Record{good, {T: grant.Lo + 1, Trial: bad}}}
+		if got := postStatus(t, client.Base, records, seg); got != http.StatusBadRequest {
+			t.Fatalf("segment with record %+v returned HTTP %d, want 400", bad, got)
+		}
+		p, err := client.Progress(context.Background(), sub.ID)
+		if err != nil {
+			t.Fatalf("progress after a refused segment: %v", err)
+		}
+		if p.Done != 0 {
+			t.Fatalf("refused segment settled %d trials", p.Done)
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(root, sub.ID, fault.CampaignJournal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := bytes.Count(data, []byte("\n")); lines != 1 {
+		t.Fatalf("journal holds %d lines after refused segments, want the header alone", lines)
+	}
+
+	// Surrender the lease; a healthy worker completes the campaign.
+	if got := postStatus(t, client.Base, records, Segment{Fail: "test surrender"}); got != http.StatusOK {
+		t.Fatalf("surrender returned HTTP %d, want 200", got)
+	}
+	startWorker(t, client, nil)
+	assertSameTrials(t, waitComplete(t, client, sub.ID), want)
+	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, nil)
 }
 
 // Quarantine backoff must stay positive and bounded for any attempt
@@ -642,26 +680,6 @@ func TestWorkerRebuildsStaleCampaignCache(t *testing.T) {
 	assertSameTrials(t, resB, wantB)
 }
 
-// assertJournalLinesMatch compares two canonical journals line by line,
-// skipping trial lines the skip predicate excuses. Line 0 is the meta
-// header; body line i carries trial i-1 in canonical order.
-func assertJournalLinesMatch(t *testing.T, got, want []byte, skip func(trial int) bool) {
-	t.Helper()
-	gl := bytes.Split(bytes.TrimRight(got, "\n"), []byte("\n"))
-	wl := bytes.Split(bytes.TrimRight(want, "\n"), []byte("\n"))
-	if len(gl) != len(wl) {
-		t.Fatalf("journal line counts differ: %d vs %d", len(gl), len(wl))
-	}
-	for i := range gl {
-		if i > 0 && skip(i-1) {
-			continue
-		}
-		if !bytes.Equal(gl[i], wl[i]) {
-			t.Fatalf("journal line %d differs:\n  got  %s\n  want %s", i, gl[i], wl[i])
-		}
-	}
-}
-
 // acquireRaw grabs one lease over raw HTTP, without worker machinery.
 func acquireRaw(t *testing.T, base string) LeaseGrant {
 	t.Helper()
@@ -724,7 +742,8 @@ func TestServerSectionedCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	client := newTestServer(t, Options{})
+	root := t.TempDir()
+	client := newTestServer(t, Options{Dir: root})
 	sub, status, err := client.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -740,6 +759,7 @@ func TestServerSectionedCampaign(t *testing.T) {
 		t.Fatalf("server ran %d trials, want the allocation's %d", len(res.Trials), want.Plan.Total)
 	}
 	assertSameTrials(t, res, want.CampaignResult)
+	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), prep.Meta(want.Plan.Total), want.Trials, nil)
 }
 
 // A plain campaign must never adopt a sectioned campaign's journals:

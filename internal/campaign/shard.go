@@ -1,16 +1,14 @@
 package campaign
 
-import (
-	"fmt"
-	"path/filepath"
-)
+import "fmt"
 
 // A campaign's trial space is a pure index partition: trial t's plan
 // is a pure function of (Seed, t) (see fault.Prepared.Plans), so
 // splitting [0, n) into K contiguous ranges changes nothing about what
-// any trial executes — only where and when. Each shard journals into
-// its own file, and a completed campaign's merged journal is
-// byte-identical to the one a local Workers=1 run writes.
+// any trial executes — only where and when. Every record carries its
+// global trial index, so all shards journal into the campaign's one
+// journal, whose header is the one a local run writes: the partition
+// decides dispatch only, and a campaign resumes at any shard count.
 
 // shardRange returns shard s's trial-index range [lo, hi) in the
 // deterministic contiguous partition of n trials into k shards: ranges
@@ -18,14 +16,6 @@ import (
 func shardRange(n, k, s int) (lo, hi int) {
 	return s * n / k, (s + 1) * n / k
 }
-
-// shardJournalName returns the file name of shard s's journal inside a
-// campaign's journal directory.
-func shardJournalName(s int) string { return fmt.Sprintf("shard-%04d.jsonl", s) }
-
-// mergedJournalPath returns the canonical merged journal's path inside
-// a campaign's journal directory.
-func mergedJournalPath(dir string) string { return filepath.Join(dir, "merged.jsonl") }
 
 // shardState enumerates the lifecycle of one shard. The coordinator
 // adds time-bounded leases on top; the transition rules — a shard is

@@ -5,19 +5,21 @@
 // under time-bounded leases. Workers stream finished trials back as
 // journal segments; the coordinator acknowledges a segment only after
 // it is durable on disk, so a SIGKILLed or partitioned worker is
-// replaced without losing an acked trial, and the completed campaign's
-// merged journal is byte-identical to a local Workers=1 run.
+// replaced without losing an acked trial.
 //
-// Each shard journals into shard-NNNN.jsonl under the campaign's
-// directory and the completed campaign into merged.jsonl. Shard
-// lifecycle (queued → running → backoff → queued ... → done/failed) is
-// shardMachine; the coordinator adds leases, heartbeats, durable acks
-// and shard quarantine on top — a shard is the failure domain of one
-// worker process. All requeue, backoff, and quarantine decisions are
-// deterministic given the order of events — no report content ever
-// depends on the wall clock. Client is the submitting side: Submit,
-// then WaitResult; core.CampaignControls.Run is its one caller that
-// turns a configured fault.Campaign into a spec.
+// Every shard journals into the campaign's one journal,
+// <dir>/<id>/campaign.jsonl (fault.CampaignJournal), under the header
+// a local run of the same campaign writes: a local campaign resumes a
+// coordinator's journal and a coordinator resumes a local one, at any
+// shard count. Shard lifecycle (queued → running → backoff → queued
+// ... → done/failed) is shardMachine; the coordinator adds leases,
+// heartbeats, durable acks and shard quarantine on top — a shard is
+// the failure domain of one worker process. All requeue, backoff, and
+// quarantine decisions are deterministic given the order of events —
+// no report content ever depends on the wall clock. Client is the
+// submitting side: Submit, then WaitResult; core.CampaignControls.Run
+// is its one caller that turns a configured fault.Campaign into a
+// spec.
 package campaign
 
 import (
@@ -118,8 +120,35 @@ func (s *Spec) Normalize() {
 	}
 }
 
-// Validate rejects specs the coordinator could not execute.
+// Admission bounds. The coordinator allocates a campaign's plans and
+// result slots, about 136 bytes a trial, while it holds its lock, and
+// the golden run starts one goroutine and one address space per rank.
+// The largest trial count the repository computes is AMG's
+// monolithic-equivalent 3,733,195 (internal/compose's
+// TestSectionedTrialCounts), and Figure 8 scales to 16 ranks.
+const (
+	maxTrials = 1 << 22
+	maxRanks  = 64
+)
+
+// Validate rejects specs the coordinator could not execute: besides an
+// unbuildable program or model, a name that is no single path element
+// under the journal root, and a trial count, coverage factor or rank
+// count above the admission bounds.
 func (s *Spec) Validate() error {
+	if s.Name != "" {
+		if id := sanitizeID(s.Name); id == "." || id == ".." {
+			return fmt.Errorf("campaign: spec name %q names no directory of its own", s.Name)
+		}
+	}
+	switch {
+	case s.Trials > maxTrials:
+		return fmt.Errorf("campaign: spec asks for %d trials, above the limit of %d", s.Trials, maxTrials)
+	case s.Coverage > maxTrials:
+		return fmt.Errorf("campaign: spec asks for coverage %d, above the limit of %d", s.Coverage, maxTrials)
+	case s.Ranks > maxRanks:
+		return fmt.Errorf("campaign: spec asks for %d ranks, above the limit of %d", s.Ranks, maxRanks)
+	}
 	if s.Sections {
 		// The allocation supplies the trial count; a submitted count
 		// would either be redundant or wrong.

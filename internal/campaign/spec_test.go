@@ -2,6 +2,10 @@ package campaign
 
 import (
 	"context"
+	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,5 +94,65 @@ func TestSpecFillRoundTrip(t *testing.T) {
 				t.Fatalf("rebuilt Meta(%d) = %+v, want %+v", n, got.Meta(n), want.Meta(n))
 			}
 		})
+	}
+}
+
+// Validate refuses a name that is no directory of its own under the
+// journal root, and counts above the admission bounds; the bounds
+// themselves are admitted.
+func TestSpecValidateBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Spec)
+		ok   bool
+	}{
+		{"name ..", func(s *Spec) { s.Name = ".." }, false},
+		{"name .", func(s *Spec) { s.Name = "." }, false},
+		{"name ../x", func(s *Spec) { s.Name = "../x" }, true}, // sanitized to "..-x"
+		{"trials at the bound", func(s *Spec) { s.Trials = maxTrials }, true},
+		{"trials above the bound", func(s *Spec) { s.Trials = maxTrials + 1 }, false},
+		{"coverage above the bound", func(s *Spec) { s.Trials, s.Sections, s.Coverage = 0, true, maxTrials+1 }, false},
+		{"ranks at the bound", func(s *Spec) { s.Ranks = maxRanks }, true},
+		{"ranks above the bound", func(s *Spec) { s.Ranks = maxRanks + 1 }, false},
+	} {
+		s := testSpec("bounds", 8, 2, 1)
+		tc.edit(&s)
+		s.Normalize()
+		if err := s.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%t", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// The submit route answers 400 for a spec Validate refuses, creating
+// nothing outside the journal root, and for a sectioned spec whose
+// derived allocation exceeds the trial bound.
+func TestServerRefusesUnboundedSpecs(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "root")
+	client := newTestServer(t, Options{Dir: root})
+	sectioned := Spec{Source: testSource, Verifier: "exact", Sections: true, Coverage: maxTrials}
+	sectioned.Normalize()
+	for _, tc := range []struct {
+		spec Spec
+		why  string
+	}{
+		{testSpec("..", 4, 1, 1), "names no directory"},
+		{testSpec("", maxTrials+1, 1, 1), "trials, above the limit"},
+		{sectioned, "allocates"},
+	} {
+		_, status, err := client.Submit(context.Background(), tc.spec)
+		if status != http.StatusBadRequest || err == nil || !strings.Contains(err.Error(), tc.why) {
+			t.Fatalf("submit of %+v returned HTTP %d, %v; want 400 saying %q", tc.spec, status, err, tc.why)
+		}
+	}
+	entries, err := os.ReadDir(filepath.Dir(root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "root" {
+		t.Fatalf("refused specs left %v beside the journal root", entries)
+	}
+	if entries, _ := os.ReadDir(root); len(entries) != 0 {
+		t.Fatalf("refused specs left %v in the journal root", entries)
 	}
 }

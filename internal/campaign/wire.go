@@ -12,19 +12,16 @@ import (
 
 // SubmitResponse reports how the coordinator admitted a campaign. The
 // HTTP status carries the recovery classification — 201 fresh, 200
-// resumed from durable journals (torn tails truncated), 202 resumed
-// with corrupt shard journals deleted and their shards requeued, 409
-// when the directory holds a different campaign's journals
-// (fault.ErrCampaignMismatch), 423 when another process holds a
-// journal lock (fault.ErrJournalLocked).
+// resumed from the durable journal (a torn tail truncated), 202 with a
+// corrupt journal deleted and the campaign re-run from trial 0, 409
+// when the directory holds a different campaign's journal or an older
+// build's shard journals (fault.ErrCampaignMismatch), 423 when another
+// process holds the journal lock (fault.ErrJournalLocked).
 type SubmitResponse struct {
 	ID     string `json:"id"`
 	Status string `json:"status"` // "running" or "complete"
-	// Restored counts trials recovered from durable journals.
+	// Restored counts trials recovered from the durable journal.
 	Restored int `json:"restored"`
-	// RecoveredShards lists shards whose corrupt journal was deleted;
-	// they re-run from scratch.
-	RecoveredShards []int `json:"recovered_shards,omitempty"`
 }
 
 // ShardStatus is one shard's dispatch state in a progress report.

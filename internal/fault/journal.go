@@ -22,6 +22,12 @@ const JournalFormat = "ipas-trial-journal-v1"
 // ErrCampaignMismatch instead of silently mixing the two trial spaces.
 const JournalFormatSectioned = "ipas-trial-journal-sectioned-v1"
 
+// CampaignJournal names the one journal a campaign keeps in its
+// directory: RunSections's dir and a coordinator campaign's
+// <root>/<id>/. Both hold the journal a local Campaign.Journal would
+// write, so either side resumes the other's.
+const CampaignJournal = "campaign.jsonl"
+
 // JournalMeta fingerprints the campaign a journal belongs to. Seed and
 // Trials pin the plan sequence; ProgramFP pins the program, and
 // GoldenDyn and Population the execution configuration (a different
@@ -35,20 +41,6 @@ type JournalMeta struct {
 	// Population is the injectable dynamic-instance count on rank 0.
 	Population int64 `json:"population"`
 
-	// Shard header: the per-shard journals of a coordinator campaign
-	// (internal/campaign) record which slice of the trial space
-	// they own. Shards is the total shard count, Shard this journal's
-	// index, and [ShardStart, ShardEnd) its trial-index range; Trials
-	// above stays the *whole* campaign's count, pinning the plan
-	// sequence the range indexes into. All four are zero — and
-	// omitted from the JSON, so pre-shard v1 journals parse and
-	// compare equal — in single-journal campaigns and in the merged
-	// journal.
-	Shards     int `json:"shards,omitempty"`
-	Shard      int `json:"shard,omitempty"`
-	ShardStart int `json:"shard_start,omitempty"`
-	ShardEnd   int `json:"shard_end,omitempty"`
-
 	// Model names the error model the campaign's plans were drawn with
 	// (fault.ErrorModel wire name). Empty — and omitted, so pre-model
 	// journals parse and compare equal — for the default single-bit
@@ -59,12 +51,12 @@ type JournalMeta struct {
 	Model string `json:"model,omitempty"`
 
 	// ProgramFP is the whole program's content fingerprint
-	// (interp.Program.Fingerprint), set in every campaign's header —
-	// plain, sectioned and shard. A trial records the program's
-	// end-to-end outcome, so an edit anywhere, even outside the section
-	// a trial injected into, can change it: no journal outlives an edit
-	// to its program. A header without it was written by an older
-	// build and is refused.
+	// (interp.Program.Fingerprint), set in every campaign's header,
+	// plain or sectioned, local or coordinator. A trial records the
+	// program's end-to-end outcome, so an edit anywhere, even outside
+	// the section a trial injected into, can change it: no journal
+	// outlives an edit to its program. A header without it was written
+	// by an older build and is refused.
 	ProgramFP string `json:"program_fp"`
 }
 
@@ -101,16 +93,17 @@ var ErrJournalLocked = errors.New("journal is locked by a concurrent campaign")
 // ErrJournalCorrupt reports structural damage beyond a torn tail — an
 // unknown format, a duplicate header, a body without a header.
 // OpenJournal refuses such a file without touching it, plain or
-// sectioned. Only the coordinator recovers from it, treating a corrupt
-// *shard* journal as "re-run that shard"; a locked or foreign journal
-// is never recoverable that way.
+// sectioned. Only the coordinator recovers from it, deleting a corrupt
+// campaign journal and re-running the campaign from trial 0; a locked
+// or foreign journal is never recoverable that way.
 var ErrJournalCorrupt = errors.New("journal is corrupt")
 
 // ErrCampaignMismatch reports that a journal's header pins a different
 // campaign than the one trying to drive it; Journal.Begin wraps it.
 // Callers distinguishing "foreign but valid journal" (hard error:
 // never clobber someone else's checkpoint) from "corrupt journal"
-// (the coordinator re-runs a corrupt shard) test for it with errors.Is.
+// (the coordinator re-runs a corrupt campaign) test for it with
+// errors.Is.
 var ErrCampaignMismatch = errors.New("journal belongs to a different campaign")
 
 // ErrModelUnknown reports that a journal's header names an error model
@@ -215,25 +208,10 @@ func (j *Journal) Restored() int {
 	return len(j.restored)
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// Meta returns the header restored from an existing journal, or nil
-// for a fresh one (no header is written until Begin).
-func (j *Journal) Meta() *JournalMeta {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.meta == nil {
-		return nil
-	}
-	m := *j.meta
-	return &m
-}
-
 // Begin binds the journal to a campaign: a fresh journal writes the
 // meta header; an existing one verifies that it belongs to the same
-// campaign (same seed, trial count, program, golden-run fingerprint,
-// model and shard header) and hands back the restored trials.
+// campaign (same format, seed, trial count, program, golden-run
+// fingerprint and model) and hands back the restored trials.
 func (j *Journal) Begin(meta JournalMeta) (map[int]Trial, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -251,10 +229,10 @@ func (j *Journal) Begin(meta JournalMeta) (map[int]Trial, error) {
 		}
 		if *j.meta != meta {
 			return nil, fmt.Errorf(
-				"fault: journal %s: %w (journal format=%q seed=%d trials=%d goldenDyn=%d pop=%d shard=%d/%d model=%q programFP=%.16s; campaign format=%q seed=%d trials=%d goldenDyn=%d pop=%d shard=%d/%d model=%q programFP=%.16s)",
+				"fault: journal %s: %w (journal format=%q seed=%d trials=%d goldenDyn=%d pop=%d model=%q programFP=%.16s; campaign format=%q seed=%d trials=%d goldenDyn=%d pop=%d model=%q programFP=%.16s)",
 				j.path, ErrCampaignMismatch,
-				j.meta.Format, j.meta.Seed, j.meta.Trials, j.meta.GoldenDyn, j.meta.Population, j.meta.Shard, j.meta.Shards, j.meta.Model, j.meta.ProgramFP,
-				meta.Format, meta.Seed, meta.Trials, meta.GoldenDyn, meta.Population, meta.Shard, meta.Shards, meta.Model, meta.ProgramFP)
+				j.meta.Format, j.meta.Seed, j.meta.Trials, j.meta.GoldenDyn, j.meta.Population, j.meta.Model, j.meta.ProgramFP,
+				meta.Format, meta.Seed, meta.Trials, meta.GoldenDyn, meta.Population, meta.Model, meta.ProgramFP)
 		}
 		j.began = true
 		return j.restored, nil
@@ -309,48 +287,6 @@ func (j *Journal) append(rec journalLine) error {
 		return err
 	}
 	return j.w.Flush()
-}
-
-// WriteCanonical writes a complete campaign journal to path in
-// canonical form: the meta header followed by every non-pending trial
-// in trial-index order — byte-identical to the journal an
-// uninterrupted single-loop Campaign with Workers=1 writes. The write
-// is atomic (temp file + rename), so a crash mid-merge leaves either
-// the previous file or the complete new one, never a torn hybrid.
-func WriteCanonical(path string, meta JournalMeta, trials []Trial) error {
-	if meta.Format == "" {
-		meta.Format = JournalFormat
-	}
-	var buf bytes.Buffer
-	write := func(rec journalLine) error {
-		data, err := json.Marshal(&rec)
-		if err != nil {
-			return err
-		}
-		buf.Write(data)
-		buf.WriteByte('\n')
-		return nil
-	}
-	if err := write(journalLine{Meta: &meta}); err != nil {
-		return fmt.Errorf("fault: writing canonical journal %s: %w", path, err)
-	}
-	for t := range trials {
-		if trials[t].Status == TrialPending {
-			continue
-		}
-		if err := write(journalLine{T: t, Trial: &trials[t]}); err != nil {
-			return fmt.Errorf("fault: writing canonical journal %s: %w", path, err)
-		}
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("fault: writing canonical journal: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("fault: writing canonical journal: %w", err)
-	}
-	return nil
 }
 
 // Close flushes and closes the journal file. The journal stays on disk

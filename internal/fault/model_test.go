@@ -425,7 +425,7 @@ func writeJournalHeader(t *testing.T, path string, meta JournalMeta) {
 func TestRunSectionsUnknownModelFailsNotRebuilds(t *testing.T) {
 	dir := t.TempDir()
 	runSectioned(t, 2, dir)
-	path := filepath.Join(dir, sectionsJournal)
+	path := filepath.Join(dir, CampaignJournal)
 
 	// Stamp an unknown model into the journal's header, preserving
 	// everything else so only the model mismatches.

@@ -132,7 +132,7 @@ func TestCampaignCancelThenResumeBitIdentical(t *testing.T) {
 	}{{"plain", false}, {"sectioned", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			path := filepath.Join(dir, sectionsJournal)
+			path := filepath.Join(dir, CampaignJournal)
 			// run executes the campaign, journaling into dir when
 			// journal is set.
 			run := func(ctx context.Context, journal bool, progress func(done, total, failed, deadlocked int)) (*CampaignResult, error) {
@@ -363,7 +363,7 @@ func TestOpenJournalRefusesCorruptUntouched(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			path := filepath.Join(dir, sectionsJournal)
+			path := filepath.Join(dir, CampaignJournal)
 			if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
 				t.Fatal(err)
 			}

@@ -207,13 +207,9 @@ func (p *Prepared) SectionResult(res *CampaignResult) *SectionResult {
 	return out
 }
 
-// sectionsJournal names the one journal RunSections keeps under its
-// directory.
-const sectionsJournal = "campaign.jsonl"
-
 // RunSections executes the sectioned campaign's whole allocation on the
-// same path as Campaign.RunContext, journaling into one file under dir
-// (created if missing; "" disables journaling) instead of
+// same path as Campaign.RunContext, journaling into CampaignJournal
+// under dir (created if missing; "" disables journaling) instead of
 // Campaign.Journal. Re-running the same campaign against dir restores
 // its trials, and any other campaign — a different program, seed,
 // budget or model — is refused with ErrCampaignMismatch. So is a
@@ -232,7 +228,7 @@ func (p *Prepared) RunSections(ctx context.Context, dir string) (*SectionResult,
 			return nil, fmt.Errorf("fault: creating section journal dir: %w", err)
 		}
 		var err error
-		if j, err = OpenJournal(filepath.Join(dir, sectionsJournal)); err != nil {
+		if j, err = OpenJournal(filepath.Join(dir, CampaignJournal)); err != nil {
 			return nil, err
 		}
 	}

@@ -51,8 +51,8 @@ func TestRunSectionsJournalReuse(t *testing.T) {
 		t.Fatalf("cold run completed %d of %d trials", first.Completed, first.Plan.Total)
 	}
 	names, err := filepath.Glob(filepath.Join(dir, "*"))
-	if err != nil || len(names) != 1 || filepath.Base(names[0]) != sectionsJournal {
-		t.Fatalf("journal dir holds %v (err=%v), want just %s", names, err, sectionsJournal)
+	if err != nil || len(names) != 1 || filepath.Base(names[0]) != CampaignJournal {
+		t.Fatalf("journal dir holds %v (err=%v), want just %s", names, err, CampaignJournal)
 	}
 
 	c := sectionedCampaign(t, 2)

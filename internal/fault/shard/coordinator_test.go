@@ -1,18 +1,16 @@
 // Package shard_test checks the campaign coordinator's shard partition
 // from outside: it drives internal/campaign only through its exported
-// API and its on-disk journal names, so it pins the contract that a
-// client and an operator see. The coordinator's own white-box tests of
+// API and its on-disk journal, so it pins the contract that a client
+// and an operator see. The coordinator's own white-box tests of
 // the partition, its journals and its state machine live in
 // internal/campaign.
 package shard_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -20,6 +18,7 @@ import (
 	"time"
 
 	"ipas/internal/campaign"
+	"ipas/internal/campaign/campaigntest"
 	"ipas/internal/fault"
 )
 
@@ -51,33 +50,23 @@ func testSpec(seed int64, n, shards int) campaign.Spec {
 
 // referenceRun produces the ground truth every sharded configuration
 // must reproduce bit for bit: the spec's campaign run locally with one
-// worker, journaling to a file, whose journal bytes are the canonical
-// form.
-func referenceRun(t *testing.T, spec campaign.Spec) (*fault.CampaignResult, []byte) {
+// worker, and the journal header that run writes.
+func referenceRun(t *testing.T, spec campaign.Spec) (*fault.CampaignResult, fault.JournalMeta) {
 	t.Helper()
 	c, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "ref.jsonl")
-	j, err := fault.OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Journal = j
 	c.Workers = 1
 	res, err := c.RunContext(context.Background(), spec.Trials)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
+	prep, err := c.Prepare(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, data
+	return res, prep.Meta(spec.Trials)
 }
 
 // startFleet runs a coordinator rooted at root and `workers` in-process
@@ -125,11 +114,12 @@ func assertSameResult(t *testing.T, got, want *fault.CampaignResult) {
 	}
 }
 
-// Every shard count × worker count must produce a CampaignResult and a
-// merged.jsonl bit-identical to the single-loop engine's.
+// Every shard count × worker count must produce a CampaignResult
+// bit-identical to the single-loop engine's, and a campaign directory
+// holding only the journal that engine writes: its header and trials.
 func TestShardCountInvariance(t *testing.T) {
 	const seed, n = 29, 60
-	refRes, refJournal := referenceRun(t, testSpec(seed, n, 1))
+	refRes, meta := referenceRun(t, testSpec(seed, n, 1))
 
 	for _, k := range []int{1, 2, 7, n} {
 		for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
@@ -147,13 +137,7 @@ func TestShardCountInvariance(t *testing.T) {
 					t.Fatalf("campaign %s did not complete: %v", sub.ID, err)
 				}
 				assertSameResult(t, res, refRes)
-				got, err := os.ReadFile(filepath.Join(root, sub.ID, "merged.jsonl"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, refJournal) {
-					t.Fatalf("merged journal differs from the single-loop journal (%d vs %d bytes)", len(got), len(refJournal))
-				}
+				campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, refRes.Trials, nil)
 			})
 		}
 	}
