@@ -106,8 +106,9 @@ compose-smoke:
 # Crash/resume tests under the race detector: campaigns cancelled
 # mid-run (plain and sectioned, per error model, and on a golden-cache
 # hit) must resume to the bit-identical result, a torn journal tail is
-# dropped, a structurally corrupt journal, plain or sectioned, is
-# refused with its bytes untouched (see internal/fault/*_test.go), and
+# dropped, a structurally corrupt journal, plain or sectioned, or one
+# holding a record its header could not have produced, is refused with
+# its bytes untouched (see internal/fault/*_test.go), and
 # a coordinator campaign killed again and again with its one journal
 # torn, corrupted and deleted resumes to the result and journal of an
 # uninterrupted local run, refusing an older build's shard journals
@@ -164,14 +165,17 @@ errmodel-smoke:
 # invalid IR (FuzzCompile); and campaignd's spec admission must never
 # panic and admit only specs whose campaign directory is one path
 # element under the journal root and whose counts stay in bounds
-# (FuzzSpec).
+# (FuzzSpec); and OpenJournal must never panic on arbitrary bytes, and
+# the trials it restores must bind, fill a result and finalize without
+# panicking (FuzzJournal).
 FUZZ_TARGETS = \
 	FuzzDifferential:./internal/interp \
 	FuzzMPISchedule:./internal/interp:-race \
 	FuzzSolve:./internal/svm \
 	FuzzParse:./internal/ir \
 	FuzzCompile:./internal/lang \
-	FuzzSpec:./internal/campaign
+	FuzzSpec:./internal/campaign \
+	FuzzJournal:./internal/fault
 
 # fuzz-run fuzzes every FUZZ_TARGETS entry for $(1) each. Minimizing
 # a new input is bounded at 5s so that it costs seconds, not the

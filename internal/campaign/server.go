@@ -315,12 +315,6 @@ func (s *Server) admitLocked(id string, spec Spec, prep *fault.Prepared, meta fa
 		backoffUntil: make([]time.Time, spec.Shards),
 		leaseOf:      make([]*lease, spec.Shards),
 	}
-	if err := refuseOlderLayout(st.dir); err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(st.dir, 0o755); err != nil {
-		return nil, fmt.Errorf("creating campaign dir: %w", err)
-	}
 	if err := openJournal(st); err != nil {
 		return nil, err
 	}
@@ -337,36 +331,22 @@ func (s *Server) admitLocked(id string, spec Spec, prep *fault.Prepared, meta fa
 	return st, nil
 }
 
-// refuseOlderLayout fails for a campaign directory an older build
-// wrote: one journal per shard (shard-NNNN.jsonl) and merged.jsonl on
-// completion. No path reads them any more, so admitting the campaign
-// would silently re-run their trials; the files are left untouched.
-func refuseOlderLayout(dir string) error {
-	for _, pattern := range []string{"shard-*.jsonl", "merged.jsonl"} {
-		if old, _ := filepath.Glob(filepath.Join(dir, pattern)); len(old) > 0 {
-			return fmt.Errorf("%s holds shard journals of an older build, which this one cannot resume: %w; finish them with that build or use a fresh campaign name",
-				dir, fault.ErrCampaignMismatch)
-		}
-	}
-	return nil
-}
-
-// openJournal opens the campaign's journal and restores its trials,
-// classifying damage: a structurally corrupt journal is deleted and the
-// campaign re-runs from trial 0 (every lost record is re-derived
-// deterministically); a valid journal of a different campaign
-// (mismatch) or one another process holds (locked) fails admission and
-// stays untouched. The shard partition is not part of the header, so a
-// name-pinned campaign resumes at any shard count.
+// openJournal opens the campaign's journal (fault.OpenCampaignJournal)
+// and restores its trials, classifying damage: a corrupt journal is
+// deleted and the campaign re-runs from trial 0 (every lost record is
+// re-derived deterministically); a valid journal of a different
+// campaign or an older build's layout (mismatch), or a journal another
+// process holds (locked), fails admission and stays untouched. The
+// shard partition is not part of the header, so a name-pinned campaign
+// resumes at any shard count.
 func openJournal(st *state) error {
-	path := filepath.Join(st.dir, fault.CampaignJournal)
-	j, err := fault.OpenJournal(path)
+	j, err := fault.OpenCampaignJournal(st.dir)
 	if errors.Is(err, fault.ErrJournalCorrupt) {
-		if err := os.Remove(path); err != nil {
+		if err := os.Remove(filepath.Join(st.dir, fault.CampaignJournal)); err != nil {
 			return err
 		}
 		st.recovered = true
-		j, err = fault.OpenJournal(path)
+		j, err = fault.OpenCampaignJournal(st.dir)
 	}
 	if err != nil {
 		return err
@@ -378,11 +358,9 @@ func openJournal(st *state) error {
 	}
 	st.journal = j
 	for t, tr := range prev {
-		if t >= 0 && t < st.n && tr.Status != fault.TrialPending {
-			st.res.Trials[t] = tr
-			st.restored++
-		}
+		st.res.Trials[t] = tr
 	}
+	st.restored = len(prev)
 	return nil
 }
 
@@ -506,7 +484,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "record for trial %d is outside lease %s's range [%d,%d)", rec.T, id, lo, hi)
 			return
 		}
-		if err := checkSettled(rec.Trial); err != nil {
+		if err := fault.CheckSettled(rec.Trial); err != nil {
 			s.mu.Unlock()
 			httpError(w, http.StatusBadRequest, "record for trial %d: %v", rec.T, err)
 			return
@@ -838,19 +816,6 @@ func closeJournal(st *state) {
 		st.journal.Close()
 		st.journal = nil
 	}
-}
-
-// checkSettled reports why tr is not a settled trial a segment may
-// carry: its status must be completed or failed, and a completed
-// trial's outcome one of the NumOutcomes classes.
-func checkSettled(tr fault.Trial) error {
-	switch {
-	case tr.Status != fault.TrialCompleted && tr.Status != fault.TrialFailed:
-		return fmt.Errorf("status %v; segments carry settled trials only", tr.Status)
-	case tr.Status == fault.TrialCompleted && (tr.Outcome < 0 || tr.Outcome >= fault.NumOutcomes):
-		return fmt.Errorf("outcome %d is outside [0,%d)", tr.Outcome, fault.NumOutcomes)
-	}
-	return nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

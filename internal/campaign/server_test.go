@@ -302,6 +302,27 @@ func TestServerJournalPathologies(t *testing.T) {
 			runWorker:  true,
 		},
 		{
+			// A record its header could not have produced (an outcome
+			// past the classes) is corruption too: the journal is
+			// deleted and every trial re-runs.
+			name:   "bad record deleted and re-run",
+			shards: 3,
+			mutilate: func(t *testing.T, root string) {
+				keepLines(t, root, 1+spec.Trials/2, false)
+				f, err := os.OpenFile(journal(root), os.O_APPEND|os.O_WRONLY, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				bad := fmt.Sprintf(`{"t":%d,"trial":{"site":3,"bit":5,"index":17,"outcome":9,"latency":40}}`+"\n", spec.Trials-1)
+				if _, err := f.WriteString(bad); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantStatus: http.StatusAccepted,
+			runWorker:  true,
+		},
+		{
 			// The partition only decides dispatch: the journal's header
 			// does not name it, so the four shards re-run the four
 			// trials the truncation lost and nothing else.
@@ -376,8 +397,9 @@ func TestServerJournalPathologies(t *testing.T) {
 
 	t.Run("older layout rejected 409", func(t *testing.T) {
 		// Older builds kept one journal per shard and, on completion,
-		// merged.jsonl; either one alone marks the layout.
-		for _, name := range []string{"shard-0000.jsonl", "merged.jsonl"} {
+		// merged.jsonl, or one per section; any one alone marks the
+		// layout.
+		for _, name := range []string{"shard-0000.jsonl", "merged.jsonl", "sec-0000.jsonl"} {
 			root := t.TempDir()
 			copyDir(t, seedRoot, root)
 			if err := os.Rename(journal(root), filepath.Join(root, sub.ID, name)); err != nil {
@@ -850,18 +872,23 @@ func TestWorkerCacheBounded(t *testing.T) {
 
 	client := newTestServer(t, Options{})
 	first := testSpec("cache-0", 6, 2, 40)
+	_, firstMeta := localReference(t, first)
 	firstID, firstRes := run(client, first)
+	firstKey := workerKey{firstID, firstMeta}
+	if w.cache[firstKey] == nil {
+		t.Fatalf("campaign %s is not cached under its ID and fingerprint", firstID)
+	}
 	for i := 1; i <= workerCacheSize; i++ {
 		run(client, testSpec(fmt.Sprintf("cache-%d", i), 6, 2, int64(40+i)))
 	}
-	if len(w.cache) != workerCacheSize || w.cache[firstID] != nil {
+	if len(w.cache) != workerCacheSize || w.cache[firstKey] != nil {
 		t.Fatalf("after %d campaigns the worker caches %d, first one cached: %v",
-			workerCacheSize+1, len(w.cache), w.cache[firstID] != nil)
+			workerCacheSize+1, len(w.cache), w.cache[firstKey] != nil)
 	}
 
 	// A fresh coordinator leases the evicted campaign again.
 	id, again := run(newTestServer(t, Options{}), first)
-	if id != firstID || w.cache[firstID] == nil {
+	if id != firstID || w.cache[firstKey] == nil {
 		t.Fatalf("re-leased campaign %s (first %s) not rebuilt into the cache", id, firstID)
 	}
 	assertSameTrials(t, again, firstRes)

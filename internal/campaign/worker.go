@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -43,8 +44,17 @@ type Worker struct {
 	HeartbeatLimit int
 
 	mu    sync.Mutex
-	cache map[string]*workerCampaign
+	cache map[workerKey]*workerCampaign
 	clock uint64 // lease counter stamping cache use
+}
+
+// workerKey identifies a cached campaign: its ID and the coordinator's
+// fingerprint of it (LeaseGrant.Meta). An ID reused for another
+// campaign — a coordinator restarted on a cleaned directory pins the
+// same name to a new spec — is then an ordinary cache miss.
+type workerKey struct {
+	id   string
+	meta fault.JournalMeta
 }
 
 // workerCacheSize bounds the prepared campaigns a worker keeps: the
@@ -116,12 +126,13 @@ func (w *Worker) acquire(ctx context.Context) (LeaseGrant, bool, error) {
 // prepare returns the worker's prepared substrate for a campaign,
 // building it on first use.
 func (w *Worker) prepare(ctx context.Context, grant LeaseGrant) (*workerCampaign, error) {
+	key := workerKey{grant.Campaign, grant.Meta}
 	w.mu.Lock()
 	if w.cache == nil {
-		w.cache = map[string]*workerCampaign{}
+		w.cache = map[workerKey]*workerCampaign{}
 	}
 	w.clock++
-	if wc := w.cache[grant.Campaign]; wc != nil {
+	if wc := w.cache[key]; wc != nil {
 		wc.used = w.clock
 		w.mu.Unlock()
 		return wc, nil
@@ -139,12 +150,13 @@ func (w *Worker) prepare(ctx context.Context, grant LeaseGrant) (*workerCampaign
 	wc := &workerCampaign{prep: prep, plans: prep.Plans(grant.Spec.Trials), meta: prep.Meta(grant.Spec.Trials)}
 	w.mu.Lock()
 	wc.used = w.clock
-	w.cache[grant.Campaign] = wc
+	w.cache[key] = wc
 	for len(w.cache) > workerCacheSize {
-		var oldest string
-		for id, c := range w.cache {
-			if oldest == "" || c.used < w.cache[oldest].used {
-				oldest = id
+		var oldest workerKey
+		used := uint64(math.MaxUint64)
+		for k, c := range w.cache {
+			if c.used < used {
+				oldest, used = k, c.used
 			}
 		}
 		delete(w.cache, oldest)
@@ -153,31 +165,11 @@ func (w *Worker) prepare(ctx context.Context, grant LeaseGrant) (*workerCampaign
 	return wc, nil
 }
 
-// evict drops a cached campaign, but only if wc is still the cached
-// entry (a concurrent rebuild may have replaced it already).
-func (w *Worker) evict(id string, wc *workerCampaign) {
-	w.mu.Lock()
-	if w.cache[id] == wc {
-		delete(w.cache, id)
-	}
-	w.mu.Unlock()
-}
-
 // runLease executes one leased shard: trials in index order, one
 // durable-acked segment per trial, a heartbeat goroutine keeping the
 // lease alive, and a final Done (or Fail) segment closing it.
 func (w *Worker) runLease(ctx context.Context, grant LeaseGrant) error {
 	wc, err := w.prepare(ctx, grant)
-	if err == nil && wc.meta != grant.Meta {
-		// The cached build may belong to an older campaign that reused
-		// this ID (a coordinator restarted on a cleaned directory pins
-		// the same name to a new spec). Surrendering forever on a stale
-		// cache would drive the shard through quarantine to terminal
-		// failure, so evict and rebuild once from the grant's spec
-		// before concluding the builds genuinely disagree.
-		w.evict(grant.Campaign, wc)
-		wc, err = w.prepare(ctx, grant)
-	}
 	if err != nil {
 		// The spec does not build or golden-run here; surrendering
 		// with a deterministic cause lets the coordinator quarantine.

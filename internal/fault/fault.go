@@ -427,8 +427,8 @@ type Prepared struct {
 	backoff    time.Duration
 
 	// secs is the sectioned-campaign substrate (nil for plain
-	// campaigns): the partition, the golden boundary trace, and the
-	// per-section trial allocation.
+	// campaigns): the per-section trial allocation and the trial
+	// configuration armed with the golden boundary trace.
 	secs *SectionPlan
 
 	// snaps holds the golden-run snapshots every trial resumes from
@@ -466,26 +466,12 @@ func (c *Campaign) Prepare(ctx context.Context) (*Prepared, error) {
 	if hang <= 0 {
 		hang = 10
 	}
-	var (
-		parts  *ir.Sections
-		tables *interp.SectionTables
-	)
 	if c.Sections {
 		if c.Config.Ranks > 1 {
 			return nil, fmt.Errorf("fault: sectioned campaigns require Ranks == 1 (got %d)", c.Config.Ranks)
 		}
 		if c.Coverage < 1 {
 			return nil, fmt.Errorf("fault: sectioned campaign needs Coverage >= 1 (got %d)", c.Coverage)
-		}
-		// The partition and tables bind to this Program instance (they
-		// key on its compiled functions), so they are rebuilt per
-		// campaign even when the golden run itself is served from the
-		// cache — they are compile-time derivations, not executions.
-		parts = ir.ModuleSections(c.Prog.Module())
-		var err error
-		tables, err = interp.NewSectionTables(c.Prog, parts)
-		if err != nil {
-			return nil, err
 		}
 	}
 
@@ -496,7 +482,7 @@ func (c *Campaign) Prepare(ctx context.Context) (*Prepared, error) {
 	compute := func() (*interp.Result, error) {
 		cfg := c.Config
 		if c.Sections {
-			cfg.Sections = &interp.SectionConfig{Tables: tables, Capture: true}
+			cfg.Sections = &interp.SectionConfig{}
 			cfg.CountSites = true
 		}
 		golden := interp.RunContext(ctx, c.Prog, cfg)
@@ -553,7 +539,7 @@ func (c *Campaign) Prepare(ctx context.Context) (*Prepared, error) {
 		backoff:      backoff,
 	}
 	if c.Sections {
-		sp, err := newSectionPlan(c, parts, tables, golden)
+		sp, err := newSectionPlan(c, golden)
 		if err != nil {
 			return nil, err
 		}
@@ -680,9 +666,7 @@ func (p *Prepared) run(ctx context.Context, n int, j *Journal) (*CampaignResult,
 			return nil, err
 		}
 		for t, tr := range prev {
-			if t >= 0 && t < n && tr.Status != TrialPending {
-				out.Trials[t] = tr
-			}
+			out.Trials[t] = tr
 		}
 		record = j.Record
 	}

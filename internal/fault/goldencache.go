@@ -34,11 +34,10 @@ import (
 // waiter takes over rather than inheriting the error.
 //
 // Only the golden Result is cached — pure content: outputs, counts,
-// per-site counts, the section boundary trace. Section tables are NOT
-// cached: they bind to one Program instance (interp.SectionTables keys
-// on its compiled functions by pointer), so Prepare rebuilds them per
-// campaign — compile-time work, not an execution — and reuses only the
-// run.
+// per-site counts, the section boundary trace. The section projection
+// a sectioned run tracks belongs to the Program (built once per
+// compiled program, like its fingerprint), so a hit reuses the run and
+// nothing else.
 type GoldenCache struct {
 	mu      sync.Mutex
 	entries map[goldenKey]*goldenEntry

@@ -266,8 +266,9 @@ func TestGoldenCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// Sectioned campaigns share the cached golden run (trace, site counts)
-// while rebuilding program-bound section tables per campaign.
+// Sectioned campaigns on separately compiled copies of one program
+// share the cached golden run (trace, site counts); each program
+// projects its own sections.
 func TestGoldenCacheSectioned(t *testing.T) {
 	gc := NewGoldenCache(8)
 	var totals []int

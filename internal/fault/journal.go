@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -91,11 +92,12 @@ type Journal struct {
 var ErrJournalLocked = errors.New("journal is locked by a concurrent campaign")
 
 // ErrJournalCorrupt reports structural damage beyond a torn tail — an
-// unknown format, a duplicate header, a body without a header.
-// OpenJournal refuses such a file without touching it, plain or
-// sectioned. Only the coordinator recovers from it, deleting a corrupt
-// campaign journal and re-running the campaign from trial 0; a locked
-// or foreign journal is never recoverable that way.
+// unknown format, a duplicate header, a body without a header, a trial
+// record its header could not have produced (see load). OpenJournal
+// refuses such a file without touching it, plain or sectioned. Only
+// the coordinator recovers from it, deleting a corrupt campaign
+// journal and re-running the campaign from trial 0; a locked or
+// foreign journal is never recoverable that way.
 var ErrJournalCorrupt = errors.New("journal is corrupt")
 
 // ErrCampaignMismatch reports that a journal's header pins a different
@@ -151,10 +153,34 @@ func OpenJournal(path string) (*Journal, error) {
 	return j, nil
 }
 
+// OpenCampaignJournal opens the one journal of a campaign directory,
+// dir/CampaignJournal, creating dir if missing. A directory holding an
+// older build's layout — per-section journals (RunSections), or
+// per-shard journals and their merged copy (the coordinator) — is
+// refused with ErrCampaignMismatch and left untouched: no path reads
+// those files any more, so running anyway would silently re-run their
+// trials.
+func OpenCampaignJournal(dir string) (*Journal, error) {
+	for _, pattern := range []string{"sec-*.jsonl", "shard-*.jsonl", "merged.jsonl"} {
+		if old, _ := filepath.Glob(filepath.Join(dir, pattern)); len(old) > 0 {
+			return nil, fmt.Errorf("fault: %s holds %s of an older build, which this one cannot resume: %w; finish it with that build or use a fresh directory",
+				dir, filepath.Base(old[0]), ErrCampaignMismatch)
+		}
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("fault: creating campaign dir: %w", err)
+	}
+	return OpenJournal(filepath.Join(dir, CampaignJournal))
+}
+
 // load parses the journal, filling meta and restored, and returns the
 // byte offset just past the last complete, well-formed line. A record
 // is only trusted when newline-terminated and valid JSON; anything
-// after the first torn or malformed line is discarded.
+// after the first torn or malformed line is discarded. A trial record
+// must be one a campaign under the header could have written: a
+// settled trial (CheckSettled) whose index is within the header's
+// Trials. Anything else is corruption, so every restored trial can be
+// copied into a result as it is.
 func (j *Journal) load() (int64, error) {
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
 		return 0, err
@@ -194,11 +220,31 @@ func (j *Journal) load() (int64, error) {
 			if j.meta == nil {
 				return 0, fmt.Errorf("fault: journal %s: %w: trial record before meta header", j.path, ErrJournalCorrupt)
 			}
+			if rec.T < 0 || rec.T >= j.meta.Trials {
+				return 0, fmt.Errorf("fault: journal %s: %w: trial %d is outside the header's [0,%d)", j.path, ErrJournalCorrupt, rec.T, j.meta.Trials)
+			}
+			if err := CheckSettled(*rec.Trial); err != nil {
+				return 0, fmt.Errorf("fault: journal %s: %w: trial %d: %v", j.path, ErrJournalCorrupt, rec.T, err)
+			}
 			j.restored[rec.T] = *rec.Trial
 		}
 		valid += advance
 	}
 	return valid, nil
+}
+
+// CheckSettled reports why tr is not a settled trial, the only kind a
+// journal holds and a coordinator segment carries: its status must be
+// completed or failed, and a completed trial's outcome one of the
+// NumOutcomes classes.
+func CheckSettled(tr Trial) error {
+	switch {
+	case tr.Status != TrialCompleted && tr.Status != TrialFailed:
+		return fmt.Errorf("status %v; only settled trials are recorded", tr.Status)
+	case tr.Status == TrialCompleted && (tr.Outcome < 0 || tr.Outcome >= NumOutcomes):
+		return fmt.Errorf("outcome %d is outside [0,%d)", tr.Outcome, NumOutcomes)
+	}
+	return nil
 }
 
 // Restored reports how many trials the journal already holds.
@@ -211,7 +257,8 @@ func (j *Journal) Restored() int {
 // Begin binds the journal to a campaign: a fresh journal writes the
 // meta header; an existing one verifies that it belongs to the same
 // campaign (same format, seed, trial count, program, golden-run
-// fingerprint and model) and hands back the restored trials.
+// fingerprint and model) and hands back the restored trials, every one
+// settled and indexed within meta.Trials.
 func (j *Journal) Begin(meta JournalMeta) (map[int]Trial, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -342,8 +342,10 @@ func TestJournalDiscardsTornTail(t *testing.T) {
 
 // OpenJournal must refuse a structurally corrupt journal — a header of
 // an unknown format, a trial line before any header, a duplicate
-// header — with ErrJournalCorrupt, and leave the file exactly as it
-// found it: even its torn tail, which a valid journal would have
+// header, a trial record its header could not have produced (not
+// settled, an outcome outside the classes, an index outside the
+// header's trial count) — with ErrJournalCorrupt, and leave the file
+// exactly as it found it: even its torn tail, which a valid journal would have
 // truncated, stays. RunSections over the same file follows the same
 // rule: a corrupt sectioned journal is refused, never rebuilt.
 func TestOpenJournalRefusesCorruptUntouched(t *testing.T) {
@@ -360,6 +362,13 @@ func TestOpenJournalRefusesCorruptUntouched(t *testing.T) {
 		{"unknown format", `{"meta":{"format":"ipas-trial-journal-v9","seed":1,"trials":4,"golden_dyn":100,"population":50}}` + "\n" + trial + torn},
 		{"trial before header", trial + torn},
 		{"sectioned duplicate header", sectioned + trial + sectioned + torn},
+		{"pending trial", sectioned + trial + `{"t":1,"trial":{"site":-1,"bit":5,"index":17,"outcome":0,"latency":0,"status":2}}` + "\n" + torn},
+		{"unknown status", sectioned + `{"t":1,"trial":{"site":3,"bit":5,"index":17,"outcome":2,"latency":40,"status":7}}` + "\n" + trial},
+		{"outcome out of range", sectioned + trial + `{"t":1,"trial":{"site":3,"bit":5,"index":17,"outcome":9,"latency":40}}` + "\n"},
+		{"outcome one past the last class", sectioned + `{"t":2,"trial":{"site":3,"bit":5,"index":17,"outcome":4,"latency":40}}` + "\n"},
+		{"negative outcome", sectioned + `{"t":1,"trial":{"site":3,"bit":5,"index":17,"outcome":-1,"latency":40}}` + "\n" + torn},
+		{"trial index past the header", sectioned + trial + `{"t":4,"trial":{"site":3,"bit":5,"index":17,"outcome":2,"latency":40}}` + "\n"},
+		{"negative trial index", sectioned + `{"t":-1,"trial":{"site":3,"bit":5,"index":17,"outcome":2,"latency":40}}` + "\n" + trial},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

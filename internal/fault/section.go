@@ -7,11 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 
 	"ipas/internal/interp"
-	"ipas/internal/ir"
 )
 
 // This file implements sectioned campaigns: the trial space is
@@ -51,11 +48,9 @@ type SectionAlloc struct {
 	Start int
 }
 
-// SectionPlan is the sectioned substrate Prepare builds: the golden
-// boundary trace and the per-section allocations.
+// SectionPlan is the sectioned substrate Prepare builds: the
+// per-section allocations over the program's section partition.
 type SectionPlan struct {
-	// Trace is the golden run's boundary capture.
-	Trace *interp.SectionTrace
 	// Alloc holds one entry per section, in section-ID order.
 	Alloc []SectionAlloc
 	// Total is the summed trial count.
@@ -84,15 +79,16 @@ func sectionSeed(seed int64, fp string) int64 {
 	return int64(binary.LittleEndian.Uint64(h.Sum(nil)[:8]))
 }
 
-// newSectionPlan sizes every section's allocation from the golden run.
-func newSectionPlan(c *Campaign, parts *ir.Sections, tables *interp.SectionTables, golden *interp.Result) (*SectionPlan, error) {
+// newSectionPlan sizes every section of the program's partition from
+// the sectioned golden run.
+func newSectionPlan(c *Campaign, golden *interp.Result) (*SectionPlan, error) {
 	trace := golden.Sections
 	if trace == nil {
 		return nil, fmt.Errorf("fault: sectioned golden run recorded no boundary trace")
 	}
+	parts := c.Prog.Sections()
 	sp := &SectionPlan{
-		Trace:    trace,
-		trialCfg: &interp.SectionConfig{Tables: tables, Golden: trace},
+		trialCfg: &interp.SectionConfig{Golden: trace},
 		model:    c.model(),
 	}
 	var dminGlobal int64 = -1
@@ -208,27 +204,20 @@ func (p *Prepared) SectionResult(res *CampaignResult) *SectionResult {
 }
 
 // RunSections executes the sectioned campaign's whole allocation on the
-// same path as Campaign.RunContext, journaling into CampaignJournal
-// under dir (created if missing; "" disables journaling) instead of
+// same path as Campaign.RunContext, journaling into dir's campaign
+// journal (OpenCampaignJournal; "" disables journaling) instead of
 // Campaign.Journal. Re-running the same campaign against dir restores
 // its trials, and any other campaign — a different program, seed,
 // budget or model — is refused with ErrCampaignMismatch. So is a
-// directory of per-section journals left by an older build.
+// directory holding an older build's journal layout.
 func (p *Prepared) RunSections(ctx context.Context, dir string) (*SectionResult, error) {
 	if p.secs == nil {
 		return nil, fmt.Errorf("fault: RunSections on a non-sectioned campaign (set Campaign.Sections)")
 	}
 	var j *Journal
 	if dir != "" {
-		if old, _ := filepath.Glob(filepath.Join(dir, "sec-*.jsonl")); len(old) > 0 {
-			return nil, fmt.Errorf("fault: %s holds per-section journals of an older build, which this one cannot resume: %w; finish them with that build or use a fresh directory",
-				dir, ErrCampaignMismatch)
-		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("fault: creating section journal dir: %w", err)
-		}
 		var err error
-		if j, err = OpenJournal(filepath.Join(dir, CampaignJournal)); err != nil {
+		if j, err = OpenCampaignJournal(dir); err != nil {
 			return nil, err
 		}
 	}

@@ -79,10 +79,27 @@ func TestRunSectionsJournalReuse(t *testing.T) {
 // cannot read that layout, and running anyway would silently re-run
 // its trials.
 func TestRunSectionsRefusesPerSectionJournals(t *testing.T) {
+	runSectionsRefusesOlderLayout(t, "sec-0123456789abcdef.jsonl",
+		`{"meta":{"format":"ipas-trial-journal-sectioned-v1","seed":1,"trials":2,"golden_dyn":0,"population":9,"section_fp":"0123456789abcdef"}}`+"\n")
+}
+
+// RunSections refuses the coordinator's older layouts as well: per-shard
+// journals and their merged copy.
+func TestRunSectionsRefusesShardJournals(t *testing.T) {
+	for _, name := range []string{"shard-0000.jsonl", "merged.jsonl"} {
+		runSectionsRefusesOlderLayout(t, name,
+			`{"meta":{"format":"ipas-trial-journal-sectioned-v1","seed":11,"trials":4,"golden_dyn":100,"population":50,"shards":2,"program_fp":"deadbeef"}}`+"\n")
+	}
+}
+
+// runSectionsRefusesOlderLayout runs a sectioned campaign over a
+// directory holding only the file name and wants ErrCampaignMismatch
+// with the directory unchanged.
+func runSectionsRefusesOlderLayout(t *testing.T, name, data string) {
+	t.Helper()
 	dir := t.TempDir()
-	old := filepath.Join(dir, "sec-0123456789abcdef.jsonl")
-	data := []byte(`{"meta":{"format":"ipas-trial-journal-sectioned-v1","seed":1,"trials":2,"golden_dyn":0,"population":9,"section_fp":"0123456789abcdef"}}` + "\n")
-	if err := os.WriteFile(old, data, 0o644); err != nil {
+	old := filepath.Join(dir, name)
+	if err := os.WriteFile(old, []byte(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	prep, err := sectionedCampaign(t, 1).Prepare(context.Background())
@@ -90,10 +107,10 @@ func TestRunSectionsRefusesPerSectionJournals(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := prep.RunSections(context.Background(), dir); !errors.Is(err, ErrCampaignMismatch) {
-		t.Fatalf("RunSections over per-section journals: err=%v, want ErrCampaignMismatch", err)
+		t.Fatalf("RunSections over %s: err=%v, want ErrCampaignMismatch", name, err)
 	}
 	names, _ := filepath.Glob(filepath.Join(dir, "*"))
-	if after, _ := os.ReadFile(old); len(names) != 1 || string(after) != string(data) {
+	if after, _ := os.ReadFile(old); len(names) != 1 || string(after) != data {
 		t.Fatalf("refused directory was modified: %v", names)
 	}
 }

@@ -515,9 +515,9 @@ func captureFor(t *testing.T, p *Program, golden *Result) *Snapshots {
 
 // captureSectioned captures a program's section-tracked golden
 // snapshots, failing the test when the capture records none.
-func captureSectioned(t *testing.T, p *Program, tables *SectionTables, golden *Result) *Snapshots {
+func captureSectioned(t *testing.T, p *Program, golden *Result) *Snapshots {
 	t.Helper()
-	return captureUnder(t, p, Config{Sections: &SectionConfig{Tables: tables}}, golden)
+	return captureUnder(t, p, Config{Sections: &SectionConfig{}}, golden)
 }
 
 func captureUnder(t *testing.T, p *Program, cfg Config, golden *Result) *Snapshots {
@@ -724,11 +724,7 @@ func FuzzDifferential(f *testing.F) {
 		if flags&4 == 0 {
 			return
 		}
-		tables, err := NewSectionTables(p, ir.ModuleSections(m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		trace := Run(p, Config{Sections: &SectionConfig{Tables: tables, Capture: true}}).Sections
+		trace := Run(p, Config{Sections: &SectionConfig{}}).Sections
 		var populated []int32
 		for s, n := range trace.Pops {
 			if n > 0 {
@@ -739,11 +735,11 @@ func FuzzDifferential(f *testing.F) {
 		secPlan.Section = populated[idxRaw%uint64(len(populated))]
 		secPlan.Index = int64(idxRaw / uint64(len(populated)) % uint64(trace.Pops[secPlan.Section]))
 		cfg.Fault = &secPlan
-		cfg.Sections = &SectionConfig{Tables: tables, Golden: trace}
+		cfg.Sections = &SectionConfig{Golden: trace}
 		zero = Run(p, cfg)
 		if !zero.Injected {
 			t.Fatalf("sectioned plan %+v did not inject", secPlan)
 		}
-		resumeLeg(t, "fuzz-sectioned", p, captureSectioned(t, p, tables, golden), cfg, nil, zero)
+		resumeLeg(t, "fuzz-sectioned", p, captureSectioned(t, p, golden), cfg, nil, zero)
 	})
 }

@@ -50,7 +50,7 @@ type rank struct {
 	// loop and enables boundary hooks; secTarget >= 0 restricts
 	// injectable-instance counting to one section; hist is the running
 	// observable-event digest; secOrd holds per-section entry counters.
-	sec         *SectionTables
+	sec         *progSections
 	secCap      *SectionTrace // capture target (golden runs)
 	secGold     *SectionTrace // golden trace (trials; arms early exit)
 	secTarget   int32

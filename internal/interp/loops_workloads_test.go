@@ -7,7 +7,6 @@ import (
 
 	"ipas/internal/fault"
 	"ipas/internal/interp"
-	"ipas/internal/ir"
 	"ipas/internal/workloads"
 )
 
@@ -64,12 +63,7 @@ func TestLoopsAgreeOnWorkloads(t *testing.T) {
 // and returns the result, whose Sections holds the boundary trace.
 func sectionedCapture(t *testing.T, p *interp.Program, cfg interp.Config) *interp.Result {
 	t.Helper()
-	parts := ir.ModuleSections(p.Module())
-	tables, err := interp.NewSectionTables(p, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Sections = &interp.SectionConfig{Tables: tables, Capture: true}
+	cfg.Sections = &interp.SectionConfig{}
 	cfg.CountSites = true
 	res := interp.Run(p, cfg)
 	if res.Trap != interp.TrapNone {

@@ -37,6 +37,11 @@ type Program struct {
 	// fpOnce/fp back Fingerprint.
 	fpOnce sync.Once
 	fp     string
+
+	// secOnce/secs back sections: the section projection, built on
+	// first section-tracked use (section.go).
+	secOnce sync.Once
+	secs    *progSections
 }
 
 // Fingerprint is a stable content hash identifying this compiled
@@ -180,23 +185,28 @@ func Compile(m *ir.Module, injectable func(*ir.Instr) bool) (*Program, error) {
 // Module returns the compiled module.
 func (p *Program) Module() *ir.Module { return p.mod }
 
-func (p *Program) compileFunc(f *ir.Func) error {
-	pf := p.funcs[f]
+// frameSlots numbers f's frame slots: parameters first, then
+// result-producing instructions in block order. It returns the slot of
+// every value and the slot count.
+func frameSlots(f *ir.Func) (map[ir.Value]int32, int) {
 	slot := map[ir.Value]int32{}
-	var n int32
 	for _, prm := range f.Params() {
-		slot[prm] = n
-		n++
+		slot[prm] = int32(len(slot))
 	}
 	for _, b := range f.Blocks() {
 		for _, in := range b.Instrs() {
 			if in.HasResult() {
-				slot[in] = n
-				n++
+				slot[in] = int32(len(slot))
 			}
 		}
 	}
-	pf.numSlots = int(n)
+	return slot, len(slot)
+}
+
+func (p *Program) compileFunc(f *ir.Func) error {
+	pf := p.funcs[f]
+	slot, numSlots := frameSlots(f)
+	pf.numSlots = numSlots
 
 	constIdx := map[Val]int32{}
 	resolve := func(v ir.Value) int32 {

@@ -68,8 +68,10 @@ type Config struct {
 	Fault *FaultPlan
 	// CountSites enables per-site dynamic instruction counting.
 	CountSites bool
-	// Sections arms section-boundary tracking (capture on golden runs,
-	// section-targeted injection and early-masked exit on trials). It
+	// Sections arms section-boundary tracking over the program's
+	// section projection: a run without a fault plan records the
+	// boundary trace (Result.Sections); a trial gets section-targeted
+	// injection and, given the golden trace, early-masked exit. It
 	// selects the instrumented loop and is honored only for
 	// single-rank runs: a rank stopping early at a boundary would
 	// strand MPI peers, so multi-rank configurations ignore it.
@@ -80,9 +82,9 @@ type Config struct {
 	// for a section-tracked run, the last one before the plan's Index
 	// within its Section. Every Result field equals that of the run from
 	// zero. A run the snapshots cannot serve — more ranks, site
-	// counting, another program, address-space size or SectionTables
-	// (including section tracking on only one side), a section capture,
-	// no fault plan — starts from zero as if Resume were nil.
+	// counting, another program or address-space size, section tracking
+	// on only one side, no fault plan — starts from zero as if Resume
+	// were nil.
 	Resume *Snapshots
 	// Watchdog bounds the wall-clock blocking of one MPI operation as
 	// defense in depth (default 60s). Deadlocks are detected
@@ -102,13 +104,10 @@ type Config struct {
 // call it explicitly.
 func (c Config) WithDefaults() Config { return c.withDefaults() }
 
-// sectionTables returns the tables a run under c tracks sections with:
-// nil unless Sections arms them on a single-rank run.
-func (c Config) sectionTables() *SectionTables {
-	if c.Sections == nil || c.Ranks != 1 {
-		return nil
-	}
-	return c.Sections.Tables
+// sectioned reports whether a run under c tracks sections: Sections
+// arms them on a single-rank run.
+func (c Config) sectioned() bool {
+	return c.Sections != nil && c.Ranks == 1
 }
 
 func (c Config) withDefaults() Config {
@@ -191,8 +190,8 @@ type Result struct {
 	// would replay the fault-free execution, so the trial is Masked.
 	// Outputs are truncated at the stop point and must not be verified.
 	EarlyMasked bool
-	// Sections is the boundary trace captured on rank 0 when
-	// Config.Sections.Capture was set.
+	// Sections is the boundary trace rank 0 recorded: set for a
+	// section-tracked run without a fault plan.
 	Sections *SectionTrace
 }
 
@@ -239,11 +238,12 @@ func RunContext(ctx context.Context, p *Program, cfg Config) *Result {
 			r.countSites = true
 			r.siteCounts = make([]int64, p.NumSites)
 		}
-		if t := cfg.sectionTables(); t != nil {
-			r.sec = t
-			r.secOrd = make([]int64, r.sec.NumSections())
-			if cfg.Sections.Capture {
-				r.secCap = newSectionTrace(r.sec.NumSections())
+		if cfg.sectioned() {
+			r.sec = p.sections()
+			n := len(r.sec.parts.All)
+			r.secOrd = make([]int64, n)
+			if cfg.Fault == nil {
+				r.secCap = newSectionTrace(n)
 			}
 			r.secGold = cfg.Sections.Golden
 			if r.injectArmed {

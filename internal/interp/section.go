@@ -1,29 +1,31 @@
 package interp
 
 import (
-	"fmt"
 	"math"
+	"slices"
 
 	"ipas/internal/ir"
 	"ipas/internal/slicer"
 )
 
-// This file projects an ir.Sections partition onto a compiled Program
+// This file projects a program's section partition onto its bytecode
 // and implements the runtime side of sectioned campaigns:
 //
-//   - SectionTables maps every pc of every function onto its section
+//   - progSections maps every pc of every function onto its section
 //     and precomputes, for each block head, the frame slots that are
-//     live into the block (via slicer's SSA liveness). Both are pure
-//     functions of the IR, so golden and trial runs agree exactly.
+//     live into the block (via slicer's SSA liveness). The Program
+//     builds it once, on first section-tracked use; like the
+//     fingerprint, it is a pure function of the compiled program, so
+//     golden and trial runs agree exactly.
 //
 //   - SectionTrace is what a golden capture run records: per-section
-//     injectable-instance populations, instance (entry) counts, and a
-//     boundary digest at each instance exit. A trial targeted at one
-//     section compares its own boundary digest at the injected
-//     instance's first exit against the golden digest; a match means
-//     the architectural state visible to the rest of the run is
-//     byte-identical to the fault-free run, so the suffix is the golden
-//     suffix and the trial is Masked without executing it.
+//     injectable-instance populations and a boundary digest at each
+//     instance exit. A trial targeted at one section compares its own
+//     boundary digest at the injected instance's first exit against
+//     the golden digest; a match means the architectural state visible
+//     to the rest of the run is byte-identical to the fault-free run,
+//     so the suffix is the golden suffix and the trial is Masked
+//     without executing it.
 //
 // The digest folds, in execution order from the start of the run, every
 // event through which state escapes a section: stores (address and
@@ -36,15 +38,10 @@ import (
 //
 // Early exit is only armed for single-rank runs: a rank that stops at a
 // section boundary would otherwise leave MPI peers blocked.
-type SectionTables struct {
-	// Secs is the underlying IR partition.
-	Secs *ir.Sections
-
+type progSections struct {
+	parts  *ir.Sections
 	byFunc map[*progFunc]*funcSections
 }
-
-// NumSections returns the module-wide section count.
-func (t *SectionTables) NumSections() int { return len(t.Secs.All) }
 
 // funcSections is the per-function projection.
 type funcSections struct {
@@ -58,15 +55,27 @@ type funcSections struct {
 	liveIn [][]int32
 }
 
-// NewSectionTables builds the runtime section tables for a compiled
-// program from its module's partition. secs must come from the same
-// module the program was compiled from.
-func NewSectionTables(p *Program, secs *ir.Sections) (*SectionTables, error) {
-	t := &SectionTables{Secs: secs, byFunc: map[*progFunc]*funcSections{}}
+// Sections returns the section partition of the program's module
+// (ir.ModuleSections), building the program's section projection on
+// first use. The partition is shared; callers must not mutate it.
+func (p *Program) Sections() *ir.Sections { return p.sections().parts }
+
+// sections returns the program's section projection, building it on
+// first use.
+func (p *Program) sections() *progSections {
+	p.secOnce.Do(func() { p.secs = newProgSections(p) })
+	return p.secs
+}
+
+// newProgSections partitions the program's module and projects the
+// partition onto every compiled function.
+func newProgSections(p *Program) *progSections {
+	parts := ir.ModuleSections(p.mod)
+	ps := &progSections{parts: parts, byFunc: map[*progFunc]*funcSections{}}
 
 	// Block -> module-global section ID, across all functions.
 	blockSec := map[*ir.Block]int32{}
-	for _, s := range secs.All {
+	for _, s := range parts.All {
 		for _, b := range s.Blocks {
 			blockSec[b] = int32(s.ID)
 		}
@@ -74,11 +83,8 @@ func NewSectionTables(p *Program, secs *ir.Sections) (*SectionTables, error) {
 
 	var fid int32
 	for _, f := range p.mod.Funcs() {
-		if f.Builtin {
-			continue
-		}
 		pf := p.funcs[f]
-		if pf == nil || len(pf.code) == 0 {
+		if f.Builtin || len(pf.code) == 0 {
 			continue
 		}
 		fs := &funcSections{
@@ -88,35 +94,12 @@ func NewSectionTables(p *Program, secs *ir.Sections) (*SectionTables, error) {
 		}
 		fid++
 
-		// Recover the frame slot map the compiler used: parameters
-		// first, then result-producing instructions in block order.
-		slot := map[ir.Value]int32{}
-		var n int32
-		for _, prm := range f.Params() {
-			slot[prm] = n
-			n++
-		}
-		blocks := f.Blocks()
-		for _, b := range blocks {
-			for _, in := range b.Instrs() {
-				if in.HasResult() {
-					slot[in] = n
-					n++
-				}
-			}
-		}
-
+		slot, _ := frameSlots(f)
 		live := slicer.NewLiveness(f)
-		if len(pf.blockOf) != len(pf.code) {
-			return nil, fmt.Errorf("interp: @%s has no block table (compiled by an older path?)", f.Name())
-		}
+		blocks := f.Blocks()
 		for pc := range pf.code {
 			b := blocks[pf.blockOf[pc]]
-			sec, ok := blockSec[b]
-			if !ok {
-				return nil, fmt.Errorf("interp: block %%%s of @%s missing from section partition", b.Name(), f.Name())
-			}
-			fs.pcSec[pc] = sec
+			fs.pcSec[pc] = blockSec[b]
 			if pc == 0 || pf.blockOf[pc] != pf.blockOf[pc-1] {
 				var slots []int32
 				for _, v := range live.LiveIn(b) {
@@ -126,25 +109,19 @@ func NewSectionTables(p *Program, secs *ir.Sections) (*SectionTables, error) {
 				}
 				// LiveIn is name-sorted; re-sort by slot for a canonical
 				// fold order tied to the frame layout.
-				for i := 1; i < len(slots); i++ {
-					for j := i; j > 0 && slots[j] < slots[j-1]; j-- {
-						slots[j], slots[j-1] = slots[j-1], slots[j]
-					}
-				}
+				slices.Sort(slots)
 				fs.liveIn[pc] = slots
 			}
 		}
-		t.byFunc[pf] = fs
+		ps.byFunc[pf] = fs
 	}
-	return t, nil
+	return ps
 }
 
-// SectionConfig arms section tracking on a run (Config.Sections).
+// SectionConfig arms section tracking on a run (Config.Sections). The
+// program supplies the section projection; a section-tracked run
+// without a fault plan records the boundary trace (Result.Sections).
 type SectionConfig struct {
-	// Tables is the program's section projection (required).
-	Tables *SectionTables
-	// Capture records a SectionTrace on rank 0 (golden runs).
-	Capture bool
 	// Golden, when non-nil, enables early-masked exit: a faulty run
 	// whose boundary digest at the injected instance's first section
 	// exit matches the golden digest stops immediately and reports
@@ -157,8 +134,6 @@ type SectionTrace struct {
 	// Pops is the per-section injectable dynamic-instance population:
 	// the (section x site x occurrence) sampling space.
 	Pops []int64
-	// Entries counts dynamic instances (entries) of each section.
-	Entries []int64
 	// Exits holds, per section, the boundary digest of each instance in
 	// ordinal order (capped at maxRecordedExits; 0 = unrecorded).
 	Exits [][]uint64
@@ -170,9 +145,8 @@ const maxRecordedExits = 4096
 
 func newSectionTrace(n int) *SectionTrace {
 	return &SectionTrace{
-		Pops:    make([]int64, n),
-		Entries: make([]int64, n),
-		Exits:   make([][]uint64, n),
+		Pops:  make([]int64, n),
+		Exits: make([][]uint64, n),
 	}
 }
 
@@ -230,9 +204,6 @@ type frameSec struct {
 func (r *rank) secEnter(sec int32) int64 {
 	ord := r.secOrd[sec]
 	r.secOrd[sec]++
-	if r.secCap != nil {
-		r.secCap.Entries[sec]++
-	}
 	return ord
 }
 

@@ -46,8 +46,8 @@ exit:
 }
 `
 
-// compileSectioned parses, compiles and builds section tables.
-func compileSectioned(t *testing.T, src string) (*Program, *SectionTables) {
+// compileSectioned parses, verifies and compiles a module.
+func compileSectioned(t *testing.T, src string) *Program {
 	t.Helper()
 	m, err := ir.Parse(src)
 	if err != nil {
@@ -61,24 +61,20 @@ func compileSectioned(t *testing.T, src string) (*Program, *SectionTables) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	tabs, err := NewSectionTables(p, ir.ModuleSections(m))
-	if err != nil {
-		t.Fatalf("section tables: %v", err)
-	}
-	return p, tabs
+	return p
 }
 
 // TestSectionCaptureMatchesPlainRun checks that arming section capture
 // perturbs nothing observable and that the per-section populations it
 // records partition the global injectable population exactly.
 func TestSectionCaptureMatchesPlainRun(t *testing.T) {
-	p, tabs := compileSectioned(t, secSrc)
+	p := compileSectioned(t, secSrc)
 
 	plain := Run(p, Config{CountSites: true})
 	if plain.Trap != TrapNone {
 		t.Fatalf("plain run trapped: %v (%s)", plain.Trap, plain.TrapMsg)
 	}
-	cap := Run(p, Config{Sections: &SectionConfig{Tables: tabs, Capture: true}})
+	cap := Run(p, Config{Sections: &SectionConfig{}})
 	if cap.Trap != TrapNone {
 		t.Fatalf("capture run trapped: %v (%s)", cap.Trap, cap.TrapMsg)
 	}
@@ -104,9 +100,9 @@ func TestSectionCaptureMatchesPlainRun(t *testing.T) {
 		t.Errorf("section populations sum to %d, global injectable population is %d",
 			popSum, plain.Injectable[0])
 	}
-	for s, n := range cap.Sections.Entries {
+	for s, n := range cap.Sections.Pops {
 		if n > 0 && len(cap.Sections.Exits[s]) == 0 {
-			t.Errorf("section %d entered %d times but recorded no exits", s, n)
+			t.Errorf("section %d executed %d injectable instances but recorded no exits", s, n)
 		}
 	}
 }
@@ -117,12 +113,12 @@ func TestSectionCaptureMatchesPlainRun(t *testing.T) {
 // trials hit (site, dynamic position, and effect). Every targeted trial
 // resumed from section-tracked snapshots equals its run from zero.
 func TestSectionTargetedInjectionEquivalence(t *testing.T) {
-	p, tabs := compileSectioned(t, secSrc)
-	golden := Run(p, Config{Sections: &SectionConfig{Tables: tabs, Capture: true}})
+	p := compileSectioned(t, secSrc)
+	golden := Run(p, Config{Sections: &SectionConfig{}})
 	if golden.Trap != TrapNone {
 		t.Fatalf("golden trapped: %v", golden.Trap)
 	}
-	snaps := captureSectioned(t, p, tabs, golden)
+	snaps := captureSectioned(t, p, golden)
 	resumed := 0
 	pop := int64(0)
 	for _, n := range golden.Sections.Pops {
@@ -148,7 +144,7 @@ func TestSectionTargetedInjectionEquivalence(t *testing.T) {
 			cfg := Config{
 				Fault:     &FaultPlan{Index: idx, Bit: 0, Section: int32(sec)},
 				MaxInstrs: 1 << 20,
-				Sections:  &SectionConfig{Tables: tabs},
+				Sections:  &SectionConfig{},
 			}
 			res := Run(p, cfg)
 			if !res.Injected {
@@ -183,12 +179,12 @@ func TestSectionTargetedInjectionEquivalence(t *testing.T) {
 // digest starts from the snapshot's, so early exits fire exactly as
 // from zero.
 func TestSectionEarlyMaskedSoundness(t *testing.T) {
-	p, tabs := compileSectioned(t, secSrc)
-	golden := Run(p, Config{Sections: &SectionConfig{Tables: tabs, Capture: true}})
+	p := compileSectioned(t, secSrc)
+	golden := Run(p, Config{Sections: &SectionConfig{}})
 	if golden.Trap != TrapNone {
 		t.Fatalf("golden trapped: %v", golden.Trap)
 	}
-	snaps := captureSectioned(t, p, tabs, golden)
+	snaps := captureSectioned(t, p, golden)
 	resumedEarly := 0
 
 	sameOutputs := func(r *Result) bool {
@@ -217,7 +213,7 @@ func TestSectionEarlyMaskedSoundness(t *testing.T) {
 				armedCfg := Config{
 					Fault:     &plan,
 					MaxInstrs: 1 << 20,
-					Sections:  &SectionConfig{Tables: tabs, Golden: golden.Sections},
+					Sections:  &SectionConfig{Golden: golden.Sections},
 				}
 				armed := Run(p, armedCfg)
 				resumed := resumeLeg(t, "armed", p, snaps, armedCfg, nil, armed)
@@ -231,7 +227,7 @@ func TestSectionEarlyMaskedSoundness(t *testing.T) {
 				fullCfg := Config{
 					Fault:     &plan,
 					MaxInstrs: 1 << 20,
-					Sections:  &SectionConfig{Tables: tabs},
+					Sections:  &SectionConfig{},
 				}
 				full := Run(p, fullCfg)
 				resumeLeg(t, "full", p, snaps, fullCfg, nil, full)

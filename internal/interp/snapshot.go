@@ -43,10 +43,10 @@ type Snapshots struct {
 	prog       *Program
 	heapBytes  int64
 	stackBytes int64
-	// tables is the section projection the capture tracked, nil for a
-	// plain capture; snapshots serve only runs tracking the same one.
-	tables *SectionTables
-	snaps  []snapshot // ascending executed (and injectable) counts
+	// sectioned reports that the capture tracked sections; snapshots
+	// serve only runs that track them exactly when it did.
+	sectioned bool
+	snaps     []snapshot // ascending executed (and injectable) counts
 }
 
 // Len reports how many snapshots were captured.
@@ -137,11 +137,11 @@ func resumable(cfg Config) bool {
 // and records up to maxSnapshots snapshots spaced evenly over goldenDyn
 // executed instructions (the golden run's count), thinned to stay under
 // maxSnapshotBytes. When cfg tracks sections the capture is a sectioned
-// golden run (SectionConfig{Tables, Capture: true}) and its snapshots
-// serve trials targeted at those tables' sections. It returns nil when
-// no snapshot can be taken: at once, without running, when cfg has more
-// than one rank or site counting; after the run when it traps, is
-// cancelled or records none.
+// golden run, recording the boundary trace, and its snapshots serve
+// section-targeted trials. It returns nil when no snapshot can be
+// taken: at once, without running, when cfg has more than one rank or
+// site counting; after the run when it traps, is cancelled or records
+// none.
 func CaptureSnapshots(ctx context.Context, p *Program, cfg Config, goldenDyn int64) *Snapshots {
 	s, _ := captureRun(ctx, p, cfg, goldenDyn)
 	return s
@@ -155,19 +155,15 @@ func captureRun(ctx context.Context, p *Program, cfg Config, goldenDyn int64) (*
 		return nil, nil
 	}
 	c := &capture{every: max(1, goldenDyn/(maxSnapshots+1))}
+	// Without a fault plan a sectioned capture records the boundary
+	// trace, whose running per-section counts (Pops) snapshots keep.
 	cfg.Fault = nil
 	cfg.capture = c
-	tables := cfg.sectionTables()
-	if tables != nil {
-		// A sectioned golden run: snapshots record its trace's running
-		// per-section counts (Pops).
-		cfg.Sections = &SectionConfig{Tables: tables, Capture: true}
-	}
 	res := RunContext(ctx, p, cfg)
 	if res.Trap != TrapNone || len(c.snaps) == 0 {
 		return nil, res
 	}
-	return &Snapshots{prog: p, heapBytes: cfg.HeapBytes, stackBytes: cfg.StackBytes, tables: tables, snaps: c.snaps}, res
+	return &Snapshots{prog: p, heapBytes: cfg.HeapBytes, stackBytes: cfg.StackBytes, sectioned: cfg.sectioned(), snaps: c.snaps}, res
 }
 
 // execCapture runs one frame of the capture run, keeping the call chain
@@ -247,20 +243,19 @@ func callPC(fn *progFunc, site *pInstr) int {
 // the last one taken before the plan's injection instance — counted in
 // the plan's section for a section-tracked run — and within the
 // instruction budget. It returns nil when the snapshots cannot serve
-// cfg (another program, address space or SectionTables, more ranks,
-// site counting, a section capture, a section outside the tables) or
+// cfg (another program or address space, section tracking on only one
+// side, more ranks, site counting, a section outside the partition) or
 // none precedes the plan.
 func (s *Snapshots) from(p *Program, cfg Config) *snapshot {
 	if s == nil || s.prog != p || !resumable(cfg) || cfg.Fault == nil || cfg.Fault.Rank != 0 ||
-		s.heapBytes != cfg.HeapBytes || s.stackBytes != cfg.StackBytes || s.tables != cfg.sectionTables() {
+		s.heapBytes != cfg.HeapBytes || s.stackBytes != cfg.StackBytes || s.sectioned != cfg.sectioned() {
 		return nil
 	}
 	sec := int32(-1) // a plain plan's Index counts every injectable instance
-	if s.tables != nil {
-		// A sectioned plan's counts its section's. A resumed capture
-		// would record only the suffix of the trace.
+	if s.sectioned {
+		// A sectioned plan's counts its section's.
 		sec = cfg.Fault.Section
-		if cfg.Sections.Capture || sec < 0 || int(sec) >= s.tables.NumSections() {
+		if sec < 0 || int(sec) >= len(p.Sections().All) {
 			return nil
 		}
 	}

@@ -20,17 +20,13 @@ func TestCaptureRunMatchesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tables, err := NewSectionTables(p, ir.ModuleSections(p.Module()))
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, tc := range []struct {
 			name   string
 			golden Config
 			cfg    Config
 		}{
 			{"plain", Config{}, Config{}},
-			{"sectioned", Config{Sections: &SectionConfig{Tables: tables, Capture: true}}, Config{Sections: &SectionConfig{Tables: tables}}},
+			{"sectioned", Config{Sections: &SectionConfig{}}, Config{Sections: &SectionConfig{}}},
 		} {
 			golden := Run(p, tc.golden)
 			snaps, res := captureRun(context.Background(), p, tc.cfg, golden.TotalDyn)
@@ -114,12 +110,8 @@ func main() {
 	out_i64(0, rec(3, 1));
 }
 `)
-	tables, err := NewSectionTables(p, ir.ModuleSections(p.Module()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := Run(p, Config{Sections: &SectionConfig{Tables: tables, Capture: true}})
-	snaps := captureSectioned(t, p, tables, golden)
+	golden := Run(p, Config{Sections: &SectionConfig{}})
+	snaps := captureSectioned(t, p, golden)
 	// nested reports whether snapshot s has a frame below the innermost
 	// whose section is the innermost's, open with an older ordinal.
 	nested := func(s *snapshot) bool {
@@ -145,7 +137,7 @@ func main() {
 					cfg := Config{
 						Fault:     &FaultPlan{Index: idx, Bit: bit, Section: int32(sec)},
 						MaxInstrs: golden.TotalDyn*10 + 1_000_000,
-						Sections:  &SectionConfig{Tables: tables, Golden: gold},
+						Sections:  &SectionConfig{Golden: gold},
 					}
 					resumeLeg(t, "recursive", p, snaps, cfg, nil, Run(p, cfg))
 					s := snaps.from(p, cfg.withDefaults())
@@ -255,22 +247,13 @@ func main() {
 // cannot describe never capture, and that Resume is ignored for runs
 // the snapshots cannot serve: more ranks, site counting, another
 // address space or program, no plan, a plain plan on section-tracked
-// snapshots and the reverse, snapshots of other SectionTables, a
-// section capture, and a plan section outside the tables.
+// snapshots and the reverse, and a plan section outside the partition.
 func TestCaptureRefusesUnresumable(t *testing.T) {
 	p, err := Compile(diffModule(t, 3), refInjectable)
 	if err != nil {
 		t.Fatal(err)
 	}
 	golden := Run(p, Config{})
-	newTables := func() *SectionTables {
-		tables, err := NewSectionTables(p, ir.ModuleSections(p.Module()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tables
-	}
-	tables, otherTables := newTables(), newTables()
 	for name, cfg := range map[string]Config{
 		"ranks": {Ranks: 2},
 		"sites": {CountSites: true},
@@ -280,7 +263,7 @@ func TestCaptureRefusesUnresumable(t *testing.T) {
 		}
 	}
 	snaps := captureFor(t, p, golden)
-	secSnaps := CaptureSnapshots(context.Background(), p, Config{Sections: &SectionConfig{Tables: tables}}, golden.TotalDyn)
+	secSnaps := CaptureSnapshots(context.Background(), p, Config{Sections: &SectionConfig{}}, golden.TotalDyn)
 	other, err := Compile(diffModule(t, 3), refInjectable)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +271,7 @@ func TestCaptureRefusesUnresumable(t *testing.T) {
 	plan := &FaultPlan{Index: golden.Injectable[0] - 1}
 	// The last instance of the most populated section: every snapshot
 	// taken in or after it precedes the plan.
-	trace := Run(p, Config{Sections: &SectionConfig{Tables: tables, Capture: true}}).Sections
+	trace := Run(p, Config{Sections: &SectionConfig{}}).Sections
 	var sec int32
 	for s, n := range trace.Pops {
 		if n > trace.Pops[sec] {
@@ -296,7 +279,7 @@ func TestCaptureRefusesUnresumable(t *testing.T) {
 		}
 	}
 	secPlan := &FaultPlan{Index: trace.Pops[sec] - 1, Section: sec}
-	sectioned := &SectionConfig{Tables: tables, Golden: trace}
+	sectioned := &SectionConfig{Golden: trace}
 	if snaps.from(p, Config{Fault: plan}.withDefaults()) == nil ||
 		secSnaps.from(p, Config{Fault: secPlan, Sections: sectioned}.withDefaults()) == nil {
 		t.Fatal("snapshots do not serve the plans they were captured for")
@@ -312,9 +295,7 @@ func TestCaptureRefusesUnresumable(t *testing.T) {
 		"golden":                 {snaps, Config{}},
 		"sectioned-serves-plain": {secSnaps, Config{Fault: plan}},
 		"plain-serves-sectioned": {snaps, Config{Fault: secPlan, Sections: sectioned}},
-		"other-tables":           {secSnaps, Config{Fault: secPlan, Sections: &SectionConfig{Tables: otherTables}}},
-		"section-capture":        {secSnaps, Config{Fault: secPlan, Sections: &SectionConfig{Tables: tables, Capture: true}}},
-		"section-out-of-range":   {secSnaps, Config{Fault: &FaultPlan{Section: int32(tables.NumSections())}, Sections: sectioned}},
+		"section-out-of-range":   {secSnaps, Config{Fault: &FaultPlan{Section: int32(len(trace.Pops))}, Sections: sectioned}},
 		"section-negative":       {secSnaps, Config{Fault: &FaultPlan{Section: -1}, Sections: sectioned}},
 	} {
 		prog := p

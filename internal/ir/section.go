@@ -133,21 +133,16 @@ type Sections struct {
 	// All lists every section in deterministic order (functions in
 	// module order, sections in layout order); Section.ID indexes it.
 	All []*Section
-	// SiteSection maps a SiteID onto its section's ID (-1 for sites the
-	// partition does not cover). AssignSiteIDs must have run.
-	SiteSection []int32
 
 	sites [][]int // per-section sorted global SiteIDs (ProtNone instrs)
 }
 
-// ModuleSections partitions every non-builtin function of m and indexes
-// the partition by SiteID. AssignSiteIDs must have been called (it is
-// by every compile path that feeds fault injection).
+// ModuleSections partitions every non-builtin function of m and lists
+// each section's SiteIDs. AssignSiteIDs must have been called (it is by
+// every compile path that feeds fault injection).
 func ModuleSections(m *Module) *Sections {
-	ms := &Sections{SiteSection: make([]int32, m.NumSites())}
-	for i := range ms.SiteSection {
-		ms.SiteSection[i] = -1
-	}
+	ms := &Sections{}
+	numSites := m.NumSites()
 	for _, f := range m.Funcs() {
 		for _, s := range ComputeSections(f) {
 			s.ID = len(ms.All)
@@ -155,8 +150,7 @@ func ModuleSections(m *Module) *Sections {
 			ms.sites = append(ms.sites, nil)
 			for _, b := range s.Blocks {
 				for _, in := range b.Instrs() {
-					if in.Prot == ProtNone && in.SiteID >= 0 && in.SiteID < len(ms.SiteSection) {
-						ms.SiteSection[in.SiteID] = int32(s.ID)
+					if in.Prot == ProtNone && in.SiteID >= 0 && in.SiteID < numSites {
 						ms.sites[s.ID] = append(ms.sites[s.ID], in.SiteID)
 					}
 				}

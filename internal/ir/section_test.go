@@ -94,28 +94,26 @@ func TestModuleSectionsSiteIndex(t *testing.T) {
 	if len(ms.All) != 3 {
 		t.Fatalf("got %d sections, want 3", len(ms.All))
 	}
-	if len(ms.SiteSection) != m.NumSites() {
-		t.Fatalf("SiteSection len %d, want %d", len(ms.SiteSection), m.NumSites())
+	// Every site belongs to exactly one section's Sites.
+	owner := make([]int, m.NumSites())
+	for i := range owner {
+		owner[i] = -1
 	}
-	covered := 0
-	for site, sec := range ms.SiteSection {
+	for sec := range ms.All {
+		for _, site := range ms.Sites(sec) {
+			if site < 0 || site >= len(owner) {
+				t.Fatalf("section %d lists site %d outside [0,%d)", sec, site, len(owner))
+			}
+			if owner[site] >= 0 {
+				t.Errorf("site %d in Sites(%d) and Sites(%d)", site, owner[site], sec)
+			}
+			owner[site] = sec
+		}
+	}
+	for site, sec := range owner {
 		if sec < 0 {
 			t.Errorf("site %d not assigned to a section", site)
-			continue
 		}
-		covered++
-		found := false
-		for _, s := range ms.Sites(int(sec)) {
-			if s == site {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("site %d missing from Sites(%d)", site, sec)
-		}
-	}
-	if covered != m.NumSites() {
-		t.Errorf("covered %d of %d sites", covered, m.NumSites())
 	}
 	// Per-section site lists must be ascending, as Sites documents.
 	for sec := range ms.All {
