@@ -90,6 +90,26 @@ bench-check: bench-smoke
 	$(GO) run ./cmd/benchdiff -base BENCH_interp.json bench_smoke_interp.json
 	$(GO) run ./cmd/benchdiff -base BENCH_svm.json bench_smoke_svm.json
 
+# Each smoke target that selects tests by name lists them in one
+# variable: a space-separated list of `go test -run` patterns, joined
+# with | to run (run-pattern). require-tests fails before anything runs
+# when one of them selects no test in the target's packages — a moved
+# or renamed test would otherwise run as "no tests to run" and pass.
+# Each pattern's top level (before its first /) is matched against the
+# `go test -list` names unanchored, the way -run matches it; subtest
+# parts are not checked. exact turns test names into anchored patterns.
+empty :=
+space := $(empty) $(empty)
+run-pattern = $(subst $(space),|,$(strip $(1)))
+exact = $(foreach t,$(1),^$(t)$$)
+define require-tests
+	@listed=$$($(GO) test -list . $(2)) || { echo "$$listed"; exit 1; }; \
+	for p in $(foreach p,$(1),'$(p)'); do \
+		echo "$$listed" | grep -E '^(Test|Fuzz|Example)' | grep -qE -- "$${p%%/*}" || \
+			{ echo "$@: $$p matches no test in $(2)"; exit 1; }; \
+	done
+endef
+
 # Sectioned-campaign differential smoke (what CI runs): the composed
 # whole-program distribution must agree with a monolithic campaign on
 # the two fastest workloads, an edited program must refuse the old
@@ -99,9 +119,12 @@ bench-check: bench-smoke
 # the recorded ones exactly, with a ≥5× aggregate reduction
 # (internal/compose/trialcount_test.go) — the counts are
 # machine-independent, so any allocation change fails here.
+COMPOSE_TESTS = TestDifferentialComposedVsMonolithic/(FFT|IS) TestEditedProgramRefusesOldJournal TestSectionedTrialCounts
+COMPOSE_PKGS = ./internal/compose
 compose-smoke:
+	$(call require-tests,$(COMPOSE_TESTS),$(COMPOSE_PKGS))
 	$(GO) test -race -shuffle=on -count=1 -timeout=10m \
-		-run 'TestDifferentialComposedVsMonolithic/(FFT|IS)|TestEditedProgramRefusesOldJournal|TestSectionedTrialCounts' ./internal/compose
+		-run '$(call run-pattern,$(COMPOSE_TESTS))' $(COMPOSE_PKGS)
 
 # Crash/resume tests under the race detector: campaigns cancelled
 # mid-run (plain and sectioned, per error model, and on a golden-cache
@@ -112,26 +135,23 @@ compose-smoke:
 # a coordinator campaign killed again and again with its one journal
 # torn, corrupted and deleted resumes to the result and journal of an
 # uninterrupted local run, refusing an older build's shard journals
-# untouched (internal/campaign/coordinator_test.go). The target first
-# checks with `go test -list` that every name in CHAOS_TESTS names a
-# test in CHAOS_PKGS: a moved or renamed test would otherwise run as
-# "no tests to run" and pass.
-CHAOS_TESTS = TestCampaignCancelThenResumeBitIdentical|TestJournalDiscardsTornTail|TestModelCancelThenResumeBitIdentical|TestGoldenCacheCancelResumeBitIdentical|TestOpenJournalRefusesCorruptUntouched|TestChaosCrashResumeBitIdentical
+# untouched (internal/campaign/coordinator_test.go).
+CHAOS_TESTS = $(call exact,TestCampaignCancelThenResumeBitIdentical TestJournalDiscardsTornTail TestModelCancelThenResumeBitIdentical TestGoldenCacheCancelResumeBitIdentical TestOpenJournalRefusesCorruptUntouched TestChaosCrashResumeBitIdentical)
 CHAOS_PKGS = ./internal/fault/... ./internal/campaign
 chaos-smoke:
-	@listed=$$($(GO) test -list '^($(CHAOS_TESTS))$$' $(CHAOS_PKGS)) || exit 1; \
-	for t in $(subst |, ,$(CHAOS_TESTS)); do \
-		echo "$$listed" | grep -qx "$$t" || { echo "chaos-smoke: $$t matches no test in $(CHAOS_PKGS)"; exit 1; }; \
-	done
-	$(GO) test -race -shuffle=on -count=1 -run '^($(CHAOS_TESTS))$$' -timeout=10m $(CHAOS_PKGS)
+	$(call require-tests,$(CHAOS_TESTS),$(CHAOS_PKGS))
+	$(GO) test -race -shuffle=on -count=1 -run '$(call run-pattern,$(CHAOS_TESTS))' -timeout=10m $(CHAOS_PKGS)
 
 # Chaos tests for the campaign coordinator under the race detector:
 # worker processes SIGKILLed mid-shard, dropped heartbeats, leases
 # expiring under slow workers, and a shard forced to retry exhaustion
 # must all converge to the result and journal of a local single-loop
 # run (see internal/campaign/chaos_test.go).
+SERVER_CHAOS_TESTS = TestServerChaos
+SERVER_CHAOS_PKGS = ./internal/campaign
 server-chaos-smoke:
-	$(GO) test -race -shuffle=on -run 'TestServerChaos' -timeout=10m ./internal/campaign
+	$(call require-tests,$(SERVER_CHAOS_TESTS),$(SERVER_CHAOS_PKGS))
+	$(GO) test -race -shuffle=on -run '$(call run-pattern,$(SERVER_CHAOS_TESTS))' -timeout=10m $(SERVER_CHAOS_PKGS)
 
 # Error-model smoke under the race detector: the per-model determinism
 # matrix (worker/shard/resume/remote invariance for every built-in
@@ -143,10 +163,12 @@ server-chaos-smoke:
 # models" in DESIGN.md), and snapshot-resumed trials, plain and
 # sectioned, against full re-execution for every workload and model
 # (see "Fork-from-golden snapshots").
+ERRMODEL_TESTS = Model TestDifferentialErrorModels TestTrialRecordsEffectiveBitAndMask TestConvergence TestSnapshotTrialsMatchFullRuns
+ERRMODEL_PKGS = ./internal/interp ./internal/fault/... ./internal/campaign ./internal/workloads
 errmodel-smoke:
+	$(call require-tests,$(ERRMODEL_TESTS),$(ERRMODEL_PKGS))
 	$(GO) test -race -shuffle=on -count=1 -timeout=10m \
-		-run 'Model|TestDifferentialErrorModels|TestTrialRecordsEffectiveBitAndMask|TestConvergence|TestSnapshotTrialsMatchFullRuns' \
-		./internal/interp ./internal/fault/... ./internal/campaign ./internal/workloads
+		-run '$(call run-pattern,$(ERRMODEL_TESTS))' $(ERRMODEL_PKGS)
 
 # Every fuzz target, as Name:package[:extra go test flags]. The
 # differential oracle (fast loop vs instrumented loop vs

@@ -321,10 +321,6 @@ type Campaign struct {
 	// retries set NoRetries. After the budget is exhausted the trial
 	// is recorded as TrialFailed instead of aborting the campaign.
 	MaxRetries int
-	// RetryBackoff is the base delay before re-running a failed trial;
-	// attempt k waits RetryBackoff << (k-1), and cancellation
-	// interrupts the wait (default 10ms).
-	RetryBackoff time.Duration
 	// Journal, when non-nil, receives every finished trial as it
 	// completes and seeds resume: trials already recorded are restored
 	// instead of re-executed. Because the plan sequence is drawn up
@@ -366,6 +362,11 @@ const (
 	// is treated the same; this named sentinel is the documented one).
 	NoRetries = -1
 )
+
+// retryBackoff is the base delay before re-running a failed trial:
+// attempt k waits retryBackoff << (k-1), and cancellation interrupts
+// the wait.
+const retryBackoff = 10 * time.Millisecond
 
 // ExplicitRetries converts a literal retry count — as a user states it
 // on a CLI flag, where 0 means "no retries" — into a MaxRetries field
@@ -424,7 +425,6 @@ type Prepared struct {
 
 	budget     int64
 	maxRetries int
-	backoff    time.Duration
 
 	// secs is the sectioned-campaign substrate (nil for plain
 	// campaigns): the per-section trial allocation and the trial
@@ -525,10 +525,6 @@ func (c *Campaign) Prepare(ctx context.Context) (*Prepared, error) {
 	if pop == 0 {
 		return nil, fmt.Errorf("fault: program has no injectable dynamic instances")
 	}
-	backoff := c.RetryBackoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
 	p := &Prepared{
 		c:            c,
 		Golden:       golden,
@@ -536,7 +532,6 @@ func (c *Campaign) Prepare(ctx context.Context) (*Prepared, error) {
 		GoldenCached: cached,
 		budget:       golden.MaxRankDyn*hang + 1_000_000,
 		maxRetries:   retries(c.MaxRetries),
-		backoff:      backoff,
 	}
 	if c.Sections {
 		sp, err := newSectionPlan(c, golden)
@@ -775,7 +770,7 @@ func (p *Prepared) RunTrial(ctx context.Context, t int, plan interp.FaultPlan) T
 		}
 		if attempt > 0 {
 			select {
-			case <-time.After(p.backoff << (attempt - 1)):
+			case <-time.After(retryBackoff << (attempt - 1)):
 			case <-ctx.Done():
 				return pending
 			}

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // Two concurrent campaigns must never interleave writes into one
@@ -49,7 +48,7 @@ func TestCampaignNoRetriesSentinel(t *testing.T) {
 	p, verify := compileCampaignProg(t)
 	const n = 12
 
-	c := &Campaign{Prog: p, Verify: verify, Seed: 17, MaxRetries: NoRetries, RetryBackoff: time.Millisecond}
+	c := &Campaign{Prog: p, Verify: verify, Seed: 17, MaxRetries: NoRetries}
 	c.beforeTrial = func(trial, attempt int) {
 		if trial == 5 {
 			panic("no-retry panic")

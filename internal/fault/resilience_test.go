@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ipas/internal/interp"
 	"ipas/internal/lang"
@@ -46,7 +45,7 @@ func TestCampaignPanicIsolationRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := &Campaign{Prog: p, Verify: verify, Seed: 11, Workers: 2, RetryBackoff: time.Millisecond}
+	c := &Campaign{Prog: p, Verify: verify, Seed: 11, Workers: 2}
 	c.beforeTrial = func(trial, attempt int) {
 		if trial == 7 && attempt == 0 {
 			panic("injected test panic")
@@ -78,7 +77,7 @@ func TestCampaignPanicIsolationExhaustsRetries(t *testing.T) {
 	p, verify := compileCampaignProg(t)
 	const n = 30
 
-	c := &Campaign{Prog: p, Verify: verify, Seed: 13, Workers: 2, MaxRetries: 1, RetryBackoff: time.Millisecond}
+	c := &Campaign{Prog: p, Verify: verify, Seed: 13, Workers: 2, MaxRetries: 1}
 	c.beforeTrial = func(trial, attempt int) {
 		if trial == 3 {
 			panic("persistent test panic")

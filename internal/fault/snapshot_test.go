@@ -20,7 +20,9 @@ import (
 // spread over its sections, with the early-masked exit armed on both
 // sides; it runs one trial fewer per model to stay inside the
 // race-detector budget of `make errmodel-smoke`. A fully duplicated FFT
-// covers Detected outcomes.
+// covers Detected outcomes. The variants run in parallel: they share
+// only process-wide tables (the golden-run cache, ir's interned pointer
+// types), which are safe for concurrent use.
 func TestSnapshotTrialsMatchFullRuns(t *testing.T) {
 	type variant struct {
 		workload string
@@ -41,6 +43,7 @@ func TestSnapshotTrialsMatchFullRuns(t *testing.T) {
 			name += "+dup"
 		}
 		t.Run(name, func(t *testing.T) {
+			t.Parallel()
 			spec := workloads.MustGet(v.workload, 1)
 			m, err := spec.Compile()
 			if err != nil {

@@ -6,24 +6,25 @@ import (
 	"time"
 )
 
-// comm is the simulated MPI communicator. Point-to-point messages use
-// eager buffered channels per directed (src, dst) pair with in-order
-// tag matching; collectives are built on top of point-to-point with
-// reserved system tags, mirroring a tree-less gather+broadcast
-// implementation. If any rank traps, the job aborts (the paper's §4.4.1
-// relies on exactly this MPI default).
+// comm is the simulated MPI communicator and the one owner of MPI
+// state. Point-to-point messages queue in an eager mailbox per directed
+// (src, dst) pair with in-order tag matching; collectives are built on
+// top of point-to-point with reserved system tags, mirroring a
+// tree-less gather+broadcast implementation. If any rank traps, the
+// job aborts (the paper's §4.4.1 relies on exactly this MPI default).
 //
-// Blocked operations are resolved in a FIXED priority order — message
-// delivery, structural deadlock, job abort, cancellation, watchdog —
-// never by Go's randomized select. Delivery outranking abort means a
-// live rank always drains whatever progress is available before it
-// observes the teardown, which keeps per-rank executed counts and
-// outputs deterministic; deadlock is declared structurally by the rank
-// supervisor (supervisor.go), never by a timer.
+// One mutex guards the mailboxes together with the rank supervisor's
+// state (supervisor.go), so deadlock detection reads the mailboxes
+// themselves. A blocked operation parks in one loop that resolves its
+// wake conditions in a FIXED priority order — message delivery,
+// structural deadlock, job abort, cancellation, watchdog — never by
+// Go's randomized select. Delivery outranking abort means a live rank
+// always drains whatever progress is available before it observes the
+// teardown, which keeps per-rank executed counts and outputs
+// deterministic; deadlock is declared structurally, never by a timer.
 type comm struct {
-	size  int
-	boxes [][]chan message // boxes[src][dst]
-	done  chan struct{}    // closed on job abort
+	size int
+	done chan struct{} // closed on job abort
 	// abortOnce guards the close of done: ranks trap concurrently, and
 	// each trapping rank aborts the job.
 	abortOnce sync.Once
@@ -35,17 +36,29 @@ type comm struct {
 	// TrapWatchdog — an infrastructure error, never a modeled outcome:
 	// genuine deadlocks are detected structurally and instantly.
 	watchdog time.Duration
-	// sup is the rank supervisor: per-rank state tracking and
-	// structural deadlock declaration.
-	sup *supervisor
+	// wake[r] (capacity 1) is rung when rank r's parked operation may
+	// have become resolvable: its peer changed r's mailbox, or deadlock
+	// was declared.
+	wake []chan struct{}
+
+	// mu guards the mailboxes and the rank supervisor's state below.
+	mu sync.Mutex
+	// boxes[src*size+dst] is the FIFO mailbox from src to dst, holding
+	// at most mailboxCap messages; nil until the first send.
+	boxes   [][]message
+	phase   []rankPhase
+	ops     []pendingOp // a blocked rank's operation
+	running int         // ranks in phaseRunning
+	trapped bool        // a rank trapped: the abort path owns the outcome
+	report  *DeadlockReport
 }
 
 type message struct {
 	tag int64
-	// data must be owned by the message: payloads sit in mailbox
-	// channels across sender returns, so senders pass freshly
-	// allocated slices, never frame-arena memory (which is reused as
-	// soon as the sending call unwinds).
+	// data must be owned by the message: payloads sit in mailboxes
+	// across sender returns, so senders pass freshly allocated slices,
+	// never frame-arena memory (which is reused as soon as the sending
+	// call unwinds).
 	data []Val
 }
 
@@ -55,16 +68,25 @@ const (
 	tagResult int64 = -2
 )
 
+// mailboxCap is the eager buffer of one mailbox, in messages: a send
+// to a full mailbox blocks until the receiver drains one.
+const mailboxCap = 4096
+
 func newComm(size int, watchdog time.Duration, cancel <-chan struct{}) *comm {
-	c := &comm{size: size, done: make(chan struct{}), cancel: cancel, watchdog: watchdog}
-	c.boxes = make([][]chan message, size)
-	for s := 0; s < size; s++ {
-		c.boxes[s] = make([]chan message, size)
-		for d := 0; d < size; d++ {
-			c.boxes[s][d] = make(chan message, 4096)
-		}
+	c := &comm{
+		size:     size,
+		done:     make(chan struct{}),
+		cancel:   cancel,
+		watchdog: watchdog,
+		wake:     make([]chan struct{}, size),
+		boxes:    make([][]message, size*size),
+		phase:    make([]rankPhase, size),
+		ops:      make([]pendingOp, size),
+		running:  size,
 	}
-	c.sup = newSupervisor(c, size)
+	for r := range c.wake {
+		c.wake[r] = make(chan struct{}, 1)
+	}
 	return c
 }
 
@@ -80,67 +102,53 @@ func (c *comm) checkPeer(r *rank, peer int64) int {
 	return int(peer)
 }
 
-// send delivers data to dst with an eager (buffered) protocol. The
-// non-blocking fast path gives delivery priority over every teardown
-// condition; a full mailbox takes the supervised blocked path.
+// ring wakes rank r's parked operation; a wake already pending covers
+// this one.
+func (c *comm) ring(r int) {
+	select {
+	case c.wake[r] <- struct{}{}:
+	default:
+	}
+}
+
+// send delivers data to dst with an eager (buffered) protocol; a full
+// mailbox parks the sender until the receiver drains it.
 func (c *comm) send(r *rank, dst, tag int64, data []Val) {
 	d := c.checkPeer(r, dst)
-	box := c.boxes[r.id][d]
-	m := message{tag: tag, data: data}
-	select {
-	case box <- m:
-		c.sup.sent(r.id, d)
-		return
-	default:
+	box := &c.boxes[r.id*c.size+d]
+	c.mu.Lock()
+	if len(*box) == mailboxCap {
+		c.park(r, opSend, d, tag)
 	}
-	c.blockedSend(r, box, d, m)
-}
-
-// blockedSend parks a send whose mailbox is full under supervision.
-func (c *comm) blockedSend(r *rank, box chan message, peer int, m message) {
-	s := c.sup
-	s.block(r.id, opSend, peer, m.tag, r.executed)
-	what := fmt.Sprintf("send to %d tag %d blocked (mailbox full)", peer, m.tag)
-	wd := time.NewTimer(c.watchdog)
-	defer wd.Stop()
-	expired := false
-	for {
-		// Fixed priority: delivery first, then the terminal conditions.
-		select {
-		case box <- m:
-			s.resumeSend(r.id, peer)
-			return
-		default:
-		}
-		c.checkTerminal(r, expired, what)
-		// Nothing is ready: park until any event, then re-resolve in
-		// priority order (Go's select picks randomly when several cases
-		// are ready; the loop re-check imposes the fixed order).
-		select {
-		case box <- m:
-			s.resumeSend(r.id, peer)
-			return
-		case <-s.deadlocked:
-		case <-c.done:
-		case <-c.cancel:
-		case <-wd.C:
-			expired = true
-		}
+	*box = append(*box, message{tag: tag, data: data})
+	waiting := c.parkedOn(d, opRecv, r.id)
+	c.mu.Unlock()
+	if waiting {
+		c.ring(d)
 	}
 }
 
-// recv blocks until the in-order next message from src arrives; its tag
-// and length must match (a mismatch is a runtime error, which becomes a
-// visible symptom).
+// recv takes the in-order next message from src, parking until one
+// arrives; its tag and length must match (a mismatch is a runtime
+// error, which becomes a visible symptom).
 func (c *comm) recv(r *rank, src, tag int64, n int64) []Val {
 	sp := c.checkPeer(r, src)
-	box := c.boxes[sp][r.id]
-	var m message
-	select {
-	case m = <-box:
-		c.sup.received(sp, r.id)
-	default:
-		m = c.blockedRecv(r, box, sp, tag)
+	box := &c.boxes[sp*c.size+r.id]
+	c.mu.Lock()
+	if len(*box) == 0 {
+		c.park(r, opRecv, sp, tag)
+	}
+	m := (*box)[0]
+	(*box)[0] = message{}
+	if len(*box) == 1 {
+		*box = (*box)[:0] // drained: the next send reuses the slot
+	} else {
+		*box = (*box)[1:]
+	}
+	waiting := c.parkedOn(sp, opSend, r.id)
+	c.mu.Unlock()
+	if waiting {
+		c.ring(sp)
 	}
 	if m.tag != tag {
 		panic(trapPanic{TrapAbort, fmt.Sprintf("MPI tag mismatch: want %d, got %d", tag, m.tag)})
@@ -151,69 +159,65 @@ func (c *comm) recv(r *rank, src, tag int64, n int64) []Val {
 	return m.data
 }
 
-// blockedRecv parks a receive whose mailbox is empty under supervision.
-func (c *comm) blockedRecv(r *rank, box chan message, peer int, tag int64) message {
-	s := c.sup
-	s.block(r.id, opRecv, peer, tag, r.executed)
-	what := fmt.Sprintf("recv from %d tag %d blocked", peer, tag)
+// park blocks r's send or recv, entered with c.mu held after the
+// operation found its mailbox full or empty. It records the block with
+// the supervisor, then resolves the wake conditions in the fixed
+// priority order: it returns, with c.mu held, as soon as the operation
+// can progress; on a terminal condition it marks the rank trapped — so
+// a rank unwinding on an infrastructure condition can never be
+// mistaken for a quiescent blocked rank by a later deadlock evaluation
+// — unlocks and panics. Otherwise it waits, unlocked, for any event
+// and re-resolves.
+func (c *comm) park(r *rank, kind opKind, peer int, tag int64) {
+	op := pendingOp{kind: kind, peer: peer, tag: tag, executed: r.executed}
+	c.block(r.id, op)
 	wd := time.NewTimer(c.watchdog)
 	defer wd.Stop()
 	expired := false
 	for {
-		select {
-		case m := <-box:
-			s.resumeRecv(r.id, peer)
-			return m
-		default:
+		if c.progressable(r.id) {
+			c.resume(r.id)
+			return
 		}
-		c.checkTerminal(r, expired, what)
+		if trap, msg := c.terminal(op, expired); trap != TrapNone {
+			c.end(r.id, trap)
+			c.mu.Unlock()
+			panic(trapPanic{trap, msg})
+		}
+		c.mu.Unlock()
 		select {
-		case m := <-box:
-			s.resumeRecv(r.id, peer)
-			return m
-		case <-s.deadlocked:
+		case <-c.wake[r.id]:
 		case <-c.done:
 		case <-c.cancel:
 		case <-wd.C:
 			expired = true
 		}
+		c.mu.Lock()
 	}
 }
 
-// checkTerminal raises the trap for a blocked operation's terminal
-// conditions in the fixed priority order — structural deadlock, job
-// abort, cancellation, watchdog — after the caller has already given
-// message delivery its chance. It returns normally when the operation
-// should keep blocking. Each panic path marks the rank's terminal state
-// with the supervisor first, so a rank unwinding on an infrastructure
-// condition (cancel, watchdog) can never be mistaken for a quiescent
-// blocked rank by a later deadlock evaluation.
-func (c *comm) checkTerminal(r *rank, expired bool, what string) {
-	s := c.sup
-	select {
-	case <-s.deadlocked:
-		s.finish(r.id, TrapDeadlock)
-		panic(trapPanic{TrapDeadlock, "structural deadlock: " + what})
-	default:
+// terminal returns the trap, and its message, that ends a parked
+// operation unable to progress: structural deadlock, job abort,
+// cancellation and watchdog expiry, in that order. TrapNone keeps it
+// waiting.
+func (c *comm) terminal(op pendingOp, expired bool) (Trap, string) {
+	if c.report != nil {
+		return TrapDeadlock, "structural deadlock: " + op.blocked()
 	}
 	select {
 	case <-c.done:
-		s.finish(r.id, TrapAbort)
-		panic(trapPanic{TrapAbort, "job aborted"})
+		return TrapAbort, "job aborted"
 	default:
 	}
-	if c.cancel != nil {
-		select {
-		case <-c.cancel:
-			s.finish(r.id, TrapCancelled)
-			panic(trapPanic{TrapCancelled, "execution cancelled"})
-		default:
-		}
+	select {
+	case <-c.cancel:
+		return TrapCancelled, "execution cancelled"
+	default:
 	}
 	if expired {
-		s.finish(r.id, TrapWatchdog)
-		panic(trapPanic{TrapWatchdog, fmt.Sprintf("infrastructure watchdog expired after %v: %s", c.watchdog, what)})
+		return TrapWatchdog, fmt.Sprintf("infrastructure watchdog expired after %v: %s", c.watchdog, op.blocked())
 	}
+	return TrapNone, ""
 }
 
 // barrier blocks until every rank arrives.

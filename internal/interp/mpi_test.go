@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -232,5 +234,75 @@ func main() {
 	}
 	if r1.OutputF[0] != r2.OutputF[0] || r1.TotalDyn != r2.TotalDyn {
 		t.Fatal("multi-rank execution not deterministic")
+	}
+}
+
+// capacityProg makes rank 0's mailbox from rank 1 hold k messages
+// before rank 0 reads it: rank 1 sends k messages to rank 0 and then
+// one to rank 2, rank 2 forwards a token to rank 0, and rank 0 takes
+// the token before the k messages and outputs their sum.
+const capacityProg = `
+func main() {
+	var rank int = mpi_rank();
+	if (rank == 1) {
+		for (var i int = 0; i < %d; i = i + 1) {
+			mpi_send_i64(0, 1, i);
+		}
+		mpi_send_i64(2, 2, 7);
+	}
+	if (rank == 2) {
+		mpi_send_i64(0, 3, mpi_recv_i64(1, 2));
+	}
+	if (rank == 0) {
+		var token int = mpi_recv_i64(2, 3);
+		var sum int = 0;
+		for (var i int = 0; i < %d; i = i + 1) {
+			sum = sum + mpi_recv_i64(1, 1);
+		}
+		out_i64(0, sum + token - 7);
+	}
+}
+`
+
+func TestMailboxCapacityBoundary(t *testing.T) {
+	// A mailbox holds exactly mailboxCap messages: one more blocks the
+	// sender before the token that would let rank 0 drain it leaves.
+	full := compileSci(t, fmt.Sprintf(capacityProg, mailboxCap, mailboxCap))
+	res := Run(full, Config{Ranks: 3, Watchdog: time.Hour})
+	if res.Trap != TrapNone {
+		t.Fatalf("k = %d: trap %v (%s), want a clean run", mailboxCap, res.Trap, res.TrapMsg)
+	}
+	if want := int64(mailboxCap * (mailboxCap - 1) / 2); len(res.OutputI) != 1 || res.OutputI[0] != want {
+		t.Fatalf("k = %d: outputs %v, want [%d]", mailboxCap, res.OutputI, want)
+	}
+
+	over := runDeadlock(t, fmt.Sprintf(capacityProg, mailboxCap+1, mailboxCap+1), 3)
+	rep := over.Deadlock
+	if len(rep.Blocked) != 3 || len(rep.Exited) != 0 {
+		t.Fatalf("k = %d: report %+v, want all 3 ranks blocked", mailboxCap+1, rep)
+	}
+	want := []RankBlock{
+		{Rank: 0, Op: "recv", Peer: 2, Tag: 3},
+		{Rank: 1, Op: "send", Peer: 0, Tag: 1, MailboxFull: true},
+		{Rank: 2, Op: "recv", Peer: 1, Tag: 2},
+	}
+	for i, b := range rep.Blocked {
+		b.Executed = 0
+		if b != want[i] {
+			t.Fatalf("k = %d: blocked[%d] = %+v, want %+v", mailboxCap+1, i, rep.Blocked[i], want[i])
+		}
+	}
+}
+
+func TestNewCommAllocatesNoMailboxBuffers(t *testing.T) {
+	// Mailboxes are allocated on first send, so a 16-rank communicator
+	// costs its bookkeeping, not 256 eager buffers.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := newComm(16, time.Hour, nil)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("newComm(16) allocated %d bytes, want under 1 MiB", got)
 	}
 }

@@ -277,10 +277,10 @@ func RunContext(ctx context.Context, p *Program, cfg Config) *Result {
 			defer wg.Done()
 			trap, msg := ranks[i].run()
 			// Tell the supervisor this rank terminated (idempotent —
-			// blocked ops mark their own trap before unwinding). A
+			// parked ops mark their own trap before unwinding). A
 			// clean exit may complete the structural-deadlock
 			// condition for still-blocked peers.
-			c.sup.finish(i, trap)
+			c.finish(i, trap)
 			if trap != TrapNone {
 				mu.Lock()
 				if res.Trap == TrapNone {
@@ -296,8 +296,9 @@ func RunContext(ctx context.Context, p *Program, cfg Config) *Result {
 	// On deadlock, every blocked rank panicked TrapDeadlock
 	// concurrently and the first-recorded one won the race above;
 	// override the attribution deterministically from the report (the
-	// report itself is the unique final quiescent configuration).
-	if rep := c.sup.Report(); rep != nil {
+	// report itself is the unique final quiescent configuration). Every
+	// rank has returned, so the report is read without the lock.
+	if rep := c.report; rep != nil {
 		res.Deadlock = rep
 		if res.Trap == TrapDeadlock {
 			res.TrapRank = rep.Blocked[0].Rank

@@ -181,8 +181,8 @@ func (r *rank) execCapture(pf *progFunc, slots []Val, sp int64, site *pInstr) Va
 // the innermost frame. execFull calls it once r.executed reaches
 // r.snapAt.
 func (r *rank) snapshot(pc int) {
-	if len(r.comm.boxes[0][0]) > 0 {
-		return // a message to self is in flight: try the next branch target
+	if len(r.comm.boxes[0]) > 0 {
+		return // a message to self is queued: try the next branch target
 	}
 	c, m := r.capture, r.mem
 	s := snapshot{

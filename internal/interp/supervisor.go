@@ -3,7 +3,6 @@ package interp
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // This file implements the rank supervisor: deterministic, structural
@@ -51,6 +50,14 @@ type pendingOp struct {
 	peer     int
 	tag      int64
 	executed int64 // rank's dynamic instruction count at block time
+}
+
+// blocked describes the parked operation in its trap message.
+func (op pendingOp) blocked() string {
+	if op.kind == opSend {
+		return fmt.Sprintf("send to %d tag %d blocked (mailbox full)", op.peer, op.tag)
+	}
+	return fmt.Sprintf("recv from %d tag %d blocked", op.peer, op.tag)
 }
 
 // RankBlock attributes one blocked rank inside a DeadlockReport.
@@ -130,190 +137,114 @@ func (d *DeadlockReport) String() string {
 	return sb.String()
 }
 
-// supervisor tracks every rank's phase and pending operation and
-// declares deadlock structurally: the instant no rank is running, at
-// least one is blocked, no rank has trapped, and no pending operation
-// can make progress. Every state transition that can complete the
-// quiescence condition re-evaluates it, so detection is immediate (no
-// timer is involved) and the declared configuration is the job's unique
-// final quiescent state — which is what makes the report deterministic.
-type supervisor struct {
-	c *comm
-	// deadlocked is closed exactly once, when deadlock is declared;
-	// blocked operations select on it.
-	deadlocked chan struct{}
-
-	mu      sync.Mutex
-	phase   []rankPhase
-	ops     []pendingOp
-	running int
-	trapped bool // a rank trapped: the abort path owns the outcome
-	report  *DeadlockReport
-	// inflight[s][d] counts messages sent from s to d and not yet
-	// received. The supervisor owns this accounting rather than
-	// reading channel lengths because Go hands a message directly to
-	// a parked receiver, bypassing the buffer: len(box) can read 0
-	// while a delivery is in flight to a rank that has not yet
-	// resumed, which would make a length-based progress check declare
-	// a false deadlock. Updates are mutex-protected and the blocked
-	// paths fold them into the same critical section as resume, so a
-	// woken-but-not-yet-resumed rank always still appears progressable
-	// to evaluate (see the soundness note there).
-	inflight [][]int
-}
-
-func newSupervisor(c *comm, size int) *supervisor {
-	s := &supervisor{
-		c:          c,
-		deadlocked: make(chan struct{}),
-		phase:      make([]rankPhase, size),
-		ops:        make([]pendingOp, size),
-		running:    size,
-		inflight:   make([][]int, size),
-	}
-	for i := range s.inflight {
-		s.inflight[i] = make([]int, size)
-	}
-	return s
-}
-
-// sent records a fast-path (non-blocked) message delivery from src to
-// dst. No re-evaluation: the sender is running, so the job is not
-// quiescent.
-func (s *supervisor) sent(src, dst int) {
-	s.mu.Lock()
-	s.inflight[src][dst]++
-	s.mu.Unlock()
-}
-
-// received records a fast-path (non-blocked) message consumption.
-func (s *supervisor) received(src, dst int) {
-	s.mu.Lock()
-	s.inflight[src][dst]--
-	s.mu.Unlock()
-}
+// The supervisor's state lives in comm under comm.mu, next to the
+// mailboxes it reasons about; every method below is called with comm.mu
+// held unless it says otherwise. It declares deadlock structurally: the
+// instant no rank is running, at least one is blocked, no rank has
+// trapped, and no pending operation can make progress. Every state
+// transition that can complete the quiescence condition re-evaluates
+// it, so detection is immediate (no timer is involved) and the declared
+// configuration is the job's unique final quiescent state — which is
+// what makes the report deterministic.
 
 // block records that a rank is about to park on an MPI operation and
 // re-evaluates the deadlock condition.
-func (s *supervisor) block(rank int, kind opKind, peer int, tag, executed int64) {
-	s.mu.Lock()
-	s.phase[rank] = phaseBlocked
-	s.ops[rank] = pendingOp{kind: kind, peer: peer, tag: tag, executed: executed}
-	s.running--
-	s.evaluate()
-	s.mu.Unlock()
+func (c *comm) block(rank int, op pendingOp) {
+	c.phase[rank] = phaseBlocked
+	c.ops[rank] = op
+	c.running--
+	c.evaluate()
 }
 
-// resumeSend records that a blocked rank's send completed: the message
-// count and the phase change are one atomic step, so evaluate never
-// observes a delivered-but-unaccounted message.
-func (s *supervisor) resumeSend(rank, peer int) {
-	s.mu.Lock()
-	s.inflight[rank][peer]++
-	s.phase[rank] = phaseRunning
-	s.running++
-	s.mu.Unlock()
+// resume records that a parked operation completes.
+func (c *comm) resume(rank int) {
+	c.phase[rank] = phaseRunning
+	c.running++
 }
 
-// resumeRecv records that a blocked rank's receive completed.
-func (s *supervisor) resumeRecv(rank, peer int) {
-	s.mu.Lock()
-	s.inflight[peer][rank]--
-	s.phase[rank] = phaseRunning
-	s.running++
-	s.mu.Unlock()
+// parkedOn reports whether rank is parked on a kind operation with
+// peer, i.e. waits on the one mailbox the caller just changed.
+func (c *comm) parkedOn(rank int, kind opKind, peer int) bool {
+	return c.phase[rank] == phaseBlocked && c.ops[rank].kind == kind && c.ops[rank].peer == peer
 }
 
-// finish records a rank's termination: a clean exit re-evaluates the
+// progressable reports whether a blocked rank's operation can
+// complete: a parked send iff its mailbox has room, a parked recv iff
+// its mailbox holds a message.
+func (c *comm) progressable(rank int) bool {
+	op := c.ops[rank]
+	if op.kind == opSend {
+		return len(c.boxes[rank*c.size+op.peer]) < mailboxCap
+	}
+	return len(c.boxes[op.peer*c.size+rank]) > 0
+}
+
+// finish records a rank's termination; it takes comm.mu itself. The
+// run loop calls it once a rank's goroutine returns.
+func (c *comm) finish(rank int, trap Trap) {
+	c.mu.Lock()
+	c.end(rank, trap)
+	c.mu.Unlock()
+}
+
+// end records a rank's termination: a clean exit re-evaluates the
 // deadlock condition (peers may now be provably stuck waiting on the
 // exited rank); a trap suppresses any future declaration — the abort
 // path wakes the blocked peers and the primary trap is the outcome.
-// finish is idempotent: blocked operations mark their own trap before
-// unwinding, and the run loop marks every rank again once its goroutine
-// returns.
-func (s *supervisor) finish(rank int, trap Trap) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch s.phase[rank] {
+// end is idempotent: a parked operation marks its own trap before
+// unwinding, and the run loop marks every rank again once its
+// goroutine returns.
+func (c *comm) end(rank int, trap Trap) {
+	switch c.phase[rank] {
 	case phaseExited, phaseTrapped:
 		return
 	case phaseRunning:
-		s.running--
+		c.running--
 	}
 	if trap == TrapNone {
-		s.phase[rank] = phaseExited
-		s.evaluate()
+		c.phase[rank] = phaseExited
+		c.evaluate()
 		return
 	}
-	s.phase[rank] = phaseTrapped
-	s.trapped = true
+	c.phase[rank] = phaseTrapped
+	c.trapped = true
 }
 
-// Report returns the deadlock attribution, or nil if no deadlock was
-// declared.
-func (s *supervisor) Report() *DeadlockReport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.report
-}
-
-// evaluate declares deadlock iff the job is structurally stuck. Called
-// with mu held on every transition that can complete quiescence.
-//
-// Soundness (no false declaration): a rank whose blocked operation has
-// completed at the channel but has not yet resumed always still looks
-// progressable here — a woken receiver's in-hand message is still
-// counted in inflight (decrement happens atomically with resume), and
-// a woken sender's consumed buffer slot is not yet counted (increment
-// happens atomically with resume), so its own inflight < cap. Fast-path
-// ops are performed by running ranks, and running > 0 short-circuits.
-//
-// Completeness: when the job is truly quiescent (every rank parked or
-// terminated, no wakes pending) inflight is exact, so the final
-// transition into that state — which always runs evaluate — declares.
-func (s *supervisor) evaluate() {
-	if s.report != nil || s.trapped || s.running > 0 {
+// evaluate declares deadlock iff the job is structurally stuck, and
+// rings every blocked rank when it does. It reads the mailboxes under
+// the same lock as the phases, so a delivered message is always seen:
+// no rank can look stuck while its operation has completed.
+func (c *comm) evaluate() {
+	if c.report != nil || c.trapped || c.running > 0 {
 		return
 	}
 	blocked := 0
-	for r, ph := range s.phase {
+	for r, ph := range c.phase {
 		if ph != phaseBlocked {
 			continue
 		}
 		blocked++
-		op := s.ops[r]
-		switch op.kind {
-		case opSend:
-			// A parked send completes iff buffer space exists (a recv
-			// drained the mailbox after the send parked).
-			if s.inflight[r][op.peer] < cap(s.c.boxes[r][op.peer]) {
-				return
-			}
-		case opRecv:
-			// A parked recv completes iff a message is in flight to it
-			// (buffered, or already handed off by the runtime).
-			if s.inflight[op.peer][r] > 0 {
-				return
-			}
+		if c.progressable(r) {
+			return
 		}
 	}
 	if blocked == 0 {
 		return // every rank exited cleanly: normal termination
 	}
 	rep := &DeadlockReport{}
-	for r, ph := range s.phase {
+	for r, ph := range c.phase {
 		switch ph {
 		case phaseBlocked:
-			op := s.ops[r]
+			op := c.ops[r]
 			rep.Blocked = append(rep.Blocked, RankBlock{
 				Rank: r, Op: op.kind.String(), Peer: op.peer, Tag: op.tag,
 				MailboxFull: op.kind == opSend,
 				Executed:    op.executed,
 			})
+			c.ring(r)
 		case phaseExited:
 			rep.Exited = append(rep.Exited, r)
 		}
 	}
-	s.report = rep
-	close(s.deadlocked)
+	c.report = rep
 }

@@ -3,9 +3,33 @@ package ir
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
+
+func TestPtrToConcurrent(t *testing.T) {
+	// Modules are compiled concurrently, so interning pointer types
+	// must be safe from several goroutines (run under -race) and still
+	// hand every caller the same pointer type.
+	const n = 8
+	elem := PtrTo(PtrTo(I32)) // a fresh chain: i32***
+	got := make([]*Type, n)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = PtrTo(elem)
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if got[g] != got[0] || got[g].Elem() != elem {
+			t.Fatalf("goroutine %d got %v (%p), goroutine 0 %v (%p)", g, got[g], got[g], got[0], got[0])
+		}
+	}
+}
 
 func TestTypeBasics(t *testing.T) {
 	cases := []struct {

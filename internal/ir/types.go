@@ -12,7 +12,10 @@
 // represented directly.
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // TypeKind enumerates the primitive type families of the IR.
 type TypeKind int
@@ -50,11 +53,17 @@ var (
 	I64  = &Type{kind: I64Kind}
 	F64  = &Type{kind: F64Kind}
 
+	// ptrMu guards ptrCache: modules are compiled concurrently
+	// (campaignd builds each submitted spec in its own HTTP handler).
+	ptrMu    sync.Mutex
 	ptrCache = map[*Type]*Type{}
 )
 
 // PtrTo returns the (interned) pointer type with element type elem.
+// Safe for concurrent use.
 func PtrTo(elem *Type) *Type {
+	ptrMu.Lock()
+	defer ptrMu.Unlock()
 	if p, ok := ptrCache[elem]; ok {
 		return p
 	}
