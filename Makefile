@@ -173,7 +173,9 @@ errmodel-smoke:
 # Every fuzz target, as Name:package[:extra go test flags]. The
 # differential oracle (fast loop vs instrumented loop vs
 # snapshot-resumed run vs IR reference walker, plus a sectioned leg
-# resuming a section-targeted run from section-tracked snapshots) must
+# resuming a section-targeted run from section-tracked snapshots, and
+# both armed runs repeated with site counting, which keeps them on the
+# instrumented loop that a transient trial leaves after its flip) must
 # agree on random programs and fault plans (FuzzDifferential); the
 # simulated MPI runtime, under the race detector, must keep outcome
 # classes schedule-independent and clean/deadlock results bit-identical

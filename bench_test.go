@@ -149,9 +149,11 @@ func BenchmarkInterpreter(b *testing.B) {
 }
 
 // BenchmarkInterpreterInstrumented measures the fully instrumented
-// execution loop (site counting + instruction budget armed — the shape
-// of a campaign trial) so the specialization gap between the fast and
-// full paths stays visible in the perf record.
+// execution loop, kept on for the whole run by site counting (with an
+// instruction budget armed): the loop capture runs, sectioned golden
+// runs and the part of a fault trial before its flip run on. A
+// transient trial finishes on the fast loop, so the specialization gap
+// between the fast and full paths stays visible in the perf record.
 func BenchmarkInterpreterInstrumented(b *testing.B) {
 	for _, name := range workloads.Names {
 		b.Run(name, func(b *testing.B) {

@@ -458,9 +458,10 @@ func (p *Prepared) SectionTotal() int {
 // The golden run carries no instrumentation, so it executes on the
 // interpreter's fast loop; that loop still counts injectable instances
 // (Result.Injectable) precisely because Prepare sizes the sampling
-// population from it. Armed trials run the full loop with the same
-// compile-time injectable predicate, so an Index drawn here names the
-// same dynamic instance there.
+// population from it. Armed trials count instances with the same
+// compile-time injectable predicate on the full loop, which they leave
+// after the flip, so an Index drawn here names the same dynamic
+// instance there.
 func (c *Campaign) Prepare(ctx context.Context) (*Prepared, error) {
 	hang := c.HangFactor
 	if hang <= 0 {

@@ -465,6 +465,20 @@ func diffModule(t *testing.T, seed int64) *ir.Module {
 
 const diffBudget = 500_000_000
 
+// fullLoopLeg reruns cfg with site counting, which keeps the run on the
+// instrumented loop from start to end, and requires every Result field
+// but SiteCounts to equal those of zero, the run from instruction zero
+// as a campaign makes it, which leaves the instrumented loop once its
+// transient flip is behind it.
+func fullLoopLeg(t *testing.T, label string, p *Program, cfg Config, zero *Result) {
+	t.Helper()
+	cfg.CountSites = true
+	full := Run(p, cfg)
+	full.SiteCounts = nil
+	diffCompare(t, label+"-full-loop", full, zero)
+	sameRun(t, label+"-full-loop", full, zero)
+}
+
 // resumeLeg is the snapshot leg of the oracle: it resumes cfg's armed
 // run from the program's golden snapshots and compares the result with
 // the reference walker's and with the run from instruction zero — the
@@ -531,7 +545,7 @@ func captureUnder(t *testing.T, p *Program, cfg Config, golden *Result) *Snapsho
 
 // TestDifferentialGolden compares golden (fault-free) runs between the
 // reference walker and both engine loops: the fast loop (plain config)
-// and the full loop (site counting + budget armed).
+// and the full loop (site counting armed, with a budget).
 func TestDifferentialGolden(t *testing.T) {
 	seeds := int64(40)
 	if testing.Short() {
@@ -563,14 +577,20 @@ func TestDifferentialGolden(t *testing.T) {
 
 // TestDifferentialInjection compares armed single-bit injection runs:
 // identical Injected/InjectedSite/InjectedAt, traps, dynamic counts and
-// outputs between the reference walker and the instrumented loop.
+// outputs between the reference walker and the engine, which leaves the
+// instrumented loop for the fast one after the flip. Its tight-budget
+// leg reruns every plan whose reference run goes on for more than two
+// instructions past the flip with a budget halfway between the two, so
+// the reference walker, the engine from zero and the resumed engine
+// must all trap TrapBudget at executed count MaxInstrs+1, the engine on
+// its fast loop.
 func TestDifferentialInjection(t *testing.T) {
 	seeds := int64(12)
 	trials := 24
 	if testing.Short() {
 		seeds, trials = 4, 8
 	}
-	resumed := 0
+	resumed, tight := 0, 0
 	for seed := int64(1); seed <= seeds; seed++ {
 		m := diffModule(t, seed)
 		p, err := Compile(m, refInjectable)
@@ -601,10 +621,25 @@ func TestDifferentialInjection(t *testing.T) {
 			if resumeLeg(t, "armed", p, snaps, cfg, ref, got) {
 				resumed++
 			}
+			if ref.TotalDyn-ref.InjectedAt <= 2 {
+				continue
+			}
+			cfg.MaxInstrs = (ref.InjectedAt + ref.TotalDyn) / 2
+			ref, got = refRun(m, cfg, refInjectable), Run(p, cfg)
+			if ref.Trap != TrapBudget || ref.TotalDyn != cfg.MaxInstrs+1 {
+				t.Fatalf("seed %d trial %d: budget %d: reference trap %v at %d, want %v at %d",
+					seed, k, cfg.MaxInstrs, ref.Trap, ref.TotalDyn, TrapBudget, cfg.MaxInstrs+1)
+			}
+			diffCompare(t, "tight-budget", ref, got)
+			resumeLeg(t, "tight-budget", p, snaps, cfg, ref, got)
+			tight++
 		}
 	}
 	if resumed == 0 {
 		t.Fatal("no armed run started from a snapshot")
+	}
+	if tight == 0 {
+		t.Fatal("no armed run reached its budget after the flip")
 	}
 }
 
@@ -684,11 +719,13 @@ func TestDifferentialErrorModels(t *testing.T) {
 // FuzzDifferential fuzzes (program seed, injection index, bit, mask,
 // flags) tuples — flags bit 0 arms value-correlated flips, bit 1 arms
 // sticky re-corruption — so the fuzzer explores the full error-model
-// plan space, each armed run also resumed from golden-run snapshots.
-// Flags bit 2 adds a sectioned leg: the index picks a section with a
-// non-empty population and an instance within it, and that
-// section-targeted run, with the early-masked exit armed, is resumed
-// from section-tracked snapshots and compared with its run from zero.
+// plan space, each armed run also resumed from golden-run snapshots and
+// rerun with site counting, which keeps it on the instrumented loop
+// that a transient run leaves after its flip (fullLoopLeg). Flags bit 2
+// adds a sectioned leg: the index picks a section with a non-empty
+// population and an instance within it, and that section-targeted run,
+// with the early-masked exit armed, is resumed from section-tracked
+// snapshots and compared with its run from zero and its full-loop run.
 // The corpus entries run as part of normal `go test`; seed-13..16 of
 // program -400 and -399 resume two frames deep (see
 // TestResumeCallChain), seed-17..19 take the sectioned leg.
@@ -721,6 +758,7 @@ func FuzzDifferential(f *testing.F) {
 		ref, zero := refRun(m, cfg, refInjectable), Run(p, cfg)
 		diffCompare(t, "fuzz-armed", ref, zero)
 		resumeLeg(t, "fuzz-armed", p, captureFor(t, p, golden), cfg, ref, zero)
+		fullLoopLeg(t, "fuzz-armed", p, cfg, zero)
 		if flags&4 == 0 {
 			return
 		}
@@ -741,5 +779,6 @@ func FuzzDifferential(f *testing.F) {
 			t.Fatalf("sectioned plan %+v did not inject", secPlan)
 		}
 		resumeLeg(t, "fuzz-sectioned", p, captureSectioned(t, p, golden), cfg, nil, zero)
+		fullLoopLeg(t, "fuzz-sectioned", p, cfg, zero)
 	})
 }

@@ -18,14 +18,19 @@ type rank struct {
 	// and raise TrapCancelled.
 	cancel <-chan struct{}
 
-	// instrumented selects the execution loop, once per run: the fully
-	// instrumented loop when an instruction budget is set, site counting
-	// is on, a fault plan is armed on this rank, section tracking is
-	// armed, or this is a snapshot capture run; the fast loop otherwise
-	// (golden runs, verification re-runs, timing runs).
+	// instrumented selects the loop new calls run on: the fully
+	// instrumented loop while site counting is on, section tracking is
+	// armed, this is a snapshot capture run or a fault plan is armed on
+	// this rank; the fast loop otherwise (golden runs, verification
+	// re-runs, timing runs, the plan-free ranks of a multi-rank trial).
+	// It is decided once per run and falls to false at most once, when
+	// a transient plan's flip is behind the rank (leaveFull): every
+	// execFull frame on the Go stack then continues on execFast.
 	instrumented bool
 
-	budget   int64 // remaining instruction budget (-1: unlimited)
+	// limit is the hang budget: both loops raise TrapBudget once
+	// executed exceeds it (math.MaxInt64 when unlimited).
+	limit    int64
 	executed int64
 
 	// Fault plan.
@@ -41,15 +46,20 @@ type rank struct {
 	injectedMask     uint64 // effective mask of the first firing
 	corruptions      int64  // corruption applications (> 1 only when sticky)
 
+	// injectableSeen counts every injectable instance the rank executed;
+	// secSeen counts those of a section-targeted plan's section, the
+	// plan's Index space.
 	injectableSeen int64
+	secSeen        int64
 
 	countSites bool
 	siteCounts []int64
 
 	// Section tracking (see section.go). sec non-nil selects the full
-	// loop and enables boundary hooks; secTarget >= 0 restricts
-	// injectable-instance counting to one section; hist is the running
-	// observable-event digest; secOrd holds per-section entry counters.
+	// loop and enables boundary hooks; secTarget >= 0 makes the plan's
+	// Index count only that section's instances (secSeen); hist is the
+	// running observable-event digest; secOrd holds per-section entry
+	// counters.
 	sec         *progSections
 	secCap      *SectionTrace // capture target (golden runs)
 	secGold     *SectionTrace // golden trace (trials; arms early exit)
@@ -79,13 +89,12 @@ type rank struct {
 	resume      *snapshot
 	resumeDepth int
 
-	// arenaBlocks back call frames and call-argument marshalling:
-	// regions are carved off sequentially and released LIFO on return,
-	// avoiding per-call heap allocation. Blocks never move, so
-	// outstanding frames stay valid as the arena grows.
-	arenaBlocks [][]Val
-	arenaCur    int
-	arenaOff    int
+	// arenaCur and arenaOff locate the top of the frame arena, whose
+	// blocks (Memory.frames) back call frames and call-argument
+	// marshalling: regions are carved off sequentially and released
+	// LIFO on return, avoiding per-call heap allocation.
+	arenaCur int
+	arenaOff int
 }
 
 const arenaBlockSize = 16384
@@ -93,28 +102,24 @@ const arenaBlockSize = 16384
 // frame carves a slot slice of length n from the arena. zero clears it
 // first; callers that overwrite every element before any read (call
 // frames of verified-SSA functions, argument marshalling) pass false.
+// The blocks come with the pooled address space and keep whatever an
+// earlier run left in them, so only zero promises zeroed slots. Blocks
+// never move, so outstanding frames stay valid as the arena grows.
 func (r *rank) frame(n int, zero bool) []Val {
-	if r.arenaBlocks == nil {
-		size := arenaBlockSize
-		if n > size {
-			size = n
-		}
-		r.arenaBlocks = [][]Val{make([]Val, size)}
+	m := r.mem
+	if m.frames == nil {
+		m.frames = [][]Val{make([]Val, max(arenaBlockSize, n))}
 	}
-	if r.arenaOff+n > len(r.arenaBlocks[r.arenaCur]) {
+	if r.arenaOff+n > len(m.frames[r.arenaCur]) {
 		r.arenaCur++
-		if r.arenaCur == len(r.arenaBlocks) {
-			size := arenaBlockSize
-			if n > size {
-				size = n
-			}
-			r.arenaBlocks = append(r.arenaBlocks, make([]Val, size))
-		} else if len(r.arenaBlocks[r.arenaCur]) < n {
-			r.arenaBlocks[r.arenaCur] = make([]Val, n)
+		if r.arenaCur == len(m.frames) {
+			m.frames = append(m.frames, make([]Val, max(arenaBlockSize, n)))
+		} else if len(m.frames[r.arenaCur]) < n {
+			m.frames[r.arenaCur] = make([]Val, n)
 		}
 		r.arenaOff = 0
 	}
-	blk := r.arenaBlocks[r.arenaCur]
+	blk := m.frames[r.arenaCur]
 	s := blk[r.arenaOff : r.arenaOff+n : r.arenaOff+n]
 	if zero {
 		for i := range s {
@@ -161,8 +166,8 @@ func (r *rank) run() (trap Trap, msg string) {
 }
 
 // callFunc invokes a compiled function with the given arguments,
-// dispatching to the loop selected for this run. The per-call branch is
-// the only specialization cost; inside the loops there are no disarmed
+// dispatching to the loop the rank is on. The per-call branch is the
+// only specialization cost; inside the loops there are no disarmed
 // instrumentation checks. site is the OpCall making the call (nil for
 // @main); only a capture run reads it.
 func (r *rank) callFunc(pf *progFunc, args []Val, site *pInstr) Val {
@@ -180,7 +185,7 @@ func (r *rank) callFunc(pf *progFunc, args []Val, site *pInstr) Val {
 	var ret Val
 	switch {
 	case !r.instrumented:
-		ret = r.execFast(pf, slots)
+		ret = r.execFast(pf, slots, 0)
 	case r.capture != nil:
 		ret = r.execCapture(pf, slots, sp, site)
 	case r.resume != nil:
@@ -231,23 +236,26 @@ func raiseTrap(code int64) {
 	panic(trapPanic{TrapAbort, "explicit trap"})
 }
 
-// execFast is the uninstrumented hot loop: no budget accounting, no
-// site counting, no injection arming — just the dynamic-instruction
-// counter every result consumer relies on, the injectable-population
-// counter (fault.Campaign sizes its sampling space from the golden
-// run), and a cancellation poll when a context is attached. The hottest
-// opcodes are inlined so each instruction pays a single dispatch; the
-// rest go through eval.
+// execFast is the uninstrumented hot loop: no site counting, no
+// injection hook, no section hooks — just the dynamic-instruction
+// counter every result consumer relies on with its hang-budget limit,
+// the injectable-population counter (fault.Campaign sizes its sampling
+// space from the golden run), and a cancellation poll when a context
+// is attached. It runs every call of an uninstrumented rank, starting
+// at pc 0, and the rest of a trial once its transient flip is behind
+// it, starting where the execFull frame it replaces stopped. The
+// hottest opcodes are inlined so each instruction pays a single
+// dispatch; the rest go through eval.
 //
 // Any semantic change here must be mirrored in execFull and eval; the
 // differential tests in differential_test.go compare all three against
 // a reference IR walker, and TestLoopsAgreeOnWorkloads pins this loop
-// against execFull on every workload.
-func (r *rank) execFast(pf *progFunc, slots []Val) Val {
+// against execFull on every workload, armed trials included.
+func (r *rank) execFast(pf *progFunc, slots []Val, pc int) Val {
 	code := pf.code
 	consts := pf.consts
 	cancel := r.cancel
-	pc := 0
+	limit := r.limit
 	for {
 		pi := &code[pc]
 		r.executed++
@@ -257,6 +265,9 @@ func (r *rank) execFast(pf *progFunc, slots []Val) Val {
 				panic(trapPanic{TrapCancelled, "execution cancelled"})
 			default:
 			}
+		}
+		if r.executed > limit {
+			panic(trapPanic{TrapBudget, "instruction budget exceeded"})
 		}
 		var v Val
 		switch pi.op {
@@ -322,14 +333,18 @@ func (r *rank) execFast(pf *progFunc, slots []Val) Val {
 	}
 }
 
-// execFull is the fully instrumented loop for armed trials: budget
-// accounting (the hang detector), per-site dynamic counting, the
-// single-bit injection hook, and the section-boundary hooks, all over
-// the same flat stream. Section state is block-constant, so
-// transitions are only checked at branch targets and returns; so is
-// the snapshot trigger of a capture run. Execution starts at pc with
-// section cursor fs: 0 and a newly opened cursor for a call, a snapshot
-// frame's pc and cursor for a resumed frame.
+// execFull is the fully instrumented loop: per-site dynamic counting,
+// the injection hook, the section-boundary hooks and the snapshot
+// trigger of a capture run, all over the same flat stream, with the
+// same hang-budget limit as execFast. Section state is block-constant,
+// so transitions are only checked at branch targets and returns; so is
+// the snapshot trigger. Execution starts at pc with section cursor fs:
+// 0 and a newly opened cursor for a call, a snapshot frame's pc and
+// cursor for a resumed frame. Once the rank leaves the full loop
+// (leaveFull) the frame finishes on execFast at its next pc: the
+// instruction after the flip, the branch target whose transition
+// closed the injected section instance, or the instruction after the
+// OpCall whose callee left.
 func (r *rank) execFull(pf *progFunc, slots []Val, pc int, fs frameSec) Val {
 	code := pf.code
 	consts := pf.consts
@@ -343,11 +358,8 @@ func (r *rank) execFull(pf *progFunc, slots []Val, pc int, fs frameSec) Val {
 			default:
 			}
 		}
-		if r.budget >= 0 {
-			r.budget--
-			if r.budget < 0 {
-				panic(trapPanic{TrapBudget, "instruction budget exceeded"})
-			}
+		if r.executed > r.limit {
+			panic(trapPanic{TrapBudget, "instruction budget exceeded"})
 		}
 		if r.countSites {
 			r.siteCounts[pi.siteID]++
@@ -405,28 +417,27 @@ func (r *rank) execFull(pf *progFunc, slots []Val, pc int, fs frameSec) Val {
 		default:
 			v := r.eval(pi, slots, consts)
 			if pi.injectable {
+				r.injectableSeen++
 				if r.secCap != nil && fs.tab != nil {
 					r.secCap.Pops[fs.cur]++
 				}
-				fired := false
-				if r.secTarget < 0 || (fs.tab != nil && fs.cur == r.secTarget) {
-					r.injectableSeen++
-					if r.injectArmed && r.injectableSeen-1 == r.injectIndex {
-						v, r.injectedMask = CorruptValue(v, pi.typ, r.injectBit, r.injectMask, r.injectCorrelated)
-						r.injected = true
-						r.injectedSite = int(pi.siteID)
-						r.injectedAt = r.executed
-						r.injectArmed = false
-						r.corruptions = 1
-						r.injSec, r.injOrd = fs.cur, fs.ord
-						fired = true
+				if r.injectArmed && r.planHit(fs) {
+					v, r.injectedMask = CorruptValue(v, pi.typ, r.injectBit, r.injectMask, r.injectCorrelated)
+					r.injected = true
+					r.injectedSite = int(pi.siteID)
+					r.injectedAt = r.executed
+					r.injectArmed = false
+					r.corruptions = 1
+					r.injSec, r.injOrd = fs.cur, fs.ord
+					if r.sec == nil {
+						r.leaveFull()
 					}
-				}
-				// Persistent fault: once fired, every later dynamic
-				// execution of the defective static instruction
-				// re-applies the corruption (with the plan's raw
-				// parameters — the effective mask depends on the value).
-				if !fired && r.injectSticky && r.injected && int(pi.siteID) == r.injectedSite {
+				} else if r.injectSticky && r.injected && int(pi.siteID) == r.injectedSite {
+					// Persistent fault: once fired, every later dynamic
+					// execution of the defective static instruction
+					// re-applies the corruption (with the plan's raw
+					// parameters — the effective mask depends on the
+					// value).
 					v, _ = CorruptValue(v, pi.typ, r.injectBit, r.injectMask, r.injectCorrelated)
 					r.corruptions++
 				}
@@ -436,7 +447,38 @@ func (r *rank) execFull(pf *progFunc, slots []Val, pc int, fs frameSec) Val {
 			}
 			pc++
 		}
+		if !r.instrumented {
+			return r.execFast(pf, slots, pc)
+		}
 	}
+}
+
+// planHit counts one executed injectable instance in the plan's Index
+// space and reports whether it is the planned one. A plain plan's Index
+// counts every instance (injectableSeen, already counted); a
+// section-targeted plan's counts only those executed while its section
+// is current (secSeen).
+func (r *rank) planHit(fs frameSec) bool {
+	if r.secTarget < 0 {
+		return r.injectableSeen-1 == r.injectIndex
+	}
+	if fs.tab == nil || fs.cur != r.secTarget {
+		return false
+	}
+	r.secSeen++
+	return r.secSeen-1 == r.injectIndex
+}
+
+// leaveFull moves the rank to the fast loop for the rest of its run.
+// It is called at the first point after which no instrumentation can
+// change the Result: right after a transient flip, or, when the rank
+// tracks sections, right after the early-masked check at the injected
+// instance's first exit (secExit). From there only the hang budget can
+// still end the run differently, and both loops check it. Site
+// counting and a sticky plan, whose hook re-applies the corruption at
+// every later execution of the site, keep the rank on the full loop.
+func (r *rank) leaveFull() {
+	r.instrumented = r.countSites || r.injectSticky
 }
 
 // TrapCodeDetected is the trap operand used by protection checks; it

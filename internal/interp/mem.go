@@ -34,15 +34,22 @@ type Memory struct {
 	// cleared like any other write.
 	heapDirtyHi  int64
 	stackDirtyLo int64
+
+	// frames holds the blocks of the call-frame arena of the rank that
+	// owns this address space (rank.frame). They are pooled with it and
+	// never cleared on reuse: a verified-SSA function writes every slot
+	// of its frame before reading it, and every other frame is zeroed
+	// when it is carved (Program.zeroFrames).
+	frames [][]Val
 }
 
 const nullGuard = 4096
 
-// memPool recycles address spaces across runs. Zeroing a fresh 64 MiB
-// heap dominates short executions (it is pure memclr in the allocator),
-// and campaigns run thousands of short executions; reuse plus dirty-span
-// clearing makes per-run memory cost proportional to bytes written, not
-// bytes configured.
+// memPool recycles address spaces, with their frame arenas, across
+// runs. Zeroing a fresh 64 MiB heap dominates short executions (it is
+// pure memclr in the allocator), and campaigns run thousands of short
+// executions; reuse plus dirty-span clearing makes per-run memory cost
+// proportional to bytes written, not bytes configured.
 var memPool sync.Pool
 
 // NewMemory creates an address space with the given heap and stack

@@ -52,17 +52,21 @@ type Config struct {
 	HeapBytes  int64
 	StackBytes int64
 	// MaxInstrs is the per-rank dynamic instruction budget; exceeding
-	// it raises TrapBudget (the hang detector). 0 means unlimited.
+	// it raises TrapBudget (the hang detector) on whichever loop the
+	// rank is on, at executed count MaxInstrs+1. 0 means unlimited.
 	//
-	// MaxInstrs, CountSites, Fault and Sections together select the
-	// execution loop, per rank: a rank takes the fully instrumented loop
-	// iff MaxInstrs > 0, CountSites is set, Fault targets it, or
-	// Sections arms section tracking on it (single-rank runs only), and
-	// so does a CaptureSnapshots run; every other rank runs the
-	// uninstrumented fast loop (see exec.go). The choice is made once
-	// per run, never per instruction, and is invisible to results: both
-	// loops produce byte-identical outputs, traps, dynamic counts and
-	// injectable populations.
+	// CountSites, Fault and Sections together select the execution
+	// loop, per rank: a rank starts on the fully instrumented loop iff
+	// CountSites is set, Fault targets it, or Sections arms section
+	// tracking on it (single-rank runs only), and so does a
+	// CaptureSnapshots run; every other rank runs the uninstrumented
+	// fast loop (see exec.go). A rank with a transient plan and no site
+	// counting leaves the full loop for the fast one right after its
+	// flip, or, when it tracks sections, right after the early-masked
+	// check at the injected instance's first exit; a sticky plan keeps
+	// it on the full loop. The choice is never made per instruction and
+	// is invisible to results: both loops produce byte-identical
+	// outputs, traps, dynamic counts and injectable populations.
 	MaxInstrs int64
 	// Fault, when non-nil, arms single-bit corruption.
 	Fault *FaultPlan
@@ -72,7 +76,7 @@ type Config struct {
 	// section projection: a run without a fault plan records the
 	// boundary trace (Result.Sections); a trial gets section-targeted
 	// injection and, given the golden trace, early-masked exit. It
-	// selects the instrumented loop and is honored only for
+	// starts the rank on the instrumented loop and is honored only for
 	// single-rank runs: a rank stopping early at a boundary would
 	// strand MPI peers, so multi-rank configurations ignore it.
 	Sections *SectionConfig
@@ -170,7 +174,10 @@ type Result struct {
 	MaxRankDyn int64
 
 	// Injectable is the per-rank count of injectable dynamic
-	// instruction instances (the fault-sampling population).
+	// instruction instances executed, in every run: of a fault-free run
+	// it is the fault-sampling population. A section-targeted plan's
+	// Index counts its own section's instances, but this count still
+	// covers every section.
 	Injectable []int64
 
 	// OutputF and OutputI are rank 0's output buffers, written by the
@@ -216,7 +223,7 @@ func RunContext(ctx context.Context, p *Program, cfg Config) *Result {
 			mem:          NewMemory(cfg.HeapBytes, cfg.StackBytes),
 			comm:         c,
 			cancel:       cancel,
-			budget:       -1,
+			limit:        math.MaxInt64,
 			injectedSite: -1,
 			secTarget:    -1,
 			injSec:       -1,
@@ -224,7 +231,7 @@ func RunContext(ctx context.Context, p *Program, cfg Config) *Result {
 			snapAt:       math.MaxInt64,
 		}
 		if cfg.MaxInstrs > 0 {
-			r.budget = cfg.MaxInstrs
+			r.limit = cfg.MaxInstrs
 		}
 		if cfg.Fault != nil && cfg.Fault.Rank == i {
 			r.injectArmed = true
@@ -258,12 +265,12 @@ func RunContext(ctx context.Context, p *Program, cfg Config) *Result {
 		if s := cfg.Resume.from(p, cfg); s != nil {
 			r.restore(s)
 		}
-		// Loop specialization (decided once per run): a rank with any
-		// instrumentation armed — budget, site counting, section
-		// tracking, snapshot capture, or an injection plan targeting
-		// it — takes the full loop; everything else takes the fast
-		// loop.
-		r.instrumented = r.budget >= 0 || r.countSites || r.injectArmed || r.sec != nil || r.capture != nil
+		// Loop specialization: a rank with any instrumentation armed —
+		// site counting, section tracking, snapshot capture, or an
+		// injection plan targeting it — starts on the full loop, which
+		// a transient plan leaves once its flip is behind it
+		// (leaveFull); everything else takes the fast loop.
+		r.instrumented = r.countSites || r.injectArmed || r.sec != nil || r.capture != nil
 		ranks[i] = r
 	}
 

@@ -164,9 +164,10 @@ func (t *SectionTrace) record(sec int32, ord int64, d uint64) {
 	t.Exits[sec] = e
 }
 
-// exitAt returns the recorded digest for (sec, ord), 0 if absent.
+// exitAt returns the recorded digest for (sec, ord), 0 if absent or t
+// is nil.
 func (t *SectionTrace) exitAt(sec int32, ord int64) uint64 {
-	if sec < 0 || int(sec) >= len(t.Exits) {
+	if t == nil || sec < 0 || int(sec) >= len(t.Exits) {
 		return 0
 	}
 	e := t.Exits[sec]
@@ -277,12 +278,14 @@ func (r *rank) secExit(fs *frameSec, d uint64) {
 	// Sticky plans keep corrupting the suffix, so a boundary digest
 	// matching the golden one proves nothing about the remainder of the
 	// run; the early-masked exit is sound only for transient faults.
-	if r.secGold != nil && r.injected && !r.injectSticky && !r.earlyMasked &&
-		fs.cur == r.injSec && fs.ord == r.injOrd {
+	if r.injected && !r.injectSticky && fs.cur == r.injSec && fs.ord == r.injOrd {
 		if g := r.secGold.exitAt(fs.cur, fs.ord); g != 0 && g == d {
 			r.earlyMasked = true
 			panic(earlyMaskedExit{})
 		}
+		// The injected instance closes once: past its check section
+		// tracking can no longer change the result.
+		r.leaveFull()
 	}
 }
 

@@ -276,8 +276,8 @@ func (s *Snapshots) from(p *Program, cfg Config) *snapshot {
 
 // restore loads snapshot s into a freshly created rank (its memory just
 // reset, its section tracking and plan armed) and arms resumeFrame to
-// rebuild the call chain when run enters @main. The budget left is the
-// configured one minus the instructions the skipped prefix executed.
+// rebuild the call chain when run enters @main. The hang budget is a
+// limit on the absolute executed count, so it needs no adjustment.
 func (r *rank) restore(s *snapshot) {
 	m := r.mem
 	copy(m.data[nullGuard:], s.heap)
@@ -287,13 +287,13 @@ func (r *rank) restore(s *snapshot) {
 	m.heapPtr = s.heapPtr
 	m.stackPtr = s.frames[0].sp
 	r.executed = s.executed
-	r.injectableSeen = s.seen(r.secTarget)
+	r.injectableSeen = s.injectable
 	if r.sec != nil {
 		r.hist = s.hist
 		copy(r.secOrd, s.secOrd)
 	}
-	if r.budget >= 0 {
-		r.budget -= s.executed
+	if r.secTarget >= 0 {
+		r.secSeen = s.seen(r.secTarget)
 	}
 	r.outputF = slices.Clone(s.outputF)
 	r.outputI = slices.Clone(s.outputI)
@@ -323,8 +323,5 @@ func (r *rank) resumeFrame(slots []Val) (int, frameSec) {
 	}
 	r.mem.stackPtr = s.frames[r.resumeDepth].sp
 	r.executed--
-	if r.budget >= 0 {
-		r.budget++
-	}
 	return f.pc, f.sec
 }

@@ -7,9 +7,10 @@
 //
 // Execution is a flat bytecode engine: Compile lowers each function to
 // a contiguous instruction array with absolute jump targets and
-// per-edge phi copy lists (prog.go), and RunContext selects — once per
-// rank per run — between an uninstrumented fast loop and a fully
-// instrumented one (exec.go). Both loops are observationally
+// per-edge phi copy lists (prog.go), and RunContext starts each rank
+// on either an uninstrumented fast loop or a fully instrumented one
+// (exec.go), which a transient fault trial leaves for the fast loop
+// once its flip is behind it. Both loops are observationally
 // identical; DESIGN.md §7 documents the layout, the specialization
 // matrix, and the invariants fault injection relies on.
 package interp
