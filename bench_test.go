@@ -10,7 +10,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"ipas/internal/baseline"
 	"ipas/internal/core"
@@ -303,9 +302,10 @@ func BenchmarkCampaignSetup(b *testing.B) {
 
 // BenchmarkDeadlockDetection measures the latency of structural
 // deadlock detection: a 2-rank recv-recv deadlock run to completion.
-// The watchdog is set to an hour, so the measured time is pure
-// supervisor latency — before structural detection this scenario cost
-// a full wall-clock timeout (formerly 10 s) per occurrence.
+// Detection waits on no timer (the 60 s watchdog never comes into
+// play), so the measured time is pure supervisor latency — before
+// structural detection this scenario cost a full wall-clock timeout
+// (formerly 10 s) per occurrence.
 func BenchmarkDeadlockDetection(b *testing.B) {
 	m, err := lang.Compile(`
 func main() {
@@ -322,7 +322,7 @@ func main() {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := interp.Config{Ranks: 2, Watchdog: time.Hour}
+	cfg := interp.Config{Ranks: 2}
 	// Warm the interpreter's memory pool: a single-iteration smoke run
 	// should measure detection latency, not the one-time allocation of
 	// two 64 MiB rank address spaces.

@@ -24,7 +24,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7077", "listen address")
 	dir := flag.String("dir", "campaigns", "journal root directory (one subdirectory per campaign)")
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "worker lease duration; a worker that misses it loses its shard")
-	backoff := flag.Duration("backoff", time.Second, "base quarantine delay; requeue k waits backoff<<(k-1)")
+	backoff := flag.Duration("backoff", time.Second, "base quarantine delay; requeue k waits backoff<<(k-1), at most an hour")
 	retries := flag.Int("shard-retries", 2, "shard quarantine retries before its unexecuted trials fail (0 = none)")
 	quiet := flag.Bool("quiet", false, "suppress operational log lines")
 	flag.Parse()

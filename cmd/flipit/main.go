@@ -32,9 +32,9 @@
 //	       [campaign flags]
 //
 // The campaign flags, shared with ipas and experiments (internal/cli),
-// are [-deadline D] [-max-retries N] [-watchdog D] [-remote URL
-// [-shards K]] [-progress] [-sections [-coverage N]
-// [-max-per-section N]] [-error-model M].
+// are [-deadline D] [-max-retries N] [-remote URL [-shards K]]
+// [-progress] [-sections [-coverage N] [-max-per-section N]]
+// [-error-model M].
 package main
 
 import (

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	irun [-ranks N] [-heap MB] [-budget N] [-watchdog D] [-sites] prog.{sci,ir}
+//	irun [-ranks N] [-heap MB] [-budget N] [-sites] prog.{sci,ir}
 package main
 
 import (
@@ -25,11 +25,10 @@ func main() {
 	ranks := flag.Int("ranks", 1, "number of simulated MPI ranks")
 	heapMB := flag.Int64("heap", 64, "per-rank heap size in MiB")
 	budget := flag.Int64("budget", 0, "per-rank dynamic instruction budget (0 = unlimited)")
-	watchdog := flag.Duration("watchdog", 0, "defense-in-depth wall-clock bound per blocked MPI op (0 = default 60s); deadlocks are detected structurally and instantly regardless")
 	sites := flag.Bool("sites", false, "print the 10 hottest static instruction sites")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: irun [-ranks N] [-heap MB] [-budget N] [-watchdog D] [-sites] prog.{sci,ir}")
+		fmt.Fprintln(os.Stderr, "usage: irun [-ranks N] [-heap MB] [-budget N] [-sites] prog.{sci,ir}")
 		os.Exit(2)
 	}
 	path := flag.Arg(0)
@@ -61,7 +60,6 @@ func main() {
 		HeapBytes:  *heapMB << 20,
 		MaxInstrs:  *budget,
 		CountSites: *sites,
-		Watchdog:   *watchdog,
 	}
 	res := interp.Run(prog, cfg)
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ipas/internal/fault"
-	"ipas/internal/interp"
 )
 
 // Options configures a coordinator.
@@ -26,9 +25,9 @@ type Options struct {
 	// heartbeating (default 15s). An expired lease requeues the shard.
 	LeaseTTL time.Duration
 	// Backoff is the base quarantine delay after a failed or expired
-	// lease: requeue k waits Backoff << (k-1), clamped to an hour so an
-	// arbitrarily large retry budget cannot overflow the shift
-	// (default 1s).
+	// lease: requeue k waits fault.BackoffDelay(Backoff, k), which
+	// clamps at fault.MaxBackoff so an arbitrarily large retry budget
+	// cannot overflow the shift (default 1s).
 	Backoff time.Duration
 	// Retries bounds shard quarantine retries, following the
 	// fault.MaxRetries convention (0 = fault.DefaultMaxRetries,
@@ -51,14 +50,13 @@ type lease struct {
 
 // state is one admitted campaign.
 type state struct {
-	id    string
-	spec  Spec
-	n, k  int
-	dir   string
-	meta  fault.JournalMeta // the journal header, as a local run writes it
-	plans []interp.FaultPlan
-	res   *fault.CampaignResult
-	sm    *shardMachine
+	id   string
+	spec Spec
+	n, k int
+	dir  string
+	meta fault.JournalMeta // the journal header, as a local run writes it
+	res  *fault.CampaignResult
+	sm   *shardMachine
 
 	journal      *fault.Journal
 	jmu          sync.Mutex // journal I/O; see Server's locking notes
@@ -300,7 +298,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // campaign re-run, and a valid journal of a different campaign, or an
 // older build's layout, is never clobbered.
 func (s *Server) admitLocked(id string, spec Spec, prep *fault.Prepared, meta fault.JournalMeta) (*state, error) {
-	plans := prep.Plans(spec.Trials)
 	st := &state{
 		id:           id,
 		spec:         spec,
@@ -308,8 +305,7 @@ func (s *Server) admitLocked(id string, spec Spec, prep *fault.Prepared, meta fa
 		k:            spec.Shards,
 		dir:          filepath.Join(s.opts.Dir, id),
 		meta:         meta,
-		plans:        plans,
-		res:          prep.NewResult(plans),
+		res:          prep.NewResult(prep.Plans(spec.Trials)),
 		sm:           newShardMachine(spec.Shards),
 		failedShard:  make([]bool, spec.Shards),
 		backoffUntil: make([]time.Time, spec.Shards),
@@ -614,25 +610,8 @@ func (s *Server) releaseLocked(l *lease, cause string, now time.Time) {
 		return
 	}
 	st.sm.quarantine(l.shard)
-	st.backoffUntil[l.shard] = now.Add(backoffDelay(s.backoff, attempt))
+	st.backoffUntil[l.shard] = now.Add(fault.BackoffDelay(s.backoff, attempt))
 	s.logf("lease %s: shard %d/%d of %s quarantined (attempt %d): %s", l.id, l.shard, st.k, st.id, attempt, cause)
-}
-
-// maxShardBackoff bounds a quarantined shard's requeue delay.
-const maxShardBackoff = time.Hour
-
-// backoffDelay computes the quarantine delay after failed attempt k:
-// base << (k-1), clamped to maxShardBackoff. The clamp is what keeps an
-// arbitrary retry budget safe — an unchecked shift overflows
-// time.Duration into a zero, negative, or wrapped-tiny delay, which
-// would land backoffUntil in the past and turn quarantine into a hot
-// requeue loop. Doubling below the clamp can never overflow.
-func backoffDelay(base time.Duration, attempt int) time.Duration {
-	d := base
-	for k := 1; k < attempt && d < maxShardBackoff; k++ {
-		d <<= 1
-	}
-	return min(d, maxShardBackoff)
 }
 
 // failShardLocked records a terminally quarantined shard's unexecuted
@@ -654,13 +633,13 @@ func (s *Server) failShardLocked(st *state, sh, attempts int, cause string) {
 	defer st.jmu.Unlock()
 	st.failedShard[sh] = true
 	for t := lo; t < hi; t++ {
-		if st.res.Trials[t].Status != fault.TrialPending {
+		tr := st.res.Trials[t]
+		if tr.Status != fault.TrialPending {
 			continue
 		}
-		tr := fault.Trial{
-			Site: -1, Bit: st.plans[t].Bit, Index: st.plans[t].Index,
-			Status: fault.TrialFailed, Err: msg, Attempts: attempts,
-		}
+		// The pending slot NewResult filled holds the plan's Bit and
+		// Index, and Site -1.
+		tr.Status, tr.Err, tr.Attempts = fault.TrialFailed, msg, attempts
 		st.res.Trials[t] = tr
 		// Best-effort journaling: the verdict is re-derived on resume
 		// if it never reached disk.

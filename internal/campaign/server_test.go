@@ -376,6 +376,16 @@ func TestServerJournalPathologies(t *testing.T) {
 		refused(t, root, testSpec("patho", 12, 3, 10), http.StatusConflict, fault.ErrCampaignMismatch) // same name, different seed
 	})
 
+	t.Run("another hang factor rejected 409", func(t *testing.T) {
+		// The header pins a non-default hang factor, which decides
+		// which long trials end as hangs.
+		root := t.TempDir()
+		copyDir(t, seedRoot, root)
+		hang := spec
+		hang.HangFactor = 20
+		refused(t, root, hang, http.StatusConflict, fault.ErrCampaignMismatch)
+	})
+
 	t.Run("older-build journal rejected 409", func(t *testing.T) {
 		// A header without the program fingerprint was written by an
 		// older build.
@@ -631,32 +641,6 @@ func TestServerRejectsMalformedRecords(t *testing.T) {
 	startWorker(t, client, nil)
 	assertSameTrials(t, waitComplete(t, client, sub.ID), want)
 	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, nil)
-}
-
-// Quarantine backoff must stay positive and bounded for any attempt
-// count: an unclamped shift would overflow into a zero or negative
-// delay and turn quarantine into a hot requeue loop.
-func TestBackoffDelayClamped(t *testing.T) {
-	prev := time.Duration(0)
-	for attempt := 1; attempt <= 200; attempt++ {
-		d := backoffDelay(time.Second, attempt)
-		if d <= 0 || d > maxShardBackoff {
-			t.Fatalf("backoffDelay(1s, %d) = %v, want within (0, %v]", attempt, d, maxShardBackoff)
-		}
-		if d < prev {
-			t.Fatalf("backoffDelay(1s, %d) = %v shrank below %v", attempt, d, prev)
-		}
-		prev = d
-	}
-	if got := backoffDelay(time.Second, 3); got != 4*time.Second {
-		t.Fatalf("backoffDelay(1s, 3) = %v, want 4s", got)
-	}
-	if got := backoffDelay(time.Second, 100); got != maxShardBackoff {
-		t.Fatalf("backoffDelay(1s, 100) = %v, want the %v clamp", got, maxShardBackoff)
-	}
-	if got := backoffDelay(2*time.Hour, 1); got != maxShardBackoff {
-		t.Fatalf("backoffDelay(2h, 1) = %v, want the %v clamp", got, maxShardBackoff)
-	}
 }
 
 // A long-lived worker whose cached campaign ID is reused for a new

@@ -28,7 +28,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"time"
 
 	"ipas/internal/fault"
 	"ipas/internal/interp"
@@ -84,10 +83,6 @@ type Spec struct {
 	HangFactor int64 `json:"hang_factor,omitempty"`
 	MaxRetries int   `json:"max_retries,omitempty"`
 
-	// Watchdog bounds each blocked MPI op's wall-clock time on workers
-	// (interp.Config.Watchdog; 0 = the interpreter's 60s default).
-	Watchdog time.Duration `json:"watchdog_ns,omitempty"`
-
 	// Sections runs the campaign sectioned: the trial space stratifies
 	// over IR sections and the per-section allocation derives the
 	// trial count, so Trials may be left 0 — the coordinator fills it
@@ -125,16 +120,22 @@ func (s *Spec) Normalize() {
 // the golden run starts one goroutine and one address space per rank.
 // The largest trial count the repository computes is AMG's
 // monolithic-equivalent 3,733,195 (internal/compose's
-// TestSectionedTrialCounts), and Figure 8 scales to 16 ranks.
+// TestSectionedTrialCounts), and Figure 8 scales to 16 ranks. A worker
+// runs a trial for up to hang factor × the golden run's length, so a
+// huge factor lets one flip that makes a loop unbounded hold a lease
+// for hours (the hang-factor ablation's largest is 50); ten retries
+// back off about 10 s in all (the CLIs default to 2).
 const (
-	maxTrials = 1 << 22
-	maxRanks  = 64
+	maxTrials     = 1 << 22
+	maxRanks      = 64
+	maxHangFactor = 1000
+	maxRetries    = 10
 )
 
 // Validate rejects specs the coordinator could not execute: besides an
 // unbuildable program or model, a name that is no single path element
-// under the journal root, and a trial count, coverage factor or rank
-// count above the admission bounds.
+// under the journal root, and a trial count, coverage factor, rank
+// count, hang factor or retry budget above the admission bounds.
 func (s *Spec) Validate() error {
 	if s.Name != "" {
 		if id := sanitizeID(s.Name); id == "." || id == ".." {
@@ -148,6 +149,10 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("campaign: spec asks for coverage %d, above the limit of %d", s.Coverage, maxTrials)
 	case s.Ranks > maxRanks:
 		return fmt.Errorf("campaign: spec asks for %d ranks, above the limit of %d", s.Ranks, maxRanks)
+	case s.HangFactor > maxHangFactor:
+		return fmt.Errorf("campaign: spec asks for hang factor %d, above the limit of %d", s.HangFactor, maxHangFactor)
+	case s.MaxRetries > maxRetries:
+		return fmt.Errorf("campaign: spec asks for %d retries, above the limit of %d", s.MaxRetries, maxRetries)
 	}
 	if s.Sections {
 		// The allocation supplies the trial count; a submitted count
@@ -234,7 +239,6 @@ func (s *Spec) Build() (*fault.Campaign, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	cfg.Watchdog = s.Watchdog
 	return &fault.Campaign{
 		Prog:          prog,
 		Verify:        verify,
@@ -251,9 +255,9 @@ func (s *Spec) Build() (*fault.Campaign, error) {
 
 // Fill copies into the spec everything of a configured campaign that
 // pins its plan sequence and per-trial behaviour — the inverse of
-// Build: seed, error model, ranks, hang factor, retry budget and
-// watchdog, plus either the trial count n or, for a sectioned campaign,
-// its section knobs (the coordinator derives the trial count from the
+// Build: seed, error model, ranks, hang factor and retry budget, plus
+// either the trial count n or, for a sectioned campaign, its section
+// knobs (the coordinator derives the trial count from the
 // allocation). The spec keeps naming the program (Workload/Input or
 // Source/Verifier) and its shard count; Fill then normalizes it.
 // Building the filled spec yields a campaign with c's Meta(n).
@@ -263,7 +267,6 @@ func (s *Spec) Fill(c *fault.Campaign, n int) {
 	s.Ranks = max(c.Config.Ranks, 1)
 	s.HangFactor = c.HangFactor
 	s.MaxRetries = c.MaxRetries
-	s.Watchdog = c.Config.Watchdog
 	s.Trials = n
 	if c.Sections {
 		s.Sections, s.Coverage, s.MaxPerSection = true, c.Coverage, c.MaxPerSection

@@ -10,9 +10,10 @@ import (
 // route does: decoding, Normalize and Validate must never panic, and a
 // spec they accept must name one directory right under the journal
 // root, keep a plain campaign's shard and trial counts within
-// 1 ≤ Shards ≤ Trials ≤ maxTrials, and keep its ID under a second
-// Normalize. The checked-in corpus (testdata/fuzz/FuzzSpec) holds the
-// names and counts admission refuses.
+// 1 ≤ Shards ≤ Trials ≤ maxTrials, keep its hang factor and retry
+// budget within maxHangFactor and maxRetries, and keep its ID under a
+// second Normalize. The checked-in corpus (testdata/fuzz/FuzzSpec)
+// holds the names and counts admission refuses.
 func FuzzSpec(f *testing.F) {
 	for _, s := range []Spec{
 		testSpec("", 8, 2, 1),
@@ -41,6 +42,9 @@ func FuzzSpec(f *testing.F) {
 		}
 		if !s.Sections && !(1 <= s.Shards && s.Shards <= s.Trials && s.Trials <= maxTrials) {
 			t.Fatalf("accepted plain spec has %d shards over %d trials", s.Shards, s.Trials)
+		}
+		if s.HangFactor > maxHangFactor || s.MaxRetries > maxRetries {
+			t.Fatalf("accepted spec has hang factor %d and %d retries", s.HangFactor, s.MaxRetries)
 		}
 		again := s
 		again.Normalize()

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"ipas/internal/fault"
 	"ipas/internal/workloads"
@@ -55,7 +54,6 @@ func TestSpecFillRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.Seed, c.Model, c.HangFactor, c.MaxRetries = 5, burst, 7, fault.NoRetries
-			c.Config.Watchdog = 3 * time.Second
 			if tc.sections {
 				c.Sections, c.Coverage, c.MaxPerSection = true, 2, 3
 			}
@@ -78,7 +76,7 @@ func TestSpecFillRoundTrip(t *testing.T) {
 			}
 			if rc.Seed != c.Seed || fault.ModelName(rc.Model) != fault.ModelName(c.Model) ||
 				rc.HangFactor != c.HangFactor || rc.MaxRetries != c.MaxRetries ||
-				rc.Config.Watchdog != c.Config.Watchdog || rc.Config.Ranks != max(c.Config.Ranks, 1) ||
+				rc.Config.Ranks != max(c.Config.Ranks, 1) ||
 				rc.Sections != c.Sections || rc.Coverage != c.Coverage || rc.MaxPerSection != c.MaxPerSection {
 				t.Fatalf("rebuilt campaign differs:\n got %+v\nwant %+v", rc, c)
 			}
@@ -114,6 +112,11 @@ func TestSpecValidateBounds(t *testing.T) {
 		{"coverage above the bound", func(s *Spec) { s.Trials, s.Sections, s.Coverage = 0, true, maxTrials+1 }, false},
 		{"ranks at the bound", func(s *Spec) { s.Ranks = maxRanks }, true},
 		{"ranks above the bound", func(s *Spec) { s.Ranks = maxRanks + 1 }, false},
+		{"hang factor at the bound", func(s *Spec) { s.HangFactor = maxHangFactor }, true},
+		{"hang factor above the bound", func(s *Spec) { s.HangFactor = maxHangFactor + 1 }, false},
+		{"retries at the bound", func(s *Spec) { s.MaxRetries = maxRetries }, true},
+		{"retries above the bound", func(s *Spec) { s.MaxRetries = maxRetries + 1 }, false},
+		{"no retries", func(s *Spec) { s.MaxRetries = fault.NoRetries }, true},
 	} {
 		s := testSpec("bounds", 8, 2, 1)
 		tc.edit(&s)
@@ -132,6 +135,8 @@ func TestServerRefusesUnboundedSpecs(t *testing.T) {
 	client := newTestServer(t, Options{Dir: root})
 	sectioned := Spec{Source: testSource, Verifier: "exact", Sections: true, Coverage: maxTrials}
 	sectioned.Normalize()
+	hang, retries := testSpec("", 4, 1, 1), testSpec("", 4, 1, 1)
+	hang.HangFactor, retries.MaxRetries = 1_000_000, 30
 	for _, tc := range []struct {
 		spec Spec
 		why  string
@@ -139,6 +144,8 @@ func TestServerRefusesUnboundedSpecs(t *testing.T) {
 		{testSpec("..", 4, 1, 1), "names no directory"},
 		{testSpec("", maxTrials+1, 1, 1), "trials, above the limit"},
 		{sectioned, "allocates"},
+		{hang, "hang factor 1000000, above the limit"},
+		{retries, "30 retries, above the limit"},
 	} {
 		_, status, err := client.Submit(context.Background(), tc.spec)
 		if status != http.StatusBadRequest || err == nil || !strings.Contains(err.Error(), tc.why) {

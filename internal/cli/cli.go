@@ -1,7 +1,7 @@
 // Package cli is the campaign command line that flipit, ipas and
-// experiments share: the ten flags that configure every campaign a
-// command runs (-deadline, -max-retries, -shards, -watchdog, -remote,
-// -progress, -sections, -coverage, -max-per-section, -error-model),
+// experiments share: the nine flags that configure every campaign a
+// command runs (-deadline, -max-retries, -shards, -remote, -progress,
+// -sections, -coverage, -max-per-section, -error-model),
 // bound once, and what the commands derive from them — the campaign
 // controls, the run's cancellation context, the progress lines and the
 // notice an interrupted run leaves. Only commands import it, so no
@@ -31,7 +31,6 @@ type Flags struct {
 	Deadline      time.Duration
 	MaxRetries    int
 	Shards        int
-	Watchdog      time.Duration
 	Remote        string
 	Progress      bool
 	Sections      bool
@@ -49,7 +48,6 @@ func Register(fs *flag.FlagSet, cmd string) *Flags {
 	fs.DurationVar(&f.Deadline, "deadline", 0, "wall-clock budget for the run (0 = none)")
 	fs.IntVar(&f.MaxRetries, "max-retries", 2, "per-trial retries after infrastructure errors (0 = none)")
 	fs.IntVar(&f.Shards, "shards", 1, "with -remote: shards the coordinator splits each campaign into (results are bit-identical)")
-	fs.DurationVar(&f.Watchdog, "watchdog", 0, "per-MPI-op wall-clock watchdog in every campaign (0 = interpreter default)")
 	fs.StringVar(&f.Remote, "remote", "", "campaignd coordinator URL; dispatch the campaigns a coordinator can run there instead of running them locally")
 	fs.BoolVar(&f.Progress, "progress", false, "report each campaign's trials and each training's grid points on stderr")
 	fs.BoolVar(&f.Sections, "sections", false, "run each single-rank campaign sectioned: stratify trials over IR sections, whose per-section budgets replace the trial count, and compose the whole-program distribution")
@@ -74,7 +72,6 @@ func (f *Flags) Controls() (*core.CampaignControls, error) {
 		Model:           model,
 		MaxRetries:      fault.ExplicitRetries(f.MaxRetries),
 		Shards:          f.Shards,
-		Watchdog:        f.Watchdog,
 		Sections:        f.Sections,
 		SectionCoverage: f.Coverage,
 		MaxPerSection:   f.MaxPerSection,

@@ -34,7 +34,6 @@ type want struct {
 	model           string
 	maxRetries      int
 	shards          int
-	watchdog        time.Duration
 	remote          string
 	progress        bool
 	sections        bool
@@ -48,7 +47,6 @@ func got(cc *core.CampaignControls) want {
 		model:           cc.Model.Name(),
 		maxRetries:      cc.MaxRetries,
 		shards:          cc.Shards,
-		watchdog:        cc.Watchdog,
 		progress:        cc.Progress != nil,
 		sections:        cc.Sections,
 		coverage:        cc.SectionCoverage,
@@ -71,7 +69,7 @@ func TestControlsFromFlags(t *testing.T) {
 		{[]string{"-max-retries", "0"}, func(w *want) { w.maxRetries = fault.NoRetries }},
 		{[]string{"-max-retries", "5"}, func(w *want) { w.maxRetries = 5 }},
 		{[]string{"-error-model", "burst-3"}, func(w *want) { w.model = "burst-3" }},
-		{[]string{"-error-model", "sticky", "-watchdog", "250ms"}, func(w *want) { w.model, w.watchdog = "sticky", 250*time.Millisecond }},
+		{[]string{"-error-model", "sticky"}, func(w *want) { w.model = "sticky" }},
 		{[]string{"-remote", "http://127.0.0.1:7077", "-shards", "4"}, func(w *want) { w.remote, w.shards = "http://127.0.0.1:7077", 4 }},
 		{[]string{"-sections", "-coverage", "3", "-max-per-section", "8"}, func(w *want) { w.sections, w.coverage, w.maxPerSection = true, 3, 8 }},
 		{[]string{"-progress", "-deadline", "1m"}, func(w *want) { w.progress = true }},

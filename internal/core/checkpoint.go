@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
 	"ipas/internal/campaign"
 	"ipas/internal/compose"
@@ -39,10 +38,6 @@ type CampaignControls struct {
 	// training (0 = GOMAXPROCS). Training results are bit-identical for
 	// any worker count.
 	TrainWorkers int
-	// Watchdog, when > 0, bounds each blocked MPI operation's
-	// wall-clock time (interp.Config.Watchdog) in every campaign the
-	// workflow runs; 0 keeps the interpreter's default.
-	Watchdog time.Duration
 	// Remote, when non-nil together with RemoteSpec, dispatches
 	// eligible campaigns to a campaignd coordinator instead of running
 	// them in-process.
@@ -84,7 +79,7 @@ type CampaignControls struct {
 // per-section allocation replaces n — on the coordinator when
 // RemoteSpec renders the stage, else in-process with the stage's
 // journal. Every route gets the same knobs (retry policy, worker bound,
-// error model, watchdog, stage-tagged progress), and results match the
+// error model, stage-tagged progress), and results match the
 // local run trial for trial. A sectioned result's Proportion is the
 // population-weighted composition of its strata (internal/compose),
 // never the raw trial shares.
@@ -99,9 +94,6 @@ func (cc *CampaignControls) Run(ctx context.Context, c *fault.Campaign, n int, s
 	c.Workers = cc.Workers
 	if cc.Model != nil {
 		c.Model = cc.Model
-	}
-	if cc.Watchdog > 0 {
-		c.Config.Watchdog = cc.Watchdog
 	}
 	if cc.Progress != nil {
 		report := cc.Progress

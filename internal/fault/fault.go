@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	mbits "math/bits"
 	"math/rand"
 	"runtime"
@@ -278,7 +279,8 @@ type Campaign struct {
 	// the fault plan and hang budget per trial.
 	Config interp.Config
 	// HangFactor multiplies the golden dynamic count to form the
-	// hang-detection budget (default 10).
+	// hang-detection budget (default 10). Prepare refuses a factor whose
+	// budget overflows int64; the journal header pins a non-default one.
 	HangFactor int64
 	// Seed makes the campaign deterministic.
 	Seed int64
@@ -364,9 +366,39 @@ const (
 )
 
 // retryBackoff is the base delay before re-running a failed trial:
-// attempt k waits retryBackoff << (k-1), and cancellation interrupts
-// the wait.
+// retry k waits BackoffDelay(retryBackoff, k), and cancellation
+// interrupts the wait.
 const retryBackoff = 10 * time.Millisecond
+
+// MaxBackoff bounds every retry delay, a trial's and a coordinator
+// shard's.
+const MaxBackoff = time.Hour
+
+// BackoffDelay computes the delay after failed attempt k (k >= 1):
+// base << (k-1), clamped to MaxBackoff. The clamp is what keeps an
+// arbitrary retry budget safe — an unchecked shift overflows
+// time.Duration into a zero, negative, or wrapped-tiny delay, and far
+// below that it already waits for days. Doubling below the clamp can
+// never overflow.
+func BackoffDelay(base time.Duration, attempt int) time.Duration {
+	d := base
+	for k := 1; k < attempt && d < MaxBackoff; k++ {
+		d <<= 1
+	}
+	return min(d, MaxBackoff)
+}
+
+// defaultHangFactor is the hang factor a zero Campaign.HangFactor
+// selects.
+const defaultHangFactor = 10
+
+// hangFactor resolves the HangFactor convention into a concrete factor.
+func (c *Campaign) hangFactor() int64 {
+	if c.HangFactor <= 0 {
+		return defaultHangFactor
+	}
+	return c.HangFactor
+}
 
 // ExplicitRetries converts a literal retry count — as a user states it
 // on a CLI flag, where 0 means "no retries" — into a MaxRetries field
@@ -463,10 +495,6 @@ func (p *Prepared) SectionTotal() int {
 // after the flip, so an Index drawn here names the same dynamic
 // instance there.
 func (c *Campaign) Prepare(ctx context.Context) (*Prepared, error) {
-	hang := c.HangFactor
-	if hang <= 0 {
-		hang = 10
-	}
 	if c.Sections {
 		if c.Config.Ranks > 1 {
 			return nil, fmt.Errorf("fault: sectioned campaigns require Ranks == 1 (got %d)", c.Config.Ranks)
@@ -511,7 +539,6 @@ func (c *Campaign) Prepare(ctx context.Context) (*Prepared, error) {
 			progFP:    c.Prog.Fingerprint(),
 			ranks:     norm.Ranks,
 			heap:      norm.HeapBytes,
-			stack:     norm.StackBytes,
 			maxInstrs: norm.MaxInstrs,
 			sectioned: c.Sections,
 		}
@@ -526,12 +553,19 @@ func (c *Campaign) Prepare(ctx context.Context) (*Prepared, error) {
 	if pop == 0 {
 		return nil, fmt.Errorf("fault: program has no injectable dynamic instances")
 	}
+	// The budget leaves a fixed slack over the scaled golden count; a
+	// budget that overflowed would read as no budget at all.
+	const slack = 1_000_000
+	hang := c.hangFactor()
+	if golden.MaxRankDyn > (math.MaxInt64-slack)/hang {
+		return nil, fmt.Errorf("fault: hang factor %d overflows the instruction budget of a %d-instruction golden run", hang, golden.MaxRankDyn)
+	}
 	p := &Prepared{
 		c:            c,
 		Golden:       golden,
 		Population:   pop,
 		GoldenCached: cached,
-		budget:       golden.MaxRankDyn*hang + 1_000_000,
+		budget:       golden.MaxRankDyn*hang + slack,
 		maxRetries:   retries(c.MaxRetries),
 	}
 	if c.Sections {
@@ -575,6 +609,9 @@ func (p *Prepared) Meta(n int) JournalMeta {
 		Format: JournalFormat, Seed: p.c.Seed, Trials: n,
 		GoldenDyn: p.Golden.TotalDyn, Population: p.Population,
 		Model: ModelName(p.c.Model), ProgramFP: p.c.Prog.Fingerprint(),
+	}
+	if hang := p.c.hangFactor(); hang != defaultHangFactor {
+		m.HangFactor = hang
 	}
 	if p.secs != nil {
 		// The distinct format makes a sectioned journal refuse a plain
@@ -771,7 +808,7 @@ func (p *Prepared) RunTrial(ctx context.Context, t int, plan interp.FaultPlan) T
 		}
 		if attempt > 0 {
 			select {
-			case <-time.After(retryBackoff << (attempt - 1)):
+			case <-time.After(BackoffDelay(retryBackoff, attempt)):
 			case <-ctx.Done():
 				return pending
 			}

@@ -2,6 +2,9 @@ package fault
 
 import (
 	"context"
+	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 
 	"ipas/internal/interp"
@@ -192,6 +195,50 @@ func TestCampaignRejectsBrokenGolden(t *testing.T) {
 	c := &Campaign{Prog: p, Verify: func(_, _ *interp.Result) bool { return true }}
 	if _, err := c.Run(5); err == nil {
 		t.Fatal("campaign accepted a trapping golden run")
+	}
+}
+
+// Prepare refuses a hang factor whose budget, MaxRankDyn × factor plus
+// the fixed slack, would overflow int64 (a non-positive budget reads as
+// none), and accepts the largest one that fits. The journal header pins
+// only a non-default factor, so every default header keeps its bytes.
+func TestPrepareHangFactor(t *testing.T) {
+	p, verify := compileCampaignProg(t)
+	ctx := context.Background()
+	prep := func(hang int64) (*Prepared, error) {
+		return (&Campaign{Prog: p, Verify: verify, Seed: 3, HangFactor: hang}).Prepare(ctx)
+	}
+	def, err := prep(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	largest := (math.MaxInt64 - 1_000_000) / def.Golden.MaxRankDyn
+	if big, err := prep(largest); err != nil || big.budget <= 0 {
+		t.Fatalf("hang factor %d: err %v; want a positive budget", largest, err)
+	}
+	for _, hang := range []int64{largest + 1, math.MaxInt64} {
+		if _, err := prep(hang); err == nil || !strings.Contains(err.Error(), "overflows") {
+			t.Fatalf("hang factor %d: err %v, want an overflow refusal", hang, err)
+		}
+	}
+
+	ten, err := prep(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twenty, err := prep(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, err := json.Marshal(def.Meta(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ten.Meta(8) != def.Meta(8) || strings.Contains(string(header), "hang_factor") {
+		t.Fatalf("default hang factor changed the header: %s", header)
+	}
+	if got := twenty.Meta(8).HangFactor; got != 20 {
+		t.Fatalf("hang factor 20 pinned as %d", got)
 	}
 }
 

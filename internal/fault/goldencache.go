@@ -17,15 +17,13 @@ import (
 // execution configuration. The cache keys on exactly that pure-function
 // domain:
 //
-//	(program fingerprint, ranks, heap, stack, budget, sectioned)
+//	(program fingerprint, ranks, heap, budget, sectioned)
 //
 // where the fingerprint (interp.Program.Fingerprint) hashes the printed
 // IR — which embeds the workload's baked-in input — plus the injectable
 // bitmap and site count, so two programs compiled from the same module
 // with the same fault model share an entry even across processes'
 // recompiles, while any change to code, input or fault model misses.
-// Config.Watchdog is deliberately excluded: it bounds wall-clock
-// blocking only and cannot alter a clean run's observables.
 //
 // Only clean results (TrapNone) are cached: a trapped or cancelled
 // golden run fails Prepare and must be re-attempted, not replayed.
@@ -52,7 +50,6 @@ type goldenKey struct {
 	progFP    string
 	ranks     int
 	heap      int64
-	stack     int64
 	maxInstrs int64
 	sectioned bool
 }

@@ -30,10 +30,11 @@ const JournalFormatSectioned = "ipas-trial-journal-sectioned-v1"
 const CampaignJournal = "campaign.jsonl"
 
 // JournalMeta fingerprints the campaign a journal belongs to. Seed and
-// Trials pin the plan sequence; ProgramFP pins the program, and
-// GoldenDyn and Population the execution configuration (a different
-// input produces a different golden run). Resuming across any of them
-// would silently mix incompatible trials, so Begin refuses it.
+// Trials pin the plan sequence; ProgramFP pins the program, GoldenDyn
+// and Population the execution configuration (a different input
+// produces a different golden run), and HangFactor the hang budget.
+// Resuming across any of them would silently mix incompatible trials,
+// so Begin refuses it.
 type JournalMeta struct {
 	Format    string `json:"format"`
 	Seed      int64  `json:"seed"`
@@ -59,6 +60,12 @@ type JournalMeta struct {
 	// outlives an edit to its program. A header without it was written
 	// by an older build and is refused.
 	ProgramFP string `json:"program_fp"`
+
+	// HangFactor is the campaign's resolved hang factor
+	// (Campaign.HangFactor), which decides which long trials end as
+	// hangs. Zero — and omitted, so every default campaign's header
+	// keeps its bytes — for the default factor.
+	HangFactor int64 `json:"hang_factor,omitempty"`
 }
 
 // journalLine is one JSONL record: exactly one of Meta (first line) or
@@ -78,11 +85,14 @@ type journalLine struct {
 type Journal struct {
 	path string
 
-	mu       sync.Mutex
-	f        *os.File
-	w        *bufio.Writer
-	meta     *JournalMeta
+	mu   sync.Mutex
+	f    *os.File
+	w    *bufio.Writer
+	meta *JournalMeta
+	// restored holds the trials load found until Begin hands them to
+	// the campaign, which keeps the one copy; loaded counts them.
 	restored map[int]Trial
+	loaded   int
 	began    bool
 	syncs    int // fsyncs issued (tests assert the durability accounting)
 }
@@ -139,6 +149,7 @@ func OpenJournal(path string) (*Journal, error) {
 		f.Close()
 		return nil, err
 	}
+	j.loaded = len(j.restored)
 	// Drop a torn trailing line and position appends after the last
 	// complete record.
 	if err := f.Truncate(valid); err != nil {
@@ -247,18 +258,20 @@ func CheckSettled(tr Trial) error {
 	return nil
 }
 
-// Restored reports how many trials the journal already holds.
+// Restored reports how many trials the journal held when it was
+// opened; trials recorded since are not counted.
 func (j *Journal) Restored() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.restored)
+	return j.loaded
 }
 
 // Begin binds the journal to a campaign: a fresh journal writes the
 // meta header; an existing one verifies that it belongs to the same
 // campaign (same format, seed, trial count, program, golden-run
-// fingerprint and model) and hands back the restored trials, every one
-// settled and indexed within meta.Trials.
+// fingerprint, model and hang factor) and hands back the restored
+// trials, every one settled and indexed within meta.Trials. The
+// journal keeps no copy of them, nor of the trials Record appends.
 func (j *Journal) Begin(meta JournalMeta) (map[int]Trial, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -276,13 +289,15 @@ func (j *Journal) Begin(meta JournalMeta) (map[int]Trial, error) {
 		}
 		if *j.meta != meta {
 			return nil, fmt.Errorf(
-				"fault: journal %s: %w (journal format=%q seed=%d trials=%d goldenDyn=%d pop=%d model=%q programFP=%.16s; campaign format=%q seed=%d trials=%d goldenDyn=%d pop=%d model=%q programFP=%.16s)",
+				"fault: journal %s: %w (journal format=%q seed=%d trials=%d goldenDyn=%d pop=%d model=%q programFP=%.16s hangFactor=%d; campaign format=%q seed=%d trials=%d goldenDyn=%d pop=%d model=%q programFP=%.16s hangFactor=%d)",
 				j.path, ErrCampaignMismatch,
-				j.meta.Format, j.meta.Seed, j.meta.Trials, j.meta.GoldenDyn, j.meta.Population, j.meta.Model, j.meta.ProgramFP,
-				meta.Format, meta.Seed, meta.Trials, meta.GoldenDyn, meta.Population, meta.Model, meta.ProgramFP)
+				j.meta.Format, j.meta.Seed, j.meta.Trials, j.meta.GoldenDyn, j.meta.Population, j.meta.Model, j.meta.ProgramFP, j.meta.HangFactor,
+				meta.Format, meta.Seed, meta.Trials, meta.GoldenDyn, meta.Population, meta.Model, meta.ProgramFP, meta.HangFactor)
 		}
 		j.began = true
-		return j.restored, nil
+		prev := j.restored
+		j.restored = nil
+		return prev, nil
 	}
 	if err := j.append(journalLine{Meta: &meta}); err != nil {
 		return nil, err
@@ -318,7 +333,6 @@ func (j *Journal) Record(t int, tr Trial) error {
 	if j.w == nil {
 		return fmt.Errorf("fault: journal %s: closed", j.path)
 	}
-	j.restored[t] = tr
 	return j.append(journalLine{T: t, Trial: &tr})
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ipas/internal/interp"
 	"ipas/internal/lang"
@@ -255,6 +256,7 @@ func TestJournalRejectsDifferentCampaign(t *testing.T) {
 		stripFP bool
 	}{
 		{name: "different seed", second: &Campaign{Prog: p, Verify: verify, Seed: 6}},
+		{name: "different hang factor", second: &Campaign{Prog: p, Verify: verify, Seed: 5, HangFactor: 20}},
 		{name: "value-only program edit", second: &Campaign{Prog: edited, Verify: verify, Seed: 5}},
 		{name: "header without program fingerprint", second: &Campaign{Prog: p, Verify: verify, Seed: 5}, stripFP: true},
 	} {
@@ -414,6 +416,12 @@ func TestTrialFromResultPreInjectionIsInfraError(t *testing.T) {
 	if _, err := trialFromResult(plan, golden, &interp.Result{Trap: interp.TrapCancelled}, okVerify); !errors.Is(err, errCancelled) {
 		t.Fatalf("cancelled run returned %v, want errCancelled", err)
 	}
+	// A watchdog expiry is the harness's even after the flip: an error
+	// RunTrial retries, never a pending trial and never an outcome.
+	watchdog := &interp.Result{Injected: true, InjectedSite: 4, Trap: interp.TrapWatchdog, TrapMsg: "infrastructure watchdog expired after 60s: recv from 1 tag 4 blocked"}
+	if _, err := trialFromResult(plan, golden, watchdog, okVerify); err == nil || errors.Is(err, errCancelled) || !strings.Contains(err.Error(), watchdog.TrapMsg) {
+		t.Fatalf("watchdog expiry returned %v, want a retried infrastructure error carrying its message", err)
+	}
 	tr, err := trialFromResult(plan, golden, &interp.Result{Injected: true, InjectedSite: 4, Trap: interp.TrapOOB}, okVerify)
 	if err != nil {
 		t.Fatalf("post-injection trap errored: %v", err)
@@ -469,6 +477,42 @@ func TestCampaignWorkerCountInvariantGOMAXPROCS(t *testing.T) {
 	for i := range r1.Trials {
 		if r1.Trials[i] != rg.Trials[i] {
 			t.Fatalf("trial %d differs between 1 and GOMAXPROCS=%d workers", i, runtime.GOMAXPROCS(0))
+		}
+	}
+}
+
+// Retry delays, a trial's and a coordinator shard's, must stay positive
+// and bounded for any attempt count: an unclamped shift would wait for
+// days long before it overflowed into a zero or negative delay, which
+// would turn quarantine into a hot requeue loop.
+func TestBackoffDelayClamped(t *testing.T) {
+	for _, base := range []time.Duration{retryBackoff, time.Second} {
+		prev := time.Duration(0)
+		for attempt := 1; attempt <= 200; attempt++ {
+			d := BackoffDelay(base, attempt)
+			if d <= 0 || d > MaxBackoff {
+				t.Fatalf("BackoffDelay(%v, %d) = %v, want within (0, %v]", base, attempt, d, MaxBackoff)
+			}
+			if d < prev {
+				t.Fatalf("BackoffDelay(%v, %d) = %v shrank below %v", base, attempt, d, prev)
+			}
+			prev = d
+		}
+	}
+	for _, tc := range []struct {
+		base    time.Duration
+		attempt int
+		want    time.Duration
+	}{
+		{retryBackoff, 1, 10 * time.Millisecond},
+		{retryBackoff, 3, 40 * time.Millisecond},
+		{time.Second, 3, 4 * time.Second},
+		{retryBackoff, 20, MaxBackoff}, // unclamped: about 87 minutes
+		{time.Second, 100, MaxBackoff},
+		{2 * time.Hour, 1, MaxBackoff},
+	} {
+		if got := BackoffDelay(tc.base, tc.attempt); got != tc.want {
+			t.Errorf("BackoffDelay(%v, %d) = %v, want %v", tc.base, tc.attempt, got, tc.want)
 		}
 	}
 }

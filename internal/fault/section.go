@@ -162,15 +162,6 @@ func (sp *SectionPlan) plans(n int) []interp.FaultPlan {
 	return out
 }
 
-// SectionStat is one section's allocation in a sectioned run.
-type SectionStat struct {
-	Section int    `json:"section"`
-	FP      string `json:"fp"`
-	Label   string `json:"label"`
-	Pop     int64  `json:"pop"`
-	Trials  int    `json:"trials"`
-}
-
 // SectionResult is a sectioned campaign's outcome: the concatenated
 // trials (global SiteIDs, ready for internal/features and
 // internal/compose) plus the per-section allocation they were drawn
@@ -179,8 +170,9 @@ type SectionResult struct {
 	*CampaignResult
 	// Plan is the substrate the trials were drawn from.
 	Plan *SectionPlan
-	// Stats has one entry per section, in section-ID order.
-	Stats []SectionStat
+	// Stats is the plan's allocation: one entry per section, in
+	// section-ID order.
+	Stats []SectionAlloc
 }
 
 // SectionTrials returns section sec's slice of the concatenated trials.
@@ -193,14 +185,7 @@ func (r *SectionResult) SectionTrials(sec int) []Trial {
 // allocation — run here or on a coordinator — with its per-section
 // accounting.
 func (p *Prepared) SectionResult(res *CampaignResult) *SectionResult {
-	out := &SectionResult{CampaignResult: res, Plan: p.secs}
-	for _, a := range p.secs.Alloc {
-		out.Stats = append(out.Stats, SectionStat{
-			Section: a.Section, FP: a.FP, Label: a.Label,
-			Pop: a.Pop, Trials: a.Trials,
-		})
-	}
-	return out
+	return &SectionResult{CampaignResult: res, Plan: p.secs, Stats: p.secs.Alloc}
 }
 
 // RunSections executes the sectioned campaign's whole allocation on the

@@ -83,7 +83,7 @@ func main() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
 	}()
-	res := RunContext(ctx, p, Config{Ranks: 2, Watchdog: time.Hour})
+	res := RunContext(ctx, p, Config{Ranks: 2})
 	if res.Trap != TrapCancelled {
 		t.Fatalf("trap = %v (%s), want TrapCancelled", res.Trap, res.TrapMsg)
 	}

@@ -9,9 +9,9 @@ import (
 )
 
 // The structural-deadlock corpus: every scenario must be detected
-// instantly (the watchdog is set to an hour, so any timer dependence
-// hangs the test), with exact per-rank attribution, and produce
-// bit-identical results across GOMAXPROCS settings.
+// instantly (well inside the 60 s watchdog, so any timer dependence
+// fails the elapsed-time check), with exact per-rank attribution, and
+// produce bit-identical results across GOMAXPROCS settings.
 
 // runDeadlock executes the program and asserts the run ended in a
 // structurally declared deadlock without consuming wall-clock time.
@@ -19,7 +19,7 @@ func runDeadlock(t *testing.T, src string, ranks int) *Result {
 	t.Helper()
 	p := compileSci(t, src)
 	start := time.Now()
-	res := Run(p, Config{Ranks: ranks, Watchdog: time.Hour})
+	res := Run(p, Config{Ranks: ranks})
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("detection took %v — structural detection must not wait on a timer", elapsed)
 	}
@@ -243,7 +243,7 @@ func main() {
 }
 `)
 	for i := 0; i < 50; i++ {
-		res := Run(p, Config{Ranks: 2, Watchdog: time.Hour})
+		res := Run(p, Config{Ranks: 2})
 		if res.Trap != TrapDivZero || res.TrapRank != 1 {
 			t.Fatalf("run %d: trap = %v on rank %d, want div-by-zero on rank 1", i, res.Trap, res.TrapRank)
 		}
@@ -283,13 +283,13 @@ func main() {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
 		Run(clean, Config{Ranks: 4})
-		Run(deadlock, Config{Ranks: 2, Watchdog: time.Hour})
+		Run(deadlock, Config{Ranks: 2})
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
 			time.Sleep(time.Millisecond)
 			cancel()
 		}()
-		RunContext(ctx, spin, Config{Ranks: 2, Watchdog: time.Hour})
+		RunContext(ctx, spin, Config{Ranks: 2})
 		cancel()
 	}
 	// Goroutine teardown is asynchronous; poll briefly before judging.

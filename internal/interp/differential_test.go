@@ -75,7 +75,7 @@ func refRun(m *ir.Module, cfg Config, injectable func(*ir.Instr) bool) *Result {
 	}
 	cfg = cfg.withDefaults()
 	rm := &refMachine{
-		mem:          NewMemory(cfg.HeapBytes, cfg.StackBytes),
+		mem:          NewMemory(cfg.HeapBytes),
 		budget:       -1,
 		injectable:   injectable,
 		injectedSite: -1,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"ipas/internal/lang"
 )
@@ -37,7 +36,7 @@ func FuzzMPISchedule(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{Ranks: ranks, Watchdog: time.Hour}
+		cfg := Config{Ranks: ranks}
 		r1 := Run(p, cfg)
 		r2 := Run(p, cfg)
 		c1, c2 := outcomeClass(r1), outcomeClass(r2)

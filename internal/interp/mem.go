@@ -45,6 +45,9 @@ type Memory struct {
 
 const nullGuard = 4096
 
+// stackBytes is every rank's stack capacity.
+const stackBytes = 1 << 20
+
 // memPool recycles address spaces, with their frame arenas, across
 // runs. Zeroing a fresh 64 MiB heap dominates short executions (it is
 // pure memclr in the allocator), and campaigns run thousands of short
@@ -52,20 +55,21 @@ const nullGuard = 4096
 // proportional to bytes written, not bytes configured.
 var memPool sync.Pool
 
-// NewMemory creates an address space with the given heap and stack
-// capacities in bytes, reusing a pooled buffer when one is large enough.
-func NewMemory(heapBytes, stackBytes int64) *Memory {
+// NewMemory creates an address space with the given heap capacity in
+// bytes and a stackBytes stack, reusing a pooled buffer when one is
+// large enough.
+func NewMemory(heapBytes int64) *Memory {
 	size := nullGuard + heapBytes + stackBytes
 	if v := memPool.Get(); v != nil {
 		m := v.(*Memory)
 		if int64(len(m.data)) >= size {
-			m.reset(heapBytes, stackBytes)
+			m.reset(heapBytes)
 			return m
 		}
 		// Too small for this configuration; drop it and allocate.
 	}
 	m := &Memory{data: make([]byte, size)}
-	m.init(heapBytes, stackBytes)
+	m.init(heapBytes)
 	return m
 }
 
@@ -81,17 +85,17 @@ func (m *Memory) Release() {
 // the layout. The buffer invariant — every byte outside the dirty spans
 // is zero — is restored before the new bounds take effect, so reads of
 // never-written memory see zero exactly as with a fresh allocation.
-func (m *Memory) reset(heapBytes, stackBytes int64) {
+func (m *Memory) reset(heapBytes int64) {
 	if m.heapDirtyHi > nullGuard {
 		clear(m.data[nullGuard:m.heapDirtyHi])
 	}
 	if m.stackDirtyLo < m.size {
 		clear(m.data[m.stackDirtyLo:m.size])
 	}
-	m.init(heapBytes, stackBytes)
+	m.init(heapBytes)
 }
 
-func (m *Memory) init(heapBytes, stackBytes int64) {
+func (m *Memory) init(heapBytes int64) {
 	size := nullGuard + heapBytes + stackBytes
 	m.heapPtr = nullGuard
 	m.heapEnd = nullGuard + heapBytes

@@ -31,11 +31,6 @@ type comm struct {
 	// cancel, when non-nil, is the embedding context's Done channel;
 	// blocked MPI operations wake on it with TrapCancelled.
 	cancel <-chan struct{}
-	// watchdog bounds the wall-clock blocking of one MPI operation as
-	// defense in depth against supervisor bugs. Its expiry raises
-	// TrapWatchdog — an infrastructure error, never a modeled outcome:
-	// genuine deadlocks are detected structurally and instantly.
-	watchdog time.Duration
 	// wake[r] (capacity 1) is rung when rank r's parked operation may
 	// have become resolvable: its peer changed r's mailbox, or deadlock
 	// was declared.
@@ -72,17 +67,23 @@ const (
 // to a full mailbox blocks until the receiver drains one.
 const mailboxCap = 4096
 
-func newComm(size int, watchdog time.Duration, cancel <-chan struct{}) *comm {
+// watchdog bounds the wall-clock blocking of one MPI operation as
+// defense in depth against supervisor bugs. Its expiry raises
+// TrapWatchdog — an infrastructure error, never a modeled outcome:
+// genuine deadlocks are detected structurally and instantly. Only tests
+// change it.
+var watchdog = 60 * time.Second
+
+func newComm(size int, cancel <-chan struct{}) *comm {
 	c := &comm{
-		size:     size,
-		done:     make(chan struct{}),
-		cancel:   cancel,
-		watchdog: watchdog,
-		wake:     make([]chan struct{}, size),
-		boxes:    make([][]message, size*size),
-		phase:    make([]rankPhase, size),
-		ops:      make([]pendingOp, size),
-		running:  size,
+		size:    size,
+		done:    make(chan struct{}),
+		cancel:  cancel,
+		wake:    make([]chan struct{}, size),
+		boxes:   make([][]message, size*size),
+		phase:   make([]rankPhase, size),
+		ops:     make([]pendingOp, size),
+		running: size,
 	}
 	for r := range c.wake {
 		c.wake[r] = make(chan struct{}, 1)
@@ -171,7 +172,7 @@ func (c *comm) recv(r *rank, src, tag int64, n int64) []Val {
 func (c *comm) park(r *rank, kind opKind, peer int, tag int64) {
 	op := pendingOp{kind: kind, peer: peer, tag: tag, executed: r.executed}
 	c.block(r.id, op)
-	wd := time.NewTimer(c.watchdog)
+	wd := time.NewTimer(watchdog)
 	defer wd.Stop()
 	expired := false
 	for {
@@ -215,7 +216,7 @@ func (c *comm) terminal(op pendingOp, expired bool) (Trap, string) {
 	default:
 	}
 	if expired {
-		return TrapWatchdog, fmt.Sprintf("infrastructure watchdog expired after %v: %s", c.watchdog, op.blocked())
+		return TrapWatchdog, fmt.Sprintf("infrastructure watchdog expired after %v: %s", watchdog, op.blocked())
 	}
 	return TrapNone, ""
 }

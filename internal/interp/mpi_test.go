@@ -152,8 +152,8 @@ func main() {
 func TestMPIDeadlockDetected(t *testing.T) {
 	// Both ranks receive first: classic deadlock. Detection is
 	// structural (the rank supervisor declares it the instant both
-	// ranks are blocked), so it must be instant even with an
-	// effectively infinite watchdog.
+	// ranks are blocked), so it must take far less than the 60 s
+	// watchdog.
 	p := compileSci(t, `
 func main() {
 	var rank int = mpi_rank();
@@ -163,7 +163,7 @@ func main() {
 }
 `)
 	start := time.Now()
-	res := Run(p, Config{Ranks: 2, Watchdog: time.Hour})
+	res := Run(p, Config{Ranks: 2})
 	if res.Trap != TrapDeadlock {
 		t.Fatalf("trap = %v, want deadlock", res.Trap)
 	}
@@ -203,12 +203,61 @@ func main() {
 	}
 }
 `)
-	res := Run(p, Config{Ranks: 2, Watchdog: 5 * time.Second})
+	res := Run(p, Config{Ranks: 2})
 	if res.Trap != TrapDivZero {
 		t.Fatalf("trap = %v (rank %d), want div-by-zero from rank 1", res.Trap, res.TrapRank)
 	}
 	if res.TrapRank != 1 {
 		t.Fatalf("trap rank = %d, want 1", res.TrapRank)
+	}
+}
+
+// slowPeerProg has rank 1 compute for about half a second
+// (slowPeerIters iterations) before the send rank 0 waits on: a live
+// peer, never a deadlock.
+const (
+	slowPeerIters = 25000000
+	slowPeerProg  = `
+func main() {
+	var rank int = mpi_rank();
+	if (rank == 1) {
+		var acc int = 0;
+		for (var i int = 0; i < %d; i = i + 1) {
+			acc = acc + i;
+		}
+		mpi_send_i64(0, 4, acc);
+	}
+	if (rank == 0) {
+		out_i64(0, mpi_recv_i64(1, 4));
+	}
+}
+`
+)
+
+// The watchdog bounds how long one MPI operation blocks on a live peer.
+// Under the default bound the slow send arrives and the run is clean;
+// under a 50 ms bound rank 0's recv raises TrapWatchdog, an
+// infrastructure condition rather than a symptom. Not parallel: it
+// lowers the package's watchdog bound.
+func TestWatchdogExpiry(t *testing.T) {
+	p := compileSci(t, fmt.Sprintf(slowPeerProg, slowPeerIters))
+	res := Run(p, Config{Ranks: 2})
+	if want := int64(slowPeerIters * (slowPeerIters - 1) / 2); res.Trap != TrapNone || len(res.OutputI) != 1 || res.OutputI[0] != want {
+		t.Fatalf("default watchdog: trap %v (%s), outputs %v; want a clean run with [%d]", res.Trap, res.TrapMsg, res.OutputI, want)
+	}
+
+	old := watchdog
+	t.Cleanup(func() { watchdog = old })
+	watchdog = 50 * time.Millisecond
+	res = Run(p, Config{Ranks: 2})
+	if res.Trap != TrapWatchdog || res.TrapRank != 0 {
+		t.Fatalf("trap %v on rank %d (%s), want the watchdog on rank 0", res.Trap, res.TrapRank, res.TrapMsg)
+	}
+	if want := "infrastructure watchdog expired after 50ms: recv from 1 tag 4 blocked"; res.TrapMsg != want {
+		t.Fatalf("trap message %q, want %q", res.TrapMsg, want)
+	}
+	if res.Trap.IsSymptom() || res.Deadlock != nil {
+		t.Fatalf("watchdog expiry counted as a symptom (%t) or a deadlock (%v)", res.Trap.IsSymptom(), res.Deadlock)
 	}
 }
 
@@ -268,7 +317,7 @@ func TestMailboxCapacityBoundary(t *testing.T) {
 	// A mailbox holds exactly mailboxCap messages: one more blocks the
 	// sender before the token that would let rank 0 drain it leaves.
 	full := compileSci(t, fmt.Sprintf(capacityProg, mailboxCap, mailboxCap))
-	res := Run(full, Config{Ranks: 3, Watchdog: time.Hour})
+	res := Run(full, Config{Ranks: 3})
 	if res.Trap != TrapNone {
 		t.Fatalf("k = %d: trap %v (%s), want a clean run", mailboxCap, res.Trap, res.TrapMsg)
 	}
@@ -299,7 +348,7 @@ func TestNewCommAllocatesNoMailboxBuffers(t *testing.T) {
 	// costs its bookkeeping, not 256 eager buffers.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	c := newComm(16, time.Hour, nil)
+	c := newComm(16, nil)
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(c)
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"sync"
-	"time"
 )
 
 // FaultPlan asks the interpreter to corrupt the result of the Index-th
@@ -47,10 +46,9 @@ type FaultPlan struct {
 type Config struct {
 	// Ranks is the number of simulated MPI processes (default 1).
 	Ranks int
-	// HeapBytes and StackBytes size each rank's address space
-	// (defaults: 64 MiB heap, 1 MiB stack).
-	HeapBytes  int64
-	StackBytes int64
+	// HeapBytes sizes each rank's heap (default 64 MiB); every rank's
+	// stack is 1 MiB.
+	HeapBytes int64
 	// MaxInstrs is the per-rank dynamic instruction budget; exceeding
 	// it raises TrapBudget (the hang detector) on whichever loop the
 	// rank is on, at executed count MaxInstrs+1. 0 means unlimited.
@@ -86,17 +84,10 @@ type Config struct {
 	// for a section-tracked run, the last one before the plan's Index
 	// within its Section. Every Result field equals that of the run from
 	// zero. A run the snapshots cannot serve — more ranks, site
-	// counting, another program or address-space size, section tracking
+	// counting, another program or heap size, section tracking
 	// on only one side, no fault plan — starts from zero as if Resume
 	// were nil.
 	Resume *Snapshots
-	// Watchdog bounds the wall-clock blocking of one MPI operation as
-	// defense in depth (default 60s). Deadlocks are detected
-	// structurally and instantly by the rank supervisor; the watchdog
-	// only fires on supervisor bugs or pathological host overload, and
-	// its TrapWatchdog is an infrastructure error, never a modeled
-	// outcome.
-	Watchdog time.Duration
 
 	// capture arms snapshot recording on rank 0 (captureRun).
 	capture *capture
@@ -104,7 +95,7 @@ type Config struct {
 
 // WithDefaults resolves zero-valued knobs to their defaults. RunContext
 // applies it internally; external callers needing the resolved values —
-// e.g. the golden cache keying on the effective heap and stack sizes —
+// e.g. the golden cache keying on the effective heap size —
 // call it explicitly.
 func (c Config) WithDefaults() Config { return c.withDefaults() }
 
@@ -120,12 +111,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HeapBytes <= 0 {
 		c.HeapBytes = 64 << 20
-	}
-	if c.StackBytes <= 0 {
-		c.StackBytes = 1 << 20
-	}
-	if c.Watchdog <= 0 {
-		c.Watchdog = 60 * time.Second
 	}
 	return c
 }
@@ -214,13 +199,13 @@ func Run(p *Program, cfg Config) *Result {
 func RunContext(ctx context.Context, p *Program, cfg Config) *Result {
 	cfg = cfg.withDefaults()
 	cancel := ctx.Done()
-	c := newComm(cfg.Ranks, cfg.Watchdog, cancel)
+	c := newComm(cfg.Ranks, cancel)
 	ranks := make([]*rank, cfg.Ranks)
 	for i := range ranks {
 		r := &rank{
 			id:           i,
 			prog:         p,
-			mem:          NewMemory(cfg.HeapBytes, cfg.StackBytes),
+			mem:          NewMemory(cfg.HeapBytes),
 			comm:         c,
 			cancel:       cancel,
 			limit:        math.MaxInt64,

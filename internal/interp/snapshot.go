@@ -37,12 +37,11 @@ const (
 )
 
 // Snapshots is the set of golden-run snapshots of one program under one
-// address-space configuration. It is immutable once captured and safe
+// heap size. It is immutable once captured and safe
 // for concurrent use by any number of resumed runs.
 type Snapshots struct {
-	prog       *Program
-	heapBytes  int64
-	stackBytes int64
+	prog      *Program
+	heapBytes int64
 	// sectioned reports that the capture tracked sections; snapshots
 	// serve only runs that track them exactly when it did.
 	sectioned bool
@@ -163,7 +162,7 @@ func captureRun(ctx context.Context, p *Program, cfg Config, goldenDyn int64) (*
 	if res.Trap != TrapNone || len(c.snaps) == 0 {
 		return nil, res
 	}
-	return &Snapshots{prog: p, heapBytes: cfg.HeapBytes, stackBytes: cfg.StackBytes, sectioned: cfg.sectioned(), snaps: c.snaps}, res
+	return &Snapshots{prog: p, heapBytes: cfg.HeapBytes, sectioned: cfg.sectioned(), snaps: c.snaps}, res
 }
 
 // execCapture runs one frame of the capture run, keeping the call chain
@@ -243,12 +242,12 @@ func callPC(fn *progFunc, site *pInstr) int {
 // the last one taken before the plan's injection instance — counted in
 // the plan's section for a section-tracked run — and within the
 // instruction budget. It returns nil when the snapshots cannot serve
-// cfg (another program or address space, section tracking on only one
+// cfg (another program or heap size, section tracking on only one
 // side, more ranks, site counting, a section outside the partition) or
 // none precedes the plan.
 func (s *Snapshots) from(p *Program, cfg Config) *snapshot {
 	if s == nil || s.prog != p || !resumable(cfg) || cfg.Fault == nil || cfg.Fault.Rank != 0 ||
-		s.heapBytes != cfg.HeapBytes || s.stackBytes != cfg.StackBytes || s.sectioned != cfg.sectioned() {
+		s.heapBytes != cfg.HeapBytes || s.sectioned != cfg.sectioned() {
 		return nil
 	}
 	sec := int32(-1) // a plain plan's Index counts every injectable instance

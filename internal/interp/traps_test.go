@@ -133,7 +133,7 @@ entry:
   %a = alloca f64, 10000000
   ret void
 }
-`, Config{StackBytes: 1 << 16})
+`, Config{})
 	if res.Trap != TrapStackOverflow {
 		t.Fatalf("trap = %v, want stack overflow", res.Trap)
 	}
