@@ -188,8 +188,9 @@ errmodel-smoke:
 # with must return a module or an error, never panic or generate
 # invalid IR (FuzzCompile); and campaignd's spec admission must never
 # panic and admit only specs whose campaign directory is one path
-# element under the journal root and whose counts, hang factor and
-# retry budget stay in bounds (FuzzSpec); and OpenJournal must never
+# element under the journal root, whose counts and hang factor stay in
+# bounds, and whose defaults Normalize spells one way, unchanged by a
+# second Normalize (FuzzSpec); and OpenJournal must never
 # panic on arbitrary bytes, and the trials it restores must bind, fill
 # a result and finalize without panicking (FuzzJournal).
 FUZZ_TARGETS = \

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"ipas/internal/campaign"
-	"ipas/internal/fault"
 )
 
 func main() {
@@ -35,11 +34,14 @@ func main() {
 	if *quiet {
 		logf = nil
 	}
+	if *retries <= 0 {
+		*retries = -1 // Options.Retries reads 0 as its default; the flag's 0 means none
+	}
 	srv, err := campaign.New(campaign.Options{
 		Dir:      *dir,
 		LeaseTTL: *leaseTTL,
 		Backoff:  *backoff,
-		Retries:  fault.ExplicitRetries(*retries),
+		Retries:  *retries,
 		Logf:     logf,
 	})
 	if err != nil {

@@ -5,9 +5,9 @@
 // The campaign is resilient: Ctrl-C (or -deadline expiry) checkpoints
 // completed trials into the -journal file and exits; re-running with
 // -resume continues from the journal and produces a result
-// bit-identical to an uninterrupted run with the same seed. Trials that
-// hit infrastructure errors are retried up to -max-retries times and
-// then reported without aborting the campaign.
+// bit-identical to an uninterrupted run with the same seed. A trial
+// that hits an infrastructure error is retried twice and then reported
+// without aborting the campaign.
 //
 // With -remote URL the campaign is submitted to a campaignd
 // coordinator instead of running in-process: the coordinator splits
@@ -32,9 +32,8 @@
 //	       [campaign flags]
 //
 // The campaign flags, shared with ipas and experiments (internal/cli),
-// are [-deadline D] [-max-retries N] [-remote URL [-shards K]]
-// [-progress] [-sections [-coverage N] [-max-per-section N]]
-// [-error-model M].
+// are [-deadline D] [-remote URL [-shards K]] [-progress]
+// [-sections [-coverage N] [-max-per-section N]] [-error-model M].
 package main
 
 import (

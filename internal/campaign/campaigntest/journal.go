@@ -1,5 +1,5 @@
-// Package campaigntest holds the journal check that coordinator tests
-// share, in internal/campaign and in the black-box internal/fault/shard.
+// Package campaigntest holds the journal check that internal/campaign's
+// coordinator tests share.
 package campaigntest
 
 import (

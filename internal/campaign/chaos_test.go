@@ -97,7 +97,7 @@ func TestServerChaosConvergence(t *testing.T) {
 		Dir:      root,
 		LeaseTTL: 400 * time.Millisecond,
 		Backoff:  2 * time.Millisecond,
-		Retries:  fault.ExplicitRetries(20),
+		Retries:  20,
 	})
 	sub, status, err := client.Submit(context.Background(), spec)
 	if err != nil {
@@ -147,7 +147,7 @@ func TestServerChaosQuarantineExhaustion(t *testing.T) {
 	client := newTestServer(t, Options{
 		Dir:     root,
 		Backoff: 2 * time.Millisecond,
-		Retries: fault.ExplicitRetries(1),
+		Retries: 1,
 	})
 	sub, _, err := client.Submit(context.Background(), spec)
 	if err != nil {

@@ -9,8 +9,7 @@ package campaign
 // resume under a local campaign, as a local journal resumes here.
 // Specs are name-pinned ("shard-test"), so resubmissions with a
 // different seed, model or shard count land in the same journal
-// directory. The plain shard × worker count table,
-// TestShardCountInvariance, is a black-box test in internal/fault/shard.
+// directory.
 
 import (
 	"context"
@@ -127,6 +126,26 @@ func journaled(t *testing.T, root, id string) int {
 	}
 	defer j.Close()
 	return j.Restored()
+}
+
+// Every shard count × worker count must produce a result bit-identical
+// to the single-loop engine's, and a campaign directory holding only
+// the journal that engine writes: its header and trials.
+func TestShardCountInvariance(t *testing.T) {
+	const seed, n = 29, 60
+	refRes, meta := localReference(t, testSpec("shard-test", n, 1, seed))
+
+	for _, k := range []int{1, 2, 7, n} {
+		for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+			t.Run(fmt.Sprintf("shards=%d,workers=%d", k, w), func(t *testing.T) {
+				root := t.TempDir()
+				client, _ := startFleet(t, context.Background(), root, w, nil)
+				sub := submit(t, client, testSpec("shard-test", n, k, seed), http.StatusCreated)
+				assertSameTrials(t, waitComplete(t, client, sub.ID), refRes)
+				campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, refRes.Trials, nil)
+			})
+		}
+	}
 }
 
 // Interrupting a campaign mid-flight and resuming it from its journal

@@ -29,15 +29,18 @@ type Options struct {
 	// clamps at fault.MaxBackoff so an arbitrarily large retry budget
 	// cannot overflow the shift (default 1s).
 	Backoff time.Duration
-	// Retries bounds shard quarantine retries, following the
-	// fault.MaxRetries convention (0 = fault.DefaultMaxRetries,
-	// fault.NoRetries = none). After the budget is exhausted the
-	// shard's unexecuted trials are recorded as TrialFailed and its
-	// siblings continue.
+	// Retries bounds shard quarantine retries: 0 selects
+	// defaultShardRetries and a negative value none. After the budget
+	// is exhausted the shard's unexecuted trials are recorded as
+	// TrialFailed and its siblings continue.
 	Retries int
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
+
+// defaultShardRetries is the shard retry budget a zero Options.Retries
+// selects.
+const defaultShardRetries = 2
 
 // lease is one worker's time-bounded claim on one shard.
 type lease struct {
@@ -82,13 +85,18 @@ type state struct {
 // Lock order: mu before jmu, never the reverse. The only path that
 // holds both is rare and cold (terminal shard failure); phase-2
 // segment I/O holds jmu alone.
+//
+// Leases expire lazily: every handler takes mu through lock, which
+// first revokes the leases whose holders missed their TTL, so a dead
+// worker's shard moves on at the next request of any kind — a worker's
+// acquire, or a client's progress or result poll — and no goroutine
+// runs between requests.
 type Server struct {
 	opts    Options
 	ttl     time.Duration
 	backoff time.Duration
 	retries int
 	mux     *http.ServeMux
-	now     func() time.Time // test hook; never influences report content
 
 	mu        sync.Mutex
 	campaigns map[string]*state
@@ -96,13 +104,10 @@ type Server struct {
 	leases    map[string]*lease
 	leaseSeq  int
 	closed    bool
-
-	stopSweep chan struct{}
-	sweepDone chan struct{}
 }
 
-// New returns a coordinator rooted at opts.Dir and starts its lease
-// sweeper. Close releases both.
+// New returns a coordinator rooted at opts.Dir; Close closes its
+// journals.
 func New(opts Options) (*Server, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("campaign: coordinator needs a journal directory")
@@ -115,11 +120,8 @@ func New(opts Options) (*Server, error) {
 		ttl:       opts.LeaseTTL,
 		backoff:   opts.Backoff,
 		retries:   opts.Retries,
-		now:       time.Now,
 		campaigns: map[string]*state{},
 		leases:    map[string]*lease{},
-		stopSweep: make(chan struct{}),
-		sweepDone: make(chan struct{}),
 	}
 	if s.ttl <= 0 {
 		s.ttl = 15 * time.Second
@@ -131,7 +133,7 @@ func New(opts Options) (*Server, error) {
 	case s.retries < 0:
 		s.retries = 0
 	case s.retries == 0:
-		s.retries = fault.DefaultMaxRetries
+		s.retries = defaultShardRetries
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /api/v1/campaigns", s.handleSubmit)
@@ -144,52 +146,23 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 	})
-	go s.sweeper()
 	return s, nil
 }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close stops the lease sweeper and closes every open journal. In-
-// flight campaigns stay durable on disk: a new coordinator on the same
-// directory resumes them when their specs are resubmitted.
+// Close closes every open journal. In-flight campaigns stay durable on
+// disk: a new coordinator on the same directory resumes them when their
+// specs are resubmitted.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
+	defer s.mu.Unlock()
 	s.closed = true
 	for _, st := range s.campaigns {
 		closeJournal(st)
 	}
-	s.mu.Unlock()
-	close(s.stopSweep)
-	<-s.sweepDone
 	return nil
-}
-
-// sweeper expires leases whose holders stopped heartbeating. Handlers
-// also expire lazily, so the sweeper only bounds how long a fully idle
-// coordinator sits on a dead lease.
-func (s *Server) sweeper() {
-	defer close(s.sweepDone)
-	ivl := max(s.ttl/4, 10*time.Millisecond)
-	t := time.NewTicker(ivl)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopSweep:
-			return
-		case <-t.C:
-			s.mu.Lock()
-			if !s.closed {
-				s.expireLeasesLocked(s.now())
-			}
-			s.mu.Unlock()
-		}
-	}
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -252,7 +225,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	meta := prep.Meta(spec.Trials)
 
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		httpError(w, http.StatusServiceUnavailable, "coordinator is shutting down")
@@ -371,14 +344,12 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decoding acquire request: %v", err)
 		return
 	}
-	s.mu.Lock()
+	now := s.lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		httpError(w, http.StatusServiceUnavailable, "coordinator is shutting down")
 		return
 	}
-	now := s.now()
-	s.expireLeasesLocked(now)
 	for _, id := range s.ids {
 		st := s.campaigns[id]
 		if st.complete {
@@ -427,10 +398,8 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 // will own.
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("lease")
-	s.mu.Lock()
+	now := s.lock()
 	defer s.mu.Unlock()
-	now := s.now()
-	s.expireLeasesLocked(now)
 	l := s.leases[id]
 	if l == nil {
 		httpError(w, http.StatusGone, "lease %s is no longer held", id)
@@ -464,8 +433,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 
 	// Phase 1, coordinator lock: validate the lease and the segment,
 	// and snapshot which records are not yet settled.
-	s.mu.Lock()
-	s.expireLeasesLocked(s.now())
+	s.lock()
 	l := s.leases[id]
 	if l == nil {
 		s.mu.Unlock()
@@ -528,10 +496,8 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 
 	// Phase 3, coordinator lock: the records are durable — settle them
 	// in memory and run the lease bookkeeping.
-	s.mu.Lock()
+	now := s.lock()
 	defer s.mu.Unlock()
-	now := s.now()
-	s.expireLeasesLocked(now)
 	if s.leases[id] != l {
 		// The lease died while the segment was being made durable. The
 		// records are on disk; the shard's next attempt re-derives them
@@ -567,15 +533,19 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, SegmentResponse{Acked: acked})
 }
 
-// expireLeasesLocked revokes every lease whose holder missed its TTL,
-// quarantining (or terminally failing) the shard exactly as an
-// explicit worker failure would.
-func (s *Server) expireLeasesLocked(now time.Time) {
+// lock takes mu for a handler and first revokes every lease whose
+// holder missed its TTL, quarantining (or terminally failing) the shard
+// exactly as an explicit worker failure would. It returns the time the
+// leases were judged by.
+func (s *Server) lock() time.Time {
+	s.mu.Lock()
+	now := time.Now()
 	for _, l := range s.leases {
 		if !l.expires.After(now) {
 			s.releaseLocked(l, "lease expired (missed heartbeat)", now)
 		}
 	}
+	return now
 }
 
 // requeueElapsedLocked makes quarantined shards whose backoff delay has
@@ -669,7 +639,7 @@ func (s *Server) maybeCompleteLocked(st *state) {
 // ---- inspection ----
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	out := make([]CampaignSummary, 0, len(s.ids))
 	for _, id := range s.ids {
@@ -689,14 +659,13 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	st := s.campaigns[r.PathValue("id")]
 	if st == nil {
 		httpError(w, http.StatusNotFound, "unknown campaign %q", r.PathValue("id"))
 		return
 	}
-	s.expireLeasesLocked(s.now())
 	writeJSON(w, http.StatusOK, s.progressLocked(st))
 }
 
@@ -738,7 +707,7 @@ func (s *Server) progressLocked(st *state) Progress {
 // handleResult returns the finalized campaign result, or 425 while
 // shards are still outstanding.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	st := s.campaigns[r.PathValue("id")]
 	if st == nil {

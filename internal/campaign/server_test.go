@@ -501,6 +501,26 @@ func TestServerLeaseExpiryRequeuesShard(t *testing.T) {
 	}
 }
 
+// Leases expire on whatever request comes next, with no goroutine
+// between requests: a one-shard campaign with no shard retries whose
+// only lease is never heartbeated completes while the client polls
+// nothing but /result, every trial failed by the lease's expiry.
+func TestServerResultPollExpiresLease(t *testing.T) {
+	client := newTestServer(t, Options{LeaseTTL: 50 * time.Millisecond, Retries: -1})
+	sub, _, err := client.Submit(context.Background(), testSpec("poll-expiry", 4, 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acquireRaw(t, client.Base)
+	res := waitComplete(t, client, sub.ID) // no onProgress: /result alone
+	const msg = "shard 0/1 quarantined after 1 attempts: lease expired (missed heartbeat)"
+	for i, tr := range res.Trials {
+		if tr.Status != fault.TrialFailed || tr.Err != msg || tr.Attempts != 1 {
+			t.Fatalf("trial %d recorded as %+v, want failed once with %q", i, tr, msg)
+		}
+	}
+}
+
 // A shard whose every attempt fails exhausts its quarantine budget and
 // fails alone: its unexecuted trials carry the deterministic quarantine
 // message while sibling shards complete bit-identically.
@@ -510,7 +530,7 @@ func TestServerQuarantineExhaustionFailsShardAlone(t *testing.T) {
 	const sick = 1
 
 	root := t.TempDir()
-	client := newTestServer(t, Options{Dir: root, Retries: fault.ExplicitRetries(1), Backoff: time.Millisecond})
+	client := newTestServer(t, Options{Dir: root, Retries: 1, Backoff: time.Millisecond})
 	sub, _, err := client.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -655,7 +675,7 @@ func TestWorkerRebuildsStaleCampaignCache(t *testing.T) {
 
 	w := &Worker{Name: "long-lived"}
 	run := func(spec Spec) *fault.CampaignResult {
-		client := newTestServer(t, Options{Retries: fault.ExplicitRetries(1)})
+		client := newTestServer(t, Options{Retries: 1})
 		sub, _, err := client.Submit(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)

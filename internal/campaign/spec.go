@@ -77,11 +77,10 @@ type Spec struct {
 	// Shards partitions the trial space (default 1, capped at Trials).
 	Shards int `json:"shards,omitempty"`
 
-	// Ranks / HangFactor / MaxRetries mirror the fault.Campaign fields
-	// (zero values select the same defaults).
+	// Ranks / HangFactor mirror the fault.Campaign fields (zero values
+	// select the same defaults: one rank, fault.DefaultHangFactor).
 	Ranks      int   `json:"ranks,omitempty"`
 	HangFactor int64 `json:"hang_factor,omitempty"`
-	MaxRetries int   `json:"max_retries,omitempty"`
 
 	// Sections runs the campaign sectioned: the trial space stratifies
 	// over IR sections and the per-section allocation derives the
@@ -99,7 +98,14 @@ type Spec struct {
 	MaxPerSection int `json:"max_per_section,omitempty"`
 }
 
-// Normalize fills derivable defaults in place (shard count bounds).
+// Normalize spells every default one way, in place, so that every
+// spelling of one campaign hashes to one content ID: shards within
+// [1, Trials], a workload's input 1, a sectioned coverage 1, the error
+// model as fault.ModelName names it (single-bit as ""), a hang factor
+// that resolves to fault.DefaultHangFactor as 0, and one rank as 0
+// (Build and Validate read max(Ranks, 1)). A model that does not parse
+// and a value above an admission bound stay as submitted, for Validate
+// to refuse.
 func (s *Spec) Normalize() {
 	if s.Shards <= 0 {
 		s.Shards = 1
@@ -113,6 +119,15 @@ func (s *Spec) Normalize() {
 	if s.Sections && s.Coverage <= 0 {
 		s.Coverage = 1
 	}
+	if m, err := fault.ParseModel(s.Model); err == nil {
+		s.Model = fault.ModelName(m)
+	}
+	if s.HangFactor <= 0 || s.HangFactor == fault.DefaultHangFactor {
+		s.HangFactor = 0
+	}
+	if s.Ranks <= 1 {
+		s.Ranks = 0
+	}
 }
 
 // Admission bounds. The coordinator allocates a campaign's plans and
@@ -123,19 +138,17 @@ func (s *Spec) Normalize() {
 // TestSectionedTrialCounts), and Figure 8 scales to 16 ranks. A worker
 // runs a trial for up to hang factor × the golden run's length, so a
 // huge factor lets one flip that makes a loop unbounded hold a lease
-// for hours (the hang-factor ablation's largest is 50); ten retries
-// back off about 10 s in all (the CLIs default to 2).
+// for hours (the hang-factor ablation's largest is 50).
 const (
 	maxTrials     = 1 << 22
 	maxRanks      = 64
 	maxHangFactor = 1000
-	maxRetries    = 10
 )
 
 // Validate rejects specs the coordinator could not execute: besides an
 // unbuildable program or model, a name that is no single path element
 // under the journal root, and a trial count, coverage factor, rank
-// count, hang factor or retry budget above the admission bounds.
+// count or hang factor above the admission bounds.
 func (s *Spec) Validate() error {
 	if s.Name != "" {
 		if id := sanitizeID(s.Name); id == "." || id == ".." {
@@ -151,8 +164,6 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("campaign: spec asks for %d ranks, above the limit of %d", s.Ranks, maxRanks)
 	case s.HangFactor > maxHangFactor:
 		return fmt.Errorf("campaign: spec asks for hang factor %d, above the limit of %d", s.HangFactor, maxHangFactor)
-	case s.MaxRetries > maxRetries:
-		return fmt.Errorf("campaign: spec asks for %d retries, above the limit of %d", s.MaxRetries, maxRetries)
 	}
 	if s.Sections {
 		// The allocation supplies the trial count; a submitted count
@@ -246,7 +257,6 @@ func (s *Spec) Build() (*fault.Campaign, error) {
 		Seed:          s.Seed,
 		Model:         model,
 		HangFactor:    s.HangFactor,
-		MaxRetries:    s.MaxRetries,
 		Sections:      s.Sections,
 		Coverage:      s.Coverage,
 		MaxPerSection: s.MaxPerSection,
@@ -255,18 +265,17 @@ func (s *Spec) Build() (*fault.Campaign, error) {
 
 // Fill copies into the spec everything of a configured campaign that
 // pins its plan sequence and per-trial behaviour — the inverse of
-// Build: seed, error model, ranks, hang factor and retry budget, plus
-// either the trial count n or, for a sectioned campaign, its section
-// knobs (the coordinator derives the trial count from the
-// allocation). The spec keeps naming the program (Workload/Input or
-// Source/Verifier) and its shard count; Fill then normalizes it.
-// Building the filled spec yields a campaign with c's Meta(n).
+// Build: seed, error model, ranks and hang factor, plus either the
+// trial count n or, for a sectioned campaign, its section knobs (the
+// coordinator derives the trial count from the allocation). The spec
+// keeps naming the program (Workload/Input or Source/Verifier) and its
+// shard count; Fill then normalizes it. Building the filled spec
+// yields a campaign with c's Meta(n).
 func (s *Spec) Fill(c *fault.Campaign, n int) {
 	s.Seed = c.Seed
 	s.Model = fault.ModelName(c.Model)
-	s.Ranks = max(c.Config.Ranks, 1)
+	s.Ranks = c.Config.Ranks
 	s.HangFactor = c.HangFactor
-	s.MaxRetries = c.MaxRetries
 	s.Trials = n
 	if c.Sections {
 		s.Sections, s.Coverage, s.MaxPerSection = true, c.Coverage, c.MaxPerSection

@@ -4,16 +4,21 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"testing"
+
+	"ipas/internal/fault"
 )
 
 // FuzzSpec feeds spec admission arbitrary JSON, as campaignd's submit
 // route does: decoding, Normalize and Validate must never panic, and a
 // spec they accept must name one directory right under the journal
 // root, keep a plain campaign's shard and trial counts within
-// 1 ≤ Shards ≤ Trials ≤ maxTrials, keep its hang factor and retry
-// budget within maxHangFactor and maxRetries, and keep its ID under a
-// second Normalize. The checked-in corpus (testdata/fuzz/FuzzSpec)
-// holds the names and counts admission refuses.
+// 1 ≤ Shards ≤ Trials ≤ maxTrials, keep its hang factor within
+// maxHangFactor, spell its defaults one way (the model as
+// fault.ModelName names it, no hang factor of 10 or below 0, no rank
+// count below 2 but 0), and come out of a second Normalize unchanged,
+// ID and all. The checked-in corpus (testdata/fuzz/FuzzSpec) holds the
+// names and counts admission refuses, and a retry budget, a field no
+// spec has any more.
 func FuzzSpec(f *testing.F) {
 	for _, s := range []Spec{
 		testSpec("", 8, 2, 1),
@@ -43,13 +48,20 @@ func FuzzSpec(f *testing.F) {
 		if !s.Sections && !(1 <= s.Shards && s.Shards <= s.Trials && s.Trials <= maxTrials) {
 			t.Fatalf("accepted plain spec has %d shards over %d trials", s.Shards, s.Trials)
 		}
-		if s.HangFactor > maxHangFactor || s.MaxRetries > maxRetries {
-			t.Fatalf("accepted spec has hang factor %d and %d retries", s.HangFactor, s.MaxRetries)
+		if s.HangFactor > maxHangFactor {
+			t.Fatalf("accepted spec has hang factor %d", s.HangFactor)
+		}
+		model, err := fault.ParseModel(s.Model)
+		if err != nil || s.Model != fault.ModelName(model) {
+			t.Fatalf("accepted spec spells its model %q (parse error %v)", s.Model, err)
+		}
+		if s.HangFactor < 0 || s.HangFactor == fault.DefaultHangFactor || s.Ranks < 0 || s.Ranks == 1 {
+			t.Fatalf("accepted spec spells a default two ways: hang factor %d, ranks %d", s.HangFactor, s.Ranks)
 		}
 		again := s
 		again.Normalize()
-		if again.ID() != id {
-			t.Fatalf("a second Normalize moved the ID from %q to %q", id, again.ID())
+		if again != s || again.ID() != id {
+			t.Fatalf("a second Normalize moved %+v (ID %q) to %+v (ID %q)", s, id, again, again.ID())
 		}
 	})
 }

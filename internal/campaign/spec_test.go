@@ -53,7 +53,7 @@ func TestSpecFillRoundTrip(t *testing.T) {
 			} else if c, err = tc.program.Build(); err != nil {
 				t.Fatal(err)
 			}
-			c.Seed, c.Model, c.HangFactor, c.MaxRetries = 5, burst, 7, fault.NoRetries
+			c.Seed, c.Model, c.HangFactor = 5, burst, 7
 			if tc.sections {
 				c.Sections, c.Coverage, c.MaxPerSection = true, 2, 3
 			}
@@ -75,7 +75,7 @@ func TestSpecFillRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			if rc.Seed != c.Seed || fault.ModelName(rc.Model) != fault.ModelName(c.Model) ||
-				rc.HangFactor != c.HangFactor || rc.MaxRetries != c.MaxRetries ||
+				rc.HangFactor != c.HangFactor ||
 				rc.Config.Ranks != max(c.Config.Ranks, 1) ||
 				rc.Sections != c.Sections || rc.Coverage != c.Coverage || rc.MaxPerSection != c.MaxPerSection {
 				t.Fatalf("rebuilt campaign differs:\n got %+v\nwant %+v", rc, c)
@@ -92,6 +92,86 @@ func TestSpecFillRoundTrip(t *testing.T) {
 				t.Fatalf("rebuilt Meta(%d) = %+v, want %+v", n, got.Meta(n), want.Meta(n))
 			}
 		})
+	}
+}
+
+// Normalize spells every default one way, so every spelling of one
+// campaign gets the content ID of the spelling that omits the default:
+// the ID a campaign directory is named after. Values that differ from
+// the default keep their own IDs, and values above an admission bound
+// stay as submitted for Validate to refuse.
+func TestSpecNormalizeOneIDPerCampaign(t *testing.T) {
+	base := func() Spec { return Spec{Workload: "FFT", Trials: 8, Seed: 3} }
+	canonical := base()
+	canonical.Normalize()
+	// The omitted spelling's ID, which every default spelling shares.
+	const wantID = "9006117577b7525f"
+	if id := canonical.ID(); id != wantID {
+		t.Fatalf("spec omitting every default has ID %s, want %s", id, wantID)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*Spec)
+	}{
+		{"input 1", func(s *Spec) { s.Input = 1 }},
+		{"shards 1", func(s *Spec) { s.Shards = 1 }},
+		{"shards 0", func(s *Spec) { s.Shards = 0 }},
+		{"hang factor 10", func(s *Spec) { s.HangFactor = 10 }},
+		{"hang factor -1", func(s *Spec) { s.HangFactor = -1 }},
+		{"ranks 1", func(s *Spec) { s.Ranks = 1 }},
+		{"ranks -3", func(s *Spec) { s.Ranks = -3 }},
+		{"model single-bit", func(s *Spec) { s.Model = "single-bit" }},
+		{"every default spelled out", func(s *Spec) {
+			s.Input, s.Shards, s.HangFactor, s.Ranks, s.Model = 1, 1, 10, 1, "single-bit"
+		}},
+	} {
+		s := base()
+		tc.edit(&s)
+		s.Normalize()
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: Validate() = %v", tc.name, err)
+		}
+		if s != canonical {
+			t.Errorf("%s: normalized to %+v, want %+v", tc.name, s, canonical)
+		}
+		if id := s.ID(); id != wantID {
+			t.Errorf("%s: ID %s, want %s", tc.name, id, wantID)
+		}
+	}
+
+	// Spellings of one non-default value share an ID of their own.
+	burst, burst03 := base(), base()
+	burst.Model, burst03.Model = "burst-3", "burst-03"
+	burst.Normalize()
+	burst03.Normalize()
+	if burst.ID() != burst03.ID() || burst.ID() == wantID {
+		t.Errorf("burst-3 and burst-03 got IDs %s and %s, want one ID other than %s", burst.ID(), burst03.ID(), wantID)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*Spec)
+		ok   bool
+	}{
+		{"hang factor 20", func(s *Spec) { s.HangFactor = 20 }, true},
+		{"ranks 2", func(s *Spec) { s.Ranks = 2 }, true},
+		{"model sticky", func(s *Spec) { s.Model = "sticky" }, true},
+		{"hang factor above the bound", func(s *Spec) { s.HangFactor = maxHangFactor + 1 }, false},
+		{"ranks above the bound", func(s *Spec) { s.Ranks = maxRanks + 1 }, false},
+		{"unknown model", func(s *Spec) { s.Model = "future-model-v9" }, false},
+	} {
+		s := base()
+		tc.edit(&s)
+		submitted := s
+		s.Normalize()
+		if s.HangFactor != submitted.HangFactor || s.Ranks != submitted.Ranks || s.Model != submitted.Model {
+			t.Errorf("%s: Normalize changed %+v into %+v", tc.name, submitted, s)
+		}
+		if s.ID() == wantID {
+			t.Errorf("%s: shares the default campaign's ID", tc.name)
+		}
+		if err := s.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%t", tc.name, err, tc.ok)
+		}
 	}
 }
 
@@ -114,9 +194,6 @@ func TestSpecValidateBounds(t *testing.T) {
 		{"ranks above the bound", func(s *Spec) { s.Ranks = maxRanks + 1 }, false},
 		{"hang factor at the bound", func(s *Spec) { s.HangFactor = maxHangFactor }, true},
 		{"hang factor above the bound", func(s *Spec) { s.HangFactor = maxHangFactor + 1 }, false},
-		{"retries at the bound", func(s *Spec) { s.MaxRetries = maxRetries }, true},
-		{"retries above the bound", func(s *Spec) { s.MaxRetries = maxRetries + 1 }, false},
-		{"no retries", func(s *Spec) { s.MaxRetries = fault.NoRetries }, true},
 	} {
 		s := testSpec("bounds", 8, 2, 1)
 		tc.edit(&s)
@@ -135,8 +212,8 @@ func TestServerRefusesUnboundedSpecs(t *testing.T) {
 	client := newTestServer(t, Options{Dir: root})
 	sectioned := Spec{Source: testSource, Verifier: "exact", Sections: true, Coverage: maxTrials}
 	sectioned.Normalize()
-	hang, retries := testSpec("", 4, 1, 1), testSpec("", 4, 1, 1)
-	hang.HangFactor, retries.MaxRetries = 1_000_000, 30
+	hang := testSpec("", 4, 1, 1)
+	hang.HangFactor = 1_000_000
 	for _, tc := range []struct {
 		spec Spec
 		why  string
@@ -145,7 +222,6 @@ func TestServerRefusesUnboundedSpecs(t *testing.T) {
 		{testSpec("", maxTrials+1, 1, 1), "trials, above the limit"},
 		{sectioned, "allocates"},
 		{hang, "hang factor 1000000, above the limit"},
-		{retries, "30 retries, above the limit"},
 	} {
 		_, status, err := client.Submit(context.Background(), tc.spec)
 		if status != http.StatusBadRequest || err == nil || !strings.Contains(err.Error(), tc.why) {

@@ -1,11 +1,12 @@
 // Package cli is the campaign command line that flipit, ipas and
-// experiments share: the nine flags that configure every campaign a
-// command runs (-deadline, -max-retries, -shards, -remote, -progress,
-// -sections, -coverage, -max-per-section, -error-model),
-// bound once, and what the commands derive from them — the campaign
-// controls, the run's cancellation context, the progress lines and the
-// notice an interrupted run leaves. Only commands import it, so no
-// library package gains flag or signal handling.
+// experiments share: the eight flags that configure every campaign a
+// command runs (-deadline, -shards, -remote, -progress, -sections,
+// -coverage, -max-per-section, -error-model), bound once, and what the
+// commands derive from them — the campaign controls, the run's
+// cancellation context, the progress lines and the notice an
+// interrupted run leaves. Only commands import it, so no library
+// package gains flag or signal handling. No flag sets the trial retry
+// budget: every trial retries an infrastructure error twice.
 package cli
 
 import (
@@ -29,7 +30,6 @@ import (
 // Flags holds the shared campaign flags after parsing.
 type Flags struct {
 	Deadline      time.Duration
-	MaxRetries    int
 	Shards        int
 	Remote        string
 	Progress      bool
@@ -46,7 +46,6 @@ type Flags struct {
 func Register(fs *flag.FlagSet, cmd string) *Flags {
 	f := &Flags{cmd: cmd, stderr: os.Stderr}
 	fs.DurationVar(&f.Deadline, "deadline", 0, "wall-clock budget for the run (0 = none)")
-	fs.IntVar(&f.MaxRetries, "max-retries", 2, "per-trial retries after infrastructure errors (0 = none)")
 	fs.IntVar(&f.Shards, "shards", 1, "with -remote: shards the coordinator splits each campaign into (results are bit-identical)")
 	fs.StringVar(&f.Remote, "remote", "", "campaignd coordinator URL; dispatch the campaigns a coordinator can run there instead of running them locally")
 	fs.BoolVar(&f.Progress, "progress", false, "report each campaign's trials and each training's grid points on stderr")
@@ -70,7 +69,6 @@ func (f *Flags) Controls() (*core.CampaignControls, error) {
 	}
 	cc := &core.CampaignControls{
 		Model:           model,
-		MaxRetries:      fault.ExplicitRetries(f.MaxRetries),
 		Shards:          f.Shards,
 		Sections:        f.Sections,
 		SectionCoverage: f.Coverage,

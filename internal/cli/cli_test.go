@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"ipas/internal/core"
-	"ipas/internal/fault"
 )
 
 // parse registers the shared flags on a fresh flag set, parses args
@@ -32,7 +31,6 @@ func parse(t *testing.T, args ...string) (*Flags, *core.CampaignControls, error)
 // comparable form.
 type want struct {
 	model           string
-	maxRetries      int
 	shards          int
 	remote          string
 	progress        bool
@@ -45,7 +43,6 @@ type want struct {
 func got(cc *core.CampaignControls) want {
 	w := want{
 		model:           cc.Model.Name(),
-		maxRetries:      cc.MaxRetries,
 		shards:          cc.Shards,
 		progress:        cc.Progress != nil,
 		sections:        cc.Sections,
@@ -60,14 +57,12 @@ func got(cc *core.CampaignControls) want {
 }
 
 func TestControlsFromFlags(t *testing.T) {
-	defaults := want{model: "single-bit", maxRetries: 2, shards: 1, coverage: 1, remoteSpecIsNil: true}
+	defaults := want{model: "single-bit", shards: 1, coverage: 1, remoteSpecIsNil: true}
 	for _, tc := range []struct {
 		args []string
 		want func(w *want)
 	}{
 		{nil, func(*want) {}},
-		{[]string{"-max-retries", "0"}, func(w *want) { w.maxRetries = fault.NoRetries }},
-		{[]string{"-max-retries", "5"}, func(w *want) { w.maxRetries = 5 }},
 		{[]string{"-error-model", "burst-3"}, func(w *want) { w.model = "burst-3" }},
 		{[]string{"-error-model", "sticky"}, func(w *want) { w.model = "sticky" }},
 		{[]string{"-remote", "http://127.0.0.1:7077", "-shards", "4"}, func(w *want) { w.remote, w.shards = "http://127.0.0.1:7077", 4 }},

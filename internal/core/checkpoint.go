@@ -15,12 +15,10 @@ import (
 )
 
 // CampaignControls carries the resilience knobs threaded into every
-// fault-injection campaign the workflow runs: retry policy, worker
-// bound, progress reporting and checkpointing.
+// fault-injection campaign the workflow runs: worker bound, error
+// model, progress reporting, sections and checkpointing. Every trial
+// retries an infrastructure error twice, whichever route it takes.
 type CampaignControls struct {
-	// MaxRetries configures per-trial retry of infrastructure errors
-	// (see fault.Campaign).
-	MaxRetries int
 	// Workers bounds concurrent trials per campaign (0 = GOMAXPROCS).
 	Workers int
 	// Shards is the coordinator's partition count for campaigns
@@ -78,8 +76,8 @@ type CampaignControls struct {
 // under the controls — sectioned when Sections applies, where the
 // per-section allocation replaces n — on the coordinator when
 // RemoteSpec renders the stage, else in-process with the stage's
-// journal. Every route gets the same knobs (retry policy, worker bound,
-// error model, stage-tagged progress), and results match the
+// journal. Every route gets the same knobs (worker bound, error model,
+// stage-tagged progress), and results match the
 // local run trial for trial. A sectioned result's Proportion is the
 // population-weighted composition of its strata (internal/compose),
 // never the raw trial shares.
@@ -90,7 +88,6 @@ func (cc *CampaignControls) Run(ctx context.Context, c *fault.Campaign, n int, s
 	if cc.Shards > 1 && cc.Remote == nil {
 		return nil, fmt.Errorf("core: Shards=%d partitions campaigns dispatched to a coordinator; set Remote or leave Shards at 0", cc.Shards)
 	}
-	c.MaxRetries = cc.MaxRetries
 	c.Workers = cc.Workers
 	if cc.Model != nil {
 		c.Model = cc.Model

@@ -26,9 +26,9 @@ type Options struct {
 	EvalTrials int
 	// Seed drives all sampling.
 	Seed int64
-	// Controls carries resilience knobs (retry policy, progress,
+	// Controls carries resilience knobs (workers, progress,
 	// checkpointing) threaded into every campaign the workflow runs.
-	// Nil keeps the defaults: no checkpointing, 2 retries.
+	// Nil keeps the defaults: no checkpointing, GOMAXPROCS workers.
 	Controls *CampaignControls
 }
 

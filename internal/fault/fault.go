@@ -315,14 +315,6 @@ type Campaign struct {
 	// Trials are independent interpreter runs and the plan sequence is
 	// drawn up front, so results are identical for any worker count.
 	Workers int
-	// MaxRetries bounds how many times a trial is re-executed after an
-	// infrastructure error — a worker panic, a trap raised before the
-	// fault injected, or a plan that never fired. Like Workers and
-	// HangFactor, the zero value selects the default
-	// (DefaultMaxRetries, so up to 3 attempts); to request zero
-	// retries set NoRetries. After the budget is exhausted the trial
-	// is recorded as TrialFailed instead of aborting the campaign.
-	MaxRetries int
 	// Journal, when non-nil, receives every finished trial as it
 	// completes and seeds resume: trials already recorded are restored
 	// instead of re-executed. Because the plan sequence is drawn up
@@ -352,18 +344,12 @@ type Campaign struct {
 	beforeTrial func(t, attempt int)
 }
 
-// Retry sentinels for Campaign.MaxRetries (and the coordinator's
-// shard-level campaign.Options.Retries). The field follows the
-// Workers/HangFactor convention — zero means "default" — which would
-// otherwise leave no way to ask for zero retries.
-const (
-	// DefaultMaxRetries is the retry budget selected by a zero
-	// MaxRetries.
-	DefaultMaxRetries = 2
-	// NoRetries requests zero retries explicitly (any negative value
-	// is treated the same; this named sentinel is the documented one).
-	NoRetries = -1
-)
+// trialRetries is how many times a trial is re-executed after an
+// infrastructure error (a worker panic, a trap raised before the fault
+// injected, a plan that never fired, an MPI watchdog expiry), so a
+// trial gets up to three attempts; after the last it is recorded as
+// TrialFailed instead of aborting the campaign.
+const trialRetries = 2
 
 // retryBackoff is the base delay before re-running a failed trial:
 // retry k waits BackoffDelay(retryBackoff, k), and cancellation
@@ -388,38 +374,16 @@ func BackoffDelay(base time.Duration, attempt int) time.Duration {
 	return min(d, MaxBackoff)
 }
 
-// defaultHangFactor is the hang factor a zero Campaign.HangFactor
-// selects.
-const defaultHangFactor = 10
+// DefaultHangFactor is the hang factor a zero or negative
+// Campaign.HangFactor selects.
+const DefaultHangFactor = 10
 
 // hangFactor resolves the HangFactor convention into a concrete factor.
 func (c *Campaign) hangFactor() int64 {
 	if c.HangFactor <= 0 {
-		return defaultHangFactor
+		return DefaultHangFactor
 	}
 	return c.HangFactor
-}
-
-// ExplicitRetries converts a literal retry count — as a user states it
-// on a CLI flag, where 0 means "no retries" — into a MaxRetries field
-// value, mapping 0 (and negatives) onto NoRetries so it is not
-// silently promoted to the default.
-func ExplicitRetries(n int) int {
-	if n <= 0 {
-		return NoRetries
-	}
-	return n
-}
-
-// retries resolves the MaxRetries convention into a concrete budget.
-func retries(maxRetries int) int {
-	switch {
-	case maxRetries < 0:
-		return 0
-	case maxRetries == 0:
-		return DefaultMaxRetries
-	}
-	return maxRetries
 }
 
 // Compile compiles a module for fault injection.
@@ -455,8 +419,7 @@ type Prepared struct {
 	// cache rather than executed by this Prepare.
 	GoldenCached bool
 
-	budget     int64
-	maxRetries int
+	budget int64
 
 	// secs is the sectioned-campaign substrate (nil for plain
 	// campaigns): the per-section trial allocation and the trial
@@ -566,7 +529,6 @@ func (c *Campaign) Prepare(ctx context.Context) (*Prepared, error) {
 		Population:   pop,
 		GoldenCached: cached,
 		budget:       golden.MaxRankDyn*hang + slack,
-		maxRetries:   retries(c.MaxRetries),
 	}
 	if c.Sections {
 		sp, err := newSectionPlan(c, golden)
@@ -610,7 +572,7 @@ func (p *Prepared) Meta(n int) JournalMeta {
 		GoldenDyn: p.Golden.TotalDyn, Population: p.Population,
 		Model: ModelName(p.c.Model), ProgramFP: p.c.Prog.Fingerprint(),
 	}
-	if hang := p.c.hangFactor(); hang != defaultHangFactor {
+	if hang := p.c.hangFactor(); hang != DefaultHangFactor {
 		m.HangFactor = hang
 	}
 	if p.secs != nil {
@@ -662,9 +624,9 @@ func (r *CampaignResult) Finalize() error {
 // ctx for cancellation and deadlines.
 //
 // The engine is resilient: every trial attempt runs with panic
-// isolation, infrastructure errors are retried up to MaxRetries times
-// with exponential backoff, and a trial that still fails is recorded
-// as TrialFailed instead of aborting the campaign. On cancellation the
+// isolation, infrastructure errors are retried twice with exponential
+// backoff, and a trial that still fails is recorded as TrialFailed
+// instead of aborting the campaign. On cancellation the
 // partial result is returned together with ctx.Err(); unexecuted
 // trials stay TrialPending. When any trial failed, the (complete)
 // result is returned together with the joined per-trial errors.
@@ -802,7 +764,7 @@ func (p *Prepared) RunTrial(ctx context.Context, t int, plan interp.FaultPlan) T
 	pending := Trial{Site: -1, Bit: plan.Bit, Index: plan.Index, Status: TrialPending}
 	var lastErr error
 	attempts := 0
-	for attempt := 0; attempt <= p.maxRetries; attempt++ {
+	for attempt := 0; attempt <= trialRetries; attempt++ {
 		if ctx.Err() != nil {
 			return pending
 		}

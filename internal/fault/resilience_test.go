@@ -72,13 +72,14 @@ func TestCampaignPanicIsolationRetries(t *testing.T) {
 }
 
 // A trial that panics on every attempt must be recorded as TrialFailed
-// with the panic message, while the rest of the campaign completes and
-// its statistics cover completed trials only.
+// after all three attempts with the panic message, while the rest of
+// the campaign completes and its statistics cover completed trials
+// only.
 func TestCampaignPanicIsolationExhaustsRetries(t *testing.T) {
 	p, verify := compileCampaignProg(t)
 	const n = 30
 
-	c := &Campaign{Prog: p, Verify: verify, Seed: 13, Workers: 2, MaxRetries: 1}
+	c := &Campaign{Prog: p, Verify: verify, Seed: 13, Workers: 2}
 	c.beforeTrial = func(trial, attempt int) {
 		if trial == 3 {
 			panic("persistent test panic")
@@ -98,7 +99,7 @@ func TestCampaignPanicIsolationExhaustsRetries(t *testing.T) {
 		t.Fatalf("completed=%d failed=%d pending=%d, want %d/1/0", res.Completed, res.Failed, res.Pending, n-1)
 	}
 	tr := res.Trials[3]
-	if tr.Status != TrialFailed || tr.Attempts != 2 || !strings.Contains(tr.Err, "persistent test panic") {
+	if tr.Status != TrialFailed || tr.Attempts != 3 || !strings.Contains(tr.Err, "persistent test panic") {
 		t.Fatalf("failed trial recorded as %+v", tr)
 	}
 	total := 0

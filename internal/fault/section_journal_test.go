@@ -116,11 +116,10 @@ func runSectionsRefusesOlderLayout(t *testing.T, name, data string) {
 }
 
 // A sectioned campaign reports infrastructure failures through
-// Progress exactly as a plain one does: when one trial panics on its
-// only attempt, the final Progress call counts it.
+// Progress exactly as a plain one does: when one trial panics on every
+// attempt, the final Progress call counts it.
 func TestRunSectionsProgressReportsFailures(t *testing.T) {
 	c := sectionedCampaign(t, 1)
-	c.MaxRetries = NoRetries
 	c.Workers = 2
 	c.beforeTrial = func(trial, attempt int) {
 		if trial == 1 {

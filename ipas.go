@@ -101,9 +101,10 @@ func NewCheckpoint(dir string, resume bool) (*Checkpoint, error) {
 	return core.NewCheckpoint(dir, resume)
 }
 
-// CampaignControls carries the resilience knobs (retry policy, worker
-// count, progress reporting, checkpointing) threaded into every
-// campaign a workflow runs; set it on Options.Controls.
+// CampaignControls carries the resilience knobs (worker count, error
+// model, progress reporting, checkpointing) threaded into every
+// campaign a workflow runs; set it on Options.Controls. Every trial
+// retries an infrastructure error twice; no control changes that.
 type CampaignControls = core.CampaignControls
 
 // Outcome classification of a single injection (§5.5 of the paper).
