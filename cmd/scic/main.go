@@ -17,10 +17,9 @@ import (
 func main() {
 	out := flag.String("o", "", "output file (default: stdout)")
 	stats := flag.Bool("stats", false, "print module statistics to stderr")
-	optimize := flag.Bool("O", false, "run the full optimization pipeline (constant folding, CFG simplification)")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: scic [-O] [-o out.ir] [-stats] prog.sci")
+		fmt.Fprintln(os.Stderr, "usage: scic [-o out.ir] [-stats] prog.sci")
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
@@ -30,10 +29,6 @@ func main() {
 	m, err := lang.Compile(string(src))
 	if err != nil {
 		fatal(err)
-	}
-	if *optimize {
-		ir.Optimize(m)
-		m.AssignSiteIDs()
 	}
 	text := ir.Print(m)
 	if *stats {

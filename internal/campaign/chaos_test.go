@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"ipas/internal/campaign/campaigntest"
 	"ipas/internal/fault"
 )
 
@@ -127,7 +126,7 @@ func TestServerChaosConvergence(t *testing.T) {
 		t.Fatalf("campaign did not converge: %v", err)
 	}
 	assertSameTrials(t, res, want)
-	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, nil)
+	assertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, nil)
 }
 
 // TestServerChaosQuarantineExhaustion runs a worker process that fails
@@ -178,5 +177,5 @@ func TestServerChaosQuarantineExhaustion(t *testing.T) {
 			t.Fatalf("sibling trial %d differs:\n  got  %+v\n  want %+v", tr, res.Trials[tr], want.Trials[tr])
 		}
 	}
-	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, func(trial int) bool { return trial >= lo && trial < hi })
+	assertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, func(trial int) bool { return trial >= lo && trial < hi })
 }

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"ipas/internal/campaign/campaigntest"
 	"ipas/internal/workloads"
 )
 
@@ -92,7 +91,7 @@ func TestConvergenceWorkloadsAcrossHarnessPaths(t *testing.T) {
 			}
 			rres := waitComplete(t, client, sub.ID)
 			assertSameTrials(t, rres, want)
-			campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, nil)
+			assertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, nil)
 		})
 	}
 }

@@ -5,8 +5,8 @@ package campaign
 // httptest and require that partitioning a campaign — any shard count,
 // any number of workers, interrupted, mutilated and resumed — changes
 // nothing about its result or its journal, which must carry a local
-// Workers=1 run's header and trials (campaigntest.AssertJournal) and
-// resume under a local campaign, as a local journal resumes here.
+// Workers=1 run's header and trials (assertJournal, in server_test.go)
+// and resume under a local campaign, as a local journal resumes here.
 // Specs are name-pinned ("shard-test"), so resubmissions with a
 // different seed, model or shard count land in the same journal
 // directory.
@@ -28,7 +28,6 @@ import (
 	"testing"
 	"time"
 
-	"ipas/internal/campaign/campaigntest"
 	"ipas/internal/fault"
 )
 
@@ -142,7 +141,7 @@ func TestShardCountInvariance(t *testing.T) {
 				client, _ := startFleet(t, context.Background(), root, w, nil)
 				sub := submit(t, client, testSpec("shard-test", n, k, seed), http.StatusCreated)
 				assertSameTrials(t, waitComplete(t, client, sub.ID), refRes)
-				campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, refRes.Trials, nil)
+				assertJournal(t, filepath.Join(root, sub.ID), meta, refRes.Trials, nil)
 			})
 		}
 	}
@@ -171,7 +170,7 @@ func TestShardCancelThenResumeInvariance(t *testing.T) {
 					t.Fatal("resume restored no trials from the interrupted run's journal")
 				}
 				assertSameTrials(t, waitComplete(t, client, sub.ID), refRes)
-				campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, refRes.Trials, nil)
+				assertJournal(t, filepath.Join(root, sub.ID), meta, refRes.Trials, nil)
 			})
 		}
 	}
@@ -197,7 +196,7 @@ func TestModelShardCountInvariance(t *testing.T) {
 					spec.Shards = k
 					sub := submit(t, client, spec, http.StatusCreated)
 					assertSameTrials(t, waitComplete(t, client, sub.ID), refRes)
-					campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, refRes.Trials, nil)
+					assertJournal(t, filepath.Join(root, sub.ID), meta, refRes.Trials, nil)
 				})
 			}
 		})
@@ -361,7 +360,7 @@ func TestChaosCrashResumeBitIdentical(t *testing.T) {
 	})
 	sub := submit(t, client, spec, http.StatusOK)
 	assertSameTrials(t, waitComplete(t, client, sub.ID), refRes)
-	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, refRes.Trials, nil)
+	assertJournal(t, filepath.Join(root, sub.ID), meta, refRes.Trials, nil)
 }
 
 // A completed coordinator campaign's journal is a local campaign's
@@ -469,7 +468,7 @@ func TestCoordinatorResumesLocalJournal(t *testing.T) {
 	if got := ran.Load(); got != int64(n-k) {
 		t.Fatalf("coordinator ran %d trials, want the %d the local journal lacked", got, n-k)
 	}
-	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, refRes.Trials, nil)
+	assertJournal(t, filepath.Join(root, sub.ID), meta, refRes.Trials, nil)
 }
 
 // A name-pinned campaign interrupted at 3 shards resumes at 4: the
@@ -491,5 +490,5 @@ func TestRepartitionedCampaignResumes(t *testing.T) {
 	if got := ran.Load(); sub.Restored == 0 || got != int64(n-sub.Restored) {
 		t.Fatalf("4-shard resume restored %d trials and ran %d, want the %d missing", sub.Restored, got, n-sub.Restored)
 	}
-	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, refRes.Trials, nil)
+	assertJournal(t, filepath.Join(root, sub.ID), meta, refRes.Trials, nil)
 }

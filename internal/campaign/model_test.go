@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"ipas/internal/campaign/campaigntest"
 	"ipas/internal/fault"
 )
 
@@ -73,7 +72,7 @@ func TestServerModelCampaignsMatchLocalReference(t *testing.T) {
 			}
 			res := waitComplete(t, client, sub.ID)
 			assertSameTrials(t, res, want)
-			campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, nil)
+			assertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, nil)
 		})
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"ipas/internal/campaign/campaigntest"
 	"ipas/internal/fault"
 )
 
@@ -129,6 +128,50 @@ func assertSameTrials(t *testing.T, got, want *fault.CampaignResult) {
 	}
 }
 
+// assertJournal checks a completed coordinator campaign's directory
+// dir against a local run of the same campaign: dir holds exactly
+// fault.CampaignJournal; a journal bound with meta, the local run's
+// header (fault.Prepared.Meta), accepts it, so the headers are equal;
+// and it restores every trial of want, each one equal. Trials that
+// skip excuses (a quarantined shard's range; nil excuses none) must be
+// restored but are not compared. The journal is read, never written.
+func assertJournal(t testing.TB, dir string, meta fault.JournalMeta, want []fault.Trial, skip func(t int) bool) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != fault.CampaignJournal {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("campaign dir %s holds %v, want just %s", dir, names, fault.CampaignJournal)
+	}
+	j, err := fault.OpenJournal(filepath.Join(dir, fault.CampaignJournal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	got, err := j.Begin(meta)
+	if err != nil {
+		t.Fatalf("the local run's header does not bind the coordinator's journal: %v", err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("journal restores %d trials, want %d", len(got), len(want))
+	}
+	for i := range want {
+		tr, ok := got[i]
+		switch {
+		case !ok:
+			t.Fatalf("journal lacks trial %d", i)
+		case skip != nil && skip(i):
+		case tr != want[i]:
+			t.Fatalf("journal trial %d differs:\n  got  %+v\n  want %+v", i, tr, want[i])
+		}
+	}
+}
+
 // waitComplete polls the coordinator until the campaign completes.
 func waitComplete(t *testing.T, client *Client, id string) *fault.CampaignResult {
 	t.Helper()
@@ -161,7 +204,7 @@ func TestServerCampaignMatchesLocalReference(t *testing.T) {
 
 	res := waitComplete(t, client, sub.ID)
 	assertSameTrials(t, res, want)
-	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, nil)
+	assertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, nil)
 
 	p, err := client.Progress(context.Background(), sub.ID)
 	if err != nil {
@@ -351,7 +394,7 @@ func TestServerJournalPathologies(t *testing.T) {
 			}
 			res := waitComplete(t, client, sub2.ID)
 			assertSameTrials(t, res, want)
-			campaigntest.AssertJournal(t, filepath.Join(root, sub2.ID), meta, want.Trials, nil)
+			assertJournal(t, filepath.Join(root, sub2.ID), meta, want.Trials, nil)
 		})
 	}
 
@@ -491,7 +534,7 @@ func TestServerLeaseExpiryRequeuesShard(t *testing.T) {
 	startWorker(t, client, nil)
 	res := waitComplete(t, client, sub.ID)
 	assertSameTrials(t, res, want)
-	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, nil)
+	assertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, nil)
 	p, err := client.Progress(context.Background(), sub.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -564,7 +607,7 @@ func TestServerQuarantineExhaustionFailsShardAlone(t *testing.T) {
 
 	// The journal carries the reference's header and, outside the
 	// failed shard's range, its trials.
-	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, func(trial int) bool { return trial >= lo && trial < hi })
+	assertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, func(trial int) bool { return trial >= lo && trial < hi })
 }
 
 // A journal write failure must not leave a phantom in-memory settle:
@@ -660,7 +703,7 @@ func TestServerRejectsMalformedRecords(t *testing.T) {
 	}
 	startWorker(t, client, nil)
 	assertSameTrials(t, waitComplete(t, client, sub.ID), want)
-	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, nil)
+	assertJournal(t, filepath.Join(root, sub.ID), meta, want.Trials, nil)
 }
 
 // A long-lived worker whose cached campaign ID is reused for a new
@@ -785,7 +828,7 @@ func TestServerSectionedCampaign(t *testing.T) {
 		t.Fatalf("server ran %d trials, want the allocation's %d", len(res.Trials), want.Plan.Total)
 	}
 	assertSameTrials(t, res, want.CampaignResult)
-	campaigntest.AssertJournal(t, filepath.Join(root, sub.ID), prep.Meta(want.Plan.Total), want.Trials, nil)
+	assertJournal(t, filepath.Join(root, sub.ID), prep.Meta(want.Plan.Total), want.Trials, nil)
 }
 
 // A plain campaign must never adopt a sectioned campaign's journals:

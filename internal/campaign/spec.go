@@ -93,19 +93,23 @@ type Spec struct {
 	// per exercised site per section (0 = 1). Only meaningful with
 	// Sections.
 	Coverage int `json:"coverage,omitempty"`
-	// MaxPerSection caps any one section's trial budget (0 = engine
-	// default). Only meaningful with Sections.
+	// MaxPerSection caps any one section's trial budget (0 =
+	// uncapped). Only meaningful with Sections.
 	MaxPerSection int `json:"max_per_section,omitempty"`
 }
 
 // Normalize spells every default one way, in place, so that every
 // spelling of one campaign hashes to one content ID: shards within
-// [1, Trials], a workload's input 1, a sectioned coverage 1, the error
-// model as fault.ModelName names it (single-bit as ""), a hang factor
-// that resolves to fault.DefaultHangFactor as 0, and one rank as 0
-// (Build and Validate read max(Ranks, 1)). A model that does not parse
-// and a value above an admission bound stay as submitted, for Validate
-// to refuse.
+// [1, Trials], a workload's input 1, an inline source's "exact"
+// verifier as "", a sectioned coverage 1, an uncapped section budget
+// as 0, the error model as fault.ModelName names it (single-bit as
+// ""), a hang factor that resolves to fault.DefaultHangFactor as 0,
+// and one rank as 0 (Build and Validate read max(Ranks, 1)). Fields
+// Build ignores read 0 or "": a workload's verifier, an inline
+// source's input, and a plain campaign's coverage and section budget.
+// A model that does not parse, a value above an admission bound and a
+// spec naming both a workload and a source stay as submitted, for
+// Validate to refuse.
 func (s *Spec) Normalize() {
 	if s.Shards <= 0 {
 		s.Shards = 1
@@ -113,11 +117,28 @@ func (s *Spec) Normalize() {
 	if s.Trials > 0 && s.Shards > s.Trials {
 		s.Shards = s.Trials
 	}
-	if s.Workload != "" && s.Input == 0 {
-		s.Input = 1
+	switch {
+	case s.Workload != "" && s.Source != "":
+		// Validate refuses a spec naming both.
+	case s.Workload != "":
+		s.Verifier = ""
+		if s.Input == 0 {
+			s.Input = 1
+		}
+	case s.Source != "":
+		s.Input = 0
+		if s.Verifier == "exact" {
+			s.Verifier = ""
+		}
 	}
-	if s.Sections && s.Coverage <= 0 {
-		s.Coverage = 1
+	if s.Sections {
+		s.Coverage = max(s.Coverage, 1)
+		s.MaxPerSection = max(s.MaxPerSection, 0)
+	} else {
+		s.MaxPerSection = 0
+		if s.Coverage <= maxTrials {
+			s.Coverage = 0
+		}
 	}
 	if m, err := fault.ParseModel(s.Model); err == nil {
 		s.Model = fault.ModelName(m)

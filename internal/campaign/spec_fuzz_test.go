@@ -15,10 +15,13 @@ import (
 // 1 ≤ Shards ≤ Trials ≤ maxTrials, keep its hang factor within
 // maxHangFactor, spell its defaults one way (the model as
 // fault.ModelName names it, no hang factor of 10 or below 0, no rank
-// count below 2 but 0), and come out of a second Normalize unchanged,
-// ID and all. The checked-in corpus (testdata/fuzz/FuzzSpec) holds the
-// names and counts admission refuses, and a retry budget, a field no
-// spec has any more.
+// count below 2 but 0, no workload input 0, the verifier "", a
+// sectioned coverage of at least 1 and section budget of at least 0),
+// spell the fields Build ignores as 0 (an inline source's input, a
+// plain campaign's coverage and section budget), and come out of a
+// second Normalize unchanged, ID and all. The checked-in corpus
+// (testdata/fuzz/FuzzSpec) holds the names and counts admission
+// refuses, and a retry budget, a field no spec has any more.
 func FuzzSpec(f *testing.F) {
 	for _, s := range []Spec{
 		testSpec("", 8, 2, 1),
@@ -57,6 +60,12 @@ func FuzzSpec(f *testing.F) {
 		}
 		if s.HangFactor < 0 || s.HangFactor == fault.DefaultHangFactor || s.Ranks < 0 || s.Ranks == 1 {
 			t.Fatalf("accepted spec spells a default two ways: hang factor %d, ranks %d", s.HangFactor, s.Ranks)
+		}
+		if s.Verifier != "" || s.Workload != "" && s.Input == 0 || s.Source != "" && s.Input != 0 {
+			t.Fatalf("accepted spec spells its program two ways: workload %q, input %d, verifier %q", s.Workload, s.Input, s.Verifier)
+		}
+		if s.Sections && (s.Coverage < 1 || s.MaxPerSection < 0) || !s.Sections && (s.Coverage != 0 || s.MaxPerSection != 0) {
+			t.Fatalf("accepted spec spells its section knobs two ways: sections %t, coverage %d, max per section %d", s.Sections, s.Coverage, s.MaxPerSection)
 		}
 		again := s
 		again.Normalize()

@@ -95,11 +95,13 @@ func TestSpecFillRoundTrip(t *testing.T) {
 	}
 }
 
-// Normalize spells every default one way, so every spelling of one
-// campaign gets the content ID of the spelling that omits the default:
-// the ID a campaign directory is named after. Values that differ from
-// the default keep their own IDs, and values above an admission bound
-// stay as submitted for Validate to refuse.
+// Normalize spells every default one way, and every field Build
+// ignores as 0 or "", so every spelling of one campaign gets the
+// content ID of the spelling that omits them: the ID a campaign
+// directory is named after. Values that differ from the default keep
+// their own IDs, and values above an admission bound and specs naming
+// both a workload and a source stay as submitted for Validate to
+// refuse.
 func TestSpecNormalizeOneIDPerCampaign(t *testing.T) {
 	base := func() Spec { return Spec{Workload: "FFT", Trials: 8, Seed: 3} }
 	canonical := base()
@@ -121,6 +123,10 @@ func TestSpecNormalizeOneIDPerCampaign(t *testing.T) {
 		{"ranks 1", func(s *Spec) { s.Ranks = 1 }},
 		{"ranks -3", func(s *Spec) { s.Ranks = -3 }},
 		{"model single-bit", func(s *Spec) { s.Model = "single-bit" }},
+		{"verifier exact", func(s *Spec) { s.Verifier = "exact" }},
+		{"coverage 4", func(s *Spec) { s.Coverage = 4 }},
+		{"max per section 16", func(s *Spec) { s.MaxPerSection = 16 }},
+		{"max per section -1", func(s *Spec) { s.MaxPerSection = -1 }},
 		{"every default spelled out", func(s *Spec) {
 			s.Input, s.Shards, s.HangFactor, s.Ranks, s.Model = 1, 1, 10, 1, "single-bit"
 		}},
@@ -136,6 +142,34 @@ func TestSpecNormalizeOneIDPerCampaign(t *testing.T) {
 		}
 		if id := s.ID(); id != wantID {
 			t.Errorf("%s: ID %s, want %s", tc.name, id, wantID)
+		}
+	}
+
+	// Inline-source and sectioned campaigns: each spelling shares the
+	// ID of its campaign's spelling that omits the field.
+	for _, tc := range []struct {
+		name   string
+		base   Spec
+		wantID string
+		edit   func(*Spec)
+	}{
+		{"source verifier exact", Spec{Source: testSource, Trials: 8, Seed: 3}, "79914df18bf978ec", func(s *Spec) { s.Verifier = "exact" }},
+		{"source input 2", Spec{Source: testSource, Trials: 8, Seed: 3}, "79914df18bf978ec", func(s *Spec) { s.Input = 2 }},
+		{"sectioned max per section -1", Spec{Workload: "FFT", Seed: 3, Sections: true}, "5caf2a54447f07d7", func(s *Spec) { s.MaxPerSection = -1 }},
+	} {
+		want := tc.base
+		want.Normalize()
+		s := tc.base
+		tc.edit(&s)
+		s.Normalize()
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: Validate() = %v", tc.name, err)
+		}
+		if s != want {
+			t.Errorf("%s: normalized to %+v, want %+v", tc.name, s, want)
+		}
+		if id, wantID := s.ID(), want.ID(); id != tc.wantID || wantID != tc.wantID {
+			t.Errorf("%s: ID %s, omitted spelling's ID %s, want both %s", tc.name, id, wantID, tc.wantID)
 		}
 	}
 
@@ -158,12 +192,14 @@ func TestSpecNormalizeOneIDPerCampaign(t *testing.T) {
 		{"hang factor above the bound", func(s *Spec) { s.HangFactor = maxHangFactor + 1 }, false},
 		{"ranks above the bound", func(s *Spec) { s.Ranks = maxRanks + 1 }, false},
 		{"unknown model", func(s *Spec) { s.Model = "future-model-v9" }, false},
+		{"coverage above the bound", func(s *Spec) { s.Coverage = maxTrials + 1 }, false},
+		{"workload and source", func(s *Spec) { s.Source, s.Verifier, s.Input = testSource, "exact", 2 }, false},
 	} {
-		s := base()
+		s := canonical
 		tc.edit(&s)
 		submitted := s
 		s.Normalize()
-		if s.HangFactor != submitted.HangFactor || s.Ranks != submitted.Ranks || s.Model != submitted.Model {
+		if s != submitted {
 			t.Errorf("%s: Normalize changed %+v into %+v", tc.name, submitted, s)
 		}
 		if s.ID() == wantID {

@@ -183,17 +183,6 @@ func (t Trap) String() string {
 	return fmt.Sprintf("trap(%d)", int(t))
 }
 
-// IsSymptom reports whether the trap is an observable system- or
-// architecture-level symptom in the paper's taxonomy (crash or hang),
-// as opposed to a duplication detection.
-func (t Trap) IsSymptom() bool {
-	switch t {
-	case TrapNone, TrapDetected, TrapCancelled, TrapWatchdog:
-		return false
-	}
-	return true
-}
-
 // trapPanic carries a trap through the Go stack of the evaluator.
 type trapPanic struct {
 	trap Trap

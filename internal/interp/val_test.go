@@ -98,17 +98,6 @@ func TestTrapStrings(t *testing.T) {
 			t.Errorf("trap %d has empty name", tr)
 		}
 	}
-	if TrapNone.IsSymptom() || TrapDetected.IsSymptom() {
-		t.Error("none/detected are not symptoms")
-	}
-	if TrapCancelled.IsSymptom() || TrapWatchdog.IsSymptom() {
-		t.Error("cancelled/watchdog are infrastructure conditions, not symptoms")
-	}
-	for _, tr := range []Trap{TrapOOB, TrapNull, TrapDivZero, TrapBudget, TrapDeadlock, TrapAbort, TrapOOM, TrapStackOverflow, TrapUnaligned} {
-		if !tr.IsSymptom() {
-			t.Errorf("%v must be a symptom", tr)
-		}
-	}
 }
 
 func TestFpToInt(t *testing.T) {

@@ -94,9 +94,6 @@ func (bd *Builder) Xor(x, y Value) *Instr { return bd.binary(OpXor, x, y) }
 // Shl builds a left shift.
 func (bd *Builder) Shl(x, y Value) *Instr { return bd.binary(OpShl, x, y) }
 
-// LShr builds a logical right shift.
-func (bd *Builder) LShr(x, y Value) *Instr { return bd.binary(OpLShr, x, y) }
-
 // AShr builds an arithmetic right shift.
 func (bd *Builder) AShr(x, y Value) *Instr { return bd.binary(OpAShr, x, y) }
 
@@ -154,15 +151,6 @@ func (bd *Builder) GEP(ptr, idx Value) *Instr {
 	return bd.insert(&Instr{op: OpGEP, typ: ptr.Type(), operands: []Value{ptr, idx}})
 }
 
-// AtomicRMW builds an atomic fetch-and-add on an i64 location, returning
-// the old value (the paper's feature 8).
-func (bd *Builder) AtomicRMW(ptr, delta Value) *Instr {
-	if !ptr.Type().IsPtr() || ptr.Type().Elem() != I64 || delta.Type() != I64 {
-		panic("ir: atomicrmw requires i64* and i64 operands")
-	}
-	return bd.insert(&Instr{op: OpAtomicRMW, typ: I64, operands: []Value{ptr, delta}})
-}
-
 // Casts.
 
 // Cast builds the conversion op from x to type to.
@@ -179,14 +167,8 @@ func (bd *Builder) SIToFP(x Value) *Instr { return bd.Cast(OpSIToFP, x, F64) }
 // FPToSI converts an f64 to a signed integer of type to.
 func (bd *Builder) FPToSI(x Value, to *Type) *Instr { return bd.Cast(OpFPToSI, x, to) }
 
-// SExt sign-extends an integer to a wider integer type.
-func (bd *Builder) SExt(x Value, to *Type) *Instr { return bd.Cast(OpSExt, x, to) }
-
 // ZExt zero-extends an integer to a wider integer type.
 func (bd *Builder) ZExt(x Value, to *Type) *Instr { return bd.Cast(OpZExt, x, to) }
-
-// Trunc truncates an integer to a narrower integer type.
-func (bd *Builder) Trunc(x Value, to *Type) *Instr { return bd.Cast(OpTrunc, x, to) }
 
 // Other.
 
@@ -205,14 +187,6 @@ func AddIncoming(phi *Instr, v Value, pred *Block) {
 	if d, ok := v.(*Instr); ok {
 		d.users = append(d.users, phi)
 	}
-}
-
-// Select builds a conditional select: cond ? x : y.
-func (bd *Builder) Select(cond, x, y Value) *Instr {
-	if cond.Type() != I1 || x.Type() != y.Type() {
-		panic("ir: select type mismatch")
-	}
-	return bd.insert(&Instr{op: OpSelect, typ: x.Type(), operands: []Value{cond, x, y}})
 }
 
 // Call builds a function call.

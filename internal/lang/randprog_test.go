@@ -112,34 +112,6 @@ func TestRandomProgramsPrintParseRoundtrip(t *testing.T) {
 	}
 }
 
-// TestOptimizePreservesSemantics: the full opt-in pipeline (mem2reg,
-// constant folding, CFG simplification, DCE) must not change observable
-// behaviour and must never make a program dynamically longer.
-func TestOptimizePreservesSemantics(t *testing.T) {
-	for seed := int64(1); seed <= randProgSeeds; seed++ {
-		src := RandomProgram(seed)
-		base, err := Compile(src)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		opt := ir.CloneModule(base)
-		ir.Optimize(opt)
-		if err := ir.Verify(opt); err != nil {
-			t.Fatalf("seed %d: optimized module invalid: %v", seed, err)
-		}
-		opt.AssignSiteIDs()
-		r1 := execModule(t, base, "base", seed)
-		r2 := execModule(t, opt, "optimized", seed)
-		if !sameOutputs(r1, r2) {
-			t.Fatalf("seed %d: Optimize changed program behaviour", seed)
-		}
-		if r2.TotalDyn > r1.TotalDyn {
-			t.Fatalf("seed %d: optimization made the program slower (%d > %d)",
-				seed, r2.TotalDyn, r1.TotalDyn)
-		}
-	}
-}
-
 // TestInterpreterDeterminism: two runs of the same program are
 // bitwise identical in outputs and instruction counts.
 func TestInterpreterDeterminism(t *testing.T) {

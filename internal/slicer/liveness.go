@@ -132,24 +132,6 @@ func (l *Liveness) LiveIn(b *ir.Block) []ir.Value { return sortedValues(l.liveIn
 // operands riding b's outgoing edges), sorted by name.
 func (l *Liveness) LiveOut(b *ir.Block) []ir.Value { return sortedValues(l.liveOut[b]) }
 
-// LiveAtInstr returns the values live immediately before instr
-// executes, sorted by name.
-func (l *Liveness) LiveAtInstr(instr *ir.Instr) []ir.Value {
-	b := instr.Block()
-	live := map[ir.Value]bool{}
-	for v := range l.liveOut[b] {
-		live[v] = true
-	}
-	instrs := b.Instrs()
-	for i := len(instrs) - 1; i >= 0; i-- {
-		step(live, instrs[i])
-		if instrs[i] == instr {
-			return sortedValues(live)
-		}
-	}
-	return nil
-}
-
 // sortedValues renders a live set deterministically: parameters and
 // instruction results sorted by their SSA names.
 func sortedValues(set map[ir.Value]bool) []ir.Value {

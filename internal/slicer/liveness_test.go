@@ -34,17 +34,6 @@ func names(vs []ir.Value) map[string]bool {
 	return m
 }
 
-func findInstr(fn *ir.Func, name string) *ir.Instr {
-	for _, b := range fn.Blocks() {
-		for _, in := range b.Instrs() {
-			if in.Name() == name {
-				return in
-			}
-		}
-	}
-	return nil
-}
-
 func TestLivenessLoopCarried(t *testing.T) {
 	fn := ir.MustParse(liveSrc).FuncByName("main")
 	l := NewLiveness(fn)
@@ -76,26 +65,6 @@ func TestLivenessLoopCarried(t *testing.T) {
 	}
 	if exitIn["i1"] || exitIn["sq"] {
 		t.Errorf("dead values live into exit: %v", exitIn)
-	}
-}
-
-func TestLiveAtInstr(t *testing.T) {
-	fn := ir.MustParse(liveSrc).FuncByName("main")
-
-	// Immediately before %acc1 = add %acc, %sq: both operands live.
-	at := names(NewLiveness(fn).LiveAtInstr(findInstr(fn, "acc1")))
-	for _, want := range []string{"acc", "sq", "i", "n"} {
-		if !at[want] {
-			t.Errorf("%s must be live before acc1, got %v", want, at)
-		}
-	}
-	// %sq dies at its single use: not live before %i1.
-	at = names(NewLiveness(fn).LiveAtInstr(findInstr(fn, "i1")))
-	if at["sq"] {
-		t.Errorf("sq must be dead before i1, got %v", at)
-	}
-	if !at["acc1"] {
-		t.Errorf("acc1 must be live before i1 (used by back-edge phi and exit), got %v", at)
 	}
 }
 

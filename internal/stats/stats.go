@@ -1,6 +1,6 @@
 // Package stats provides the statistical helpers the paper's
 // evaluation uses: margins of error for sampled proportions (§5.4,
-// §6.2) and summary statistics.
+// §6.2) and the mean.
 package stats
 
 import "math"
@@ -28,35 +28,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var v float64
-	for _, x := range xs {
-		d := x - m
-		v += d * d
-	}
-	return math.Sqrt(v / float64(len(xs)))
-}
-
-// MinMax returns the extrema (0, 0 for empty input).
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
 }
